@@ -38,6 +38,19 @@ func TestFigure3CSVWorkerInvariant(t *testing.T) {
 	}
 }
 
+// TestGoldenFigure15CSV pins the CLI's CSV output for the Fig. 15 SPICE
+// Monte-Carlo at the default 200 sets, for sequential and parallel
+// engines: the bytes the lane-interleaved transient kernel must keep.
+func TestGoldenFigure15CSV(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		var buf bytes.Buffer
+		if err := run(&buf, "15", false, 0, 0, 0, 0, 0, 200, "csv", workers); err != nil {
+			t.Fatal(err)
+		}
+		goldenfile.Check(t, "testdata", "fig15.csv.golden", buf.String())
+	}
+}
+
 // TestStaticTables covers the no-simulation paths: table1 and the decoder
 // walkthrough, which must render without timing or engine lines even in
 // text mode.
