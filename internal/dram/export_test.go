@@ -1,0 +1,25 @@
+package dram
+
+// SetTableBudget overrides the table registry's byte budget, evicting at
+// once down to the new budget, until the returned function restores the
+// previous one. Tests that call it must not run in parallel.
+func SetTableBudget(budget int64) (restore func()) {
+	tableReg.Lock()
+	defer tableReg.Unlock()
+	old := tableRegBudget
+	tableRegBudget = budget
+	evictOverBudget()
+	return func() {
+		tableReg.Lock()
+		defer tableReg.Unlock()
+		tableRegBudget = old
+	}
+}
+
+// TableRegistry reports how many table sets the registry holds and the
+// row bytes charged to them.
+func TableRegistry() (sets int, bytes int64) {
+	tableReg.Lock()
+	defer tableReg.Unlock()
+	return len(tableReg.m), tableReg.bytes
+}

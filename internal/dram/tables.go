@@ -25,6 +25,11 @@ import (
 type saTables struct {
 	init sync.Once
 
+	// Registry bookkeeping, guarded by tableReg's lock.
+	key     tableKey
+	charged int64 // row bytes charged while registered
+	evicted bool  // dropped from the registry; rows no longer count
+
 	theta     []float64  // per-column reliable sensing threshold
 	saBias    bitvec.Vec // per-column sense-amp bias sign (Frac readout)
 	latchNorm []float64  // per-row predecoder latch draw
@@ -50,15 +55,55 @@ type tableKey struct {
 	bank, sa int
 }
 
-// tableRegMax bounds the registry. Beyond it the registry resets: every
-// entry is recomputable, and instances that already attached keep their
-// pointers, so eviction only costs re-derivation for future attachments.
-const tableRegMax = 4096
+// tableRegBudget bounds the registry by the bytes of the rows its table
+// sets publish: the eager per-column and per-row tables, every lazy
+// per-cell, charge-share weight, jitter and coupling row, and every coin
+// plane. Once a charge takes the registered sets past it, the oldest sets
+// are evicted until the rest fit. Every entry is recomputable, and
+// instances that already attached keep their pointers, so eviction only
+// costs re-derivation for future attachments. Fresh-seed workloads build
+// new rows forever; without the bound they would retain every one. The
+// budget is large enough that a server fed fresh seeds evicts a set only
+// after many requests have reused it. It is a variable only so tests can
+// force evictions.
+var tableRegBudget int64 = 256 << 20
 
+// tableReg is the process-wide registry. Its lock is taken after a table
+// set's mu, never before: rows are charged while their set is locked.
 var tableReg = struct {
 	sync.Mutex
-	m map[tableKey]*saTables
+	m     map[tableKey]*saTables
+	order []*saTables // registered sets, oldest first
+	bytes int64       // Σ charged over the registered sets
 }{m: make(map[tableKey]*saTables)}
+
+// charge counts n bytes of rows the set just published against the
+// registry budget, evicting the oldest sets while the registry is over
+// it. Rows published by an evicted set live only as long as the instances
+// holding it, so they are not counted.
+func (t *saTables) charge(n int) {
+	tableReg.Lock()
+	defer tableReg.Unlock()
+	if t.evicted {
+		return
+	}
+	t.charged += int64(n)
+	tableReg.bytes += int64(n)
+	evictOverBudget()
+}
+
+// evictOverBudget drops the oldest registered sets until the rest fit the
+// budget. The caller holds tableReg's lock.
+func evictOverBudget() {
+	for tableReg.bytes > tableRegBudget {
+		old := tableReg.order[0]
+		tableReg.order[0] = nil
+		tableReg.order = tableReg.order[1:]
+		delete(tableReg.m, old.key)
+		tableReg.bytes -= old.charged
+		old.evicted = true
+	}
+}
 
 // Derivation counters, exported through TableDerivations so tests can pin
 // that table reuse actually happens (and stays happening).
@@ -82,11 +127,9 @@ func tablesFor(k tableKey) *saTables {
 	if t, ok := tableReg.m[k]; ok {
 		return t
 	}
-	if len(tableReg.m) >= tableRegMax {
-		tableReg.m = make(map[tableKey]*saTables)
-	}
-	t := &saTables{}
+	t := &saTables{key: k}
 	tableReg.m[k] = t
+	tableReg.order = append(tableReg.order, t)
 	return t
 }
 
@@ -117,6 +160,9 @@ func (s *Subarray) attachTables() {
 		t.wcRows = make(map[wcRowKey][]float64)
 		t.metaPlanes = make(map[metaPlaneKey][]uint64)
 		statStaticSets.Add(1)
+		// Values of the per-column and per-row tables, plus the headers
+		// of the six lazy row tables.
+		t.charge(8*(s.cols+s.words+2*s.rows) + 6*24*s.rows)
 	})
 	s.tab = t
 }
@@ -139,6 +185,7 @@ func (t *saTables) cellRow(s *Subarray, table [][]float64, row int, tag uint64, 
 	}
 	table[row] = r
 	statCellRows.Add(1)
+	t.charge(8 * len(r))
 	return r
 }
 
@@ -160,6 +207,7 @@ func (t *saTables) wbaseRow(s *Subarray, row int) []float64 {
 		r[c] = 1 + sigma*gamma[c]
 	}
 	t.wbaseRows[row] = r
+	t.charge(8 * len(r))
 	return r
 }
 
@@ -175,11 +223,15 @@ func (t *saTables) jitRow(s *Subarray, row, trials int) []float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	r := t.jitRows[row]
+	if len(r) >= trials {
+		return r[:trials]
+	}
+	t.charge(8 * (trials - len(r)))
 	for len(r) < trials {
 		r = append(r, xrand.Norm(s.key3(uint64(row), uint64(len(r)), tagJitter)))
 	}
 	t.jitRows[row] = r
-	return r[:trials]
+	return r
 }
 
 // wcRowKey identifies one charge-share weight row: the row index and the
@@ -216,6 +268,7 @@ func (t *saTables) wcRow(s *Subarray, row int, w float64) []float64 {
 		r[c] = w * wb[c]
 	}
 	t.wcRows[key] = r
+	t.charge(8 * len(r))
 	return r
 }
 
@@ -270,6 +323,7 @@ func (t *saTables) metaPlane(s *Subarray, groupKey uint64, trial int, overlay bo
 	}
 	t.metaPlanes[key] = r
 	t.mu.Unlock()
+	t.charge(8 * len(r))
 	return r
 }
 
@@ -290,5 +344,6 @@ func (t *saTables) couplingRow(cols int, groupKey uint64) []float64 {
 		r[c] = xrand.NormOf(gc.Mix(uint64(c)).Mix(tagCoupling).Sum())
 	}
 	t.couplingNorms[groupKey] = r
+	t.charge(8 * len(r))
 	return r
 }

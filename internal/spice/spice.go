@@ -65,33 +65,103 @@ type cell struct {
 	g    float64 // access conductance, µS
 }
 
-// Transient integrates the charge-sharing transient of the given cells
-// against a VDD/2-precharged bitline and returns the bitline deviation
+// lanes is how many same-size Monte-Carlo samples the transient kernel
+// integrates in lockstep. Each sample's bitline update is a serial
+// dependency chain through a division; interleaving independent chains
+// lets them overlap in the pipeline. Eight lanes keep every bitline and
+// step delta in registers on amd64 (16 vector registers).
+const lanes = 8
+
+// laneCells holds the cells of one lockstep group of samples,
+// interleaved so that cell i of lane l sits at index i*lanes+l.
+type laneCells struct {
+	vs, alpha, capF []float64
+}
+
+// reset sizes the group for n cells per lane, zeroing every slot. A lane
+// left zero has alpha 0, so its bitline never moves: that is how a group
+// pads out the tail of a sweep that does not fill every lane.
+func (lc *laneCells) reset(n int) {
+	m := n * lanes
+	if cap(lc.vs) < m {
+		lc.vs = make([]float64, m)
+		lc.alpha = make([]float64, m)
+		lc.capF = make([]float64, m)
+	}
+	lc.vs, lc.alpha, lc.capF = lc.vs[:m], lc.alpha[:m], lc.capF[:m]
+	clear(lc.vs)
+	clear(lc.alpha)
+	clear(lc.capF)
+}
+
+// load places one sample's cells in lane l. The per-cell relaxation
+// factor depends only on the cell, so it is computed here once rather
+// than at every step.
+func (lc *laneCells) load(l int, cells []cell, stepNS float64) {
+	for i, cl := range cells {
+		k := i*lanes + l
+		lc.vs[k] = cl.v
+		lc.alpha[k] = 1 - math.Exp(-cl.g/cl.capF*stepNS)
+		lc.capF[k] = cl.capF
+	}
+}
+
+// transient integrates the charge-sharing transient of every lane against
+// a VDD/2-precharged bitline and returns each lane's bitline deviation
 // from VDD/2 at the end of the sharing window.
 //
 // The network is dVb/dt = Σ gᵢ(Vᵢ−Vb)/Cb, dVᵢ/dt = gᵢ(Vb−Vᵢ)/Cᵢ, a
 // well-behaved RC star integrated with forward Euler at a small step. In
 // (V, ns, fF, µS) units the equations carry no scale factors: µS/fF =
 // 1/ns, so a 22 fF cell through a 30 µS transistor has τ ≈ 0.73 ns,
-// matching real charge-sharing time scales.
-func (c Circuit) Transient(cells []cell) float64 {
-	vb := c.VDD / 2
-	vs := make([]float64, len(cells))
-	for i, cl := range cells {
-		vs[i] = cl.v
-	}
+// matching real charge-sharing time scales. Each cell relaxes exactly
+// toward the (slow) bitline over one step, which is unconditionally
+// stable for any conductance draw.
+//
+// Within a lane the floating-point operations are the same, in the same
+// order, as integrating that sample alone: lanes only interleave
+// independent chains, so every lane's result is bit-identical to a
+// one-sample integration.
+func (c Circuit) transient(lc *laneCells) [lanes]float64 {
+	bitFF := c.BitFF
+	h := c.VDD / 2
+	vb0, vb1, vb2, vb3, vb4, vb5, vb6, vb7 := h, h, h, h, h, h, h, h
 	steps := int(c.ShareNS / c.StepNS)
 	for s := 0; s < steps; s++ {
-		for i, cl := range cells {
-			// Exact single-cell relaxation toward the (slow) bitline over
-			// one step: unconditionally stable for any conductance draw.
-			alpha := 1 - math.Exp(-cl.g/cl.capF*c.StepNS)
-			dv := (vb - vs[i]) * alpha
-			vs[i] += dv
-			vb -= dv * cl.capF / c.BitFF // charge conservation
+		for k := 0; k+lanes <= len(lc.vs); k += lanes {
+			v := lc.vs[k : k+lanes : k+lanes]
+			a := lc.alpha[k : k+lanes : k+lanes]
+			cf := lc.capF[k : k+lanes : k+lanes]
+			dv0 := (vb0 - v[0]) * a[0]
+			dv1 := (vb1 - v[1]) * a[1]
+			dv2 := (vb2 - v[2]) * a[2]
+			dv3 := (vb3 - v[3]) * a[3]
+			dv4 := (vb4 - v[4]) * a[4]
+			dv5 := (vb5 - v[5]) * a[5]
+			dv6 := (vb6 - v[6]) * a[6]
+			dv7 := (vb7 - v[7]) * a[7]
+			v[0] += dv0
+			v[1] += dv1
+			v[2] += dv2
+			v[3] += dv3
+			v[4] += dv4
+			v[5] += dv5
+			v[6] += dv6
+			v[7] += dv7
+			// Charge conservation. The product stays divided by the
+			// bitline capacitance: a precomputed capF/BitFF ratio would
+			// round differently.
+			vb0 -= dv0 * cf[0] / bitFF
+			vb1 -= dv1 * cf[1] / bitFF
+			vb2 -= dv2 * cf[2] / bitFF
+			vb3 -= dv3 * cf[3] / bitFF
+			vb4 -= dv4 * cf[4] / bitFF
+			vb5 -= dv5 * cf[5] / bitFF
+			vb6 -= dv6 * cf[6] / bitFF
+			vb7 -= dv7 * cf[7] / bitFF
 		}
 	}
-	return vb - c.VDD/2
+	return [lanes]float64{vb0 - h, vb1 - h, vb2 - h, vb3 - h, vb4 - h, vb5 - h, vb6 - h, vb7 - h}
 }
 
 // MonteCarlo runs the Fig. 15 experiment: `sets` independent samples of an
@@ -121,8 +191,12 @@ type Result struct {
 
 // Run simulates `sets` samples of MAJ3(1,1,0) with n-row activation at the
 // given variation fraction. For n == 1 a single charged cell is simulated
-// (the paper's single-row reference distribution); n must otherwise be a
-// multiple-of-activation count ≥ 3 (4, 8, 16 or 32).
+// (the paper's single-row reference distribution); otherwise n is any
+// activation count ≥ 3, built as ⌊n/3⌋ copies of each operand plus n%3
+// neutral cells (Fig. 15 sweeps 4, 8, 16 and 32).
+//
+// Every sample draws its cells and then its sense offset from its own
+// source, so integrating samples in lockstep groups changes no draw.
 func (mc *MonteCarlo) Run(n int, variation float64, sets int) (Result, error) {
 	if err := mc.Circuit.Validate(); err != nil {
 		return Result{}, err
@@ -139,16 +213,30 @@ func (mc *MonteCarlo) Run(n int, variation float64, sets int) (Result, error) {
 
 	res := Result{N: n, Variation: variation, Perturbations: make([]float64, 0, sets)}
 	correct := 0
-	for set := 0; set < sets; set++ {
-		src := xrand.NewSource(mc.Seed, uint64(n), uint64(set),
-			uint64(math.Float64bits(variation)))
-		cells := mc.buildCells(n, variation, src)
-		delta := mc.Circuit.Transient(cells)
-		res.Perturbations = append(res.Perturbations, delta)
-		if n != 1 {
+	var (
+		lc      laneCells
+		cells   []cell
+		offsets [lanes]float64
+	)
+	for base := 0; base < sets; base += lanes {
+		group := min(lanes, sets-base)
+		for l := 0; l < group; l++ {
+			src := xrand.NewSource(mc.Seed, uint64(n), uint64(base+l),
+				uint64(math.Float64bits(variation)))
+			cells = mc.buildCells(cells[:0], n, variation, src)
+			if l == 0 {
+				lc.reset(len(cells))
+			}
+			lc.load(l, cells, mc.Circuit.StepNS)
+			if n != 1 {
+				offsets[l] = mc.SenseOffsetV * src.Norm()
+			}
+		}
+		deltas := mc.Circuit.transient(&lc)
+		for l, delta := range deltas[:group] {
+			res.Perturbations = append(res.Perturbations, delta)
 			// The amplifier resolves sign(delta + offset); MAJ3(1,1,0) = 1.
-			offset := mc.SenseOffsetV * src.Norm()
-			if delta+offset > 0 {
+			if n != 1 && delta+offsets[l] > 0 {
 				correct++
 			}
 		}
@@ -159,10 +247,10 @@ func (mc *MonteCarlo) Run(n int, variation float64, sets int) (Result, error) {
 	return res, nil
 }
 
-// buildCells constructs the MAJ3(1,1,0) cell population for n-row
-// activation: ⌊n/3⌋ copies of each operand (1,1,0) and n%3 neutral VDD/2
+// buildCells appends the MAJ3(1,1,0) cell population for n-row activation
+// to dst: ⌊n/3⌋ copies of each operand (1,1,0) and n%3 neutral VDD/2
 // cells, parameters varied uniformly by ±variation.
-func (mc *MonteCarlo) buildCells(n int, variation float64, src *xrand.Source) []cell {
+func (mc *MonteCarlo) buildCells(dst []cell, n int, variation float64, src *xrand.Source) []cell {
 	c := mc.Circuit
 	varyCap := func() float64 {
 		f := 1 + variation*src.Norm()
@@ -176,17 +264,15 @@ func (mc *MonteCarlo) buildCells(n int, variation float64, src *xrand.Source) []
 	}
 	mk := func(v float64) cell { return cell{v: v, capF: varyCap(), g: varyG()} }
 	if n == 1 {
-		return []cell{mk(c.VDD)}
+		return append(dst, mk(c.VDD))
 	}
-	copies := n / 3
-	cells := make([]cell, 0, n)
-	for i := 0; i < copies; i++ {
-		cells = append(cells, mk(c.VDD), mk(c.VDD), mk(0))
+	for i := 0; i < n/3; i++ {
+		dst = append(dst, mk(c.VDD), mk(c.VDD), mk(0))
 	}
 	for i := 0; i < n%3; i++ {
-		cells = append(cells, mk(c.VDD/2))
+		dst = append(dst, mk(c.VDD/2))
 	}
-	return cells
+	return dst
 }
 
 // Variations lists Fig. 15's process-variation fractions.

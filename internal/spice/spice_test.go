@@ -5,7 +5,124 @@ import (
 	"testing"
 
 	"repro/internal/stats"
+	"repro/internal/xrand"
 )
+
+// scalarTransient is the one-sample forward-Euler integration the lane
+// kernel replaced, kept as its test oracle: one dependency chain per
+// sample, the relaxation factor recomputed at every step.
+func scalarTransient(c Circuit, cells []cell) float64 {
+	vb := c.VDD / 2
+	vs := make([]float64, len(cells))
+	for i, cl := range cells {
+		vs[i] = cl.v
+	}
+	steps := int(c.ShareNS / c.StepNS)
+	for s := 0; s < steps; s++ {
+		for i, cl := range cells {
+			alpha := 1 - math.Exp(-cl.g/cl.capF*c.StepNS)
+			dv := (vb - vs[i]) * alpha
+			vs[i] += dv
+			vb -= dv * cl.capF / c.BitFF // charge conservation
+		}
+	}
+	return vb - c.VDD/2
+}
+
+// scalarRun is MonteCarlo.Run as it was before lane interleaving, kept as
+// the differential oracle: one sample at a time, each integrated alone.
+func scalarRun(mc *MonteCarlo, n int, variation float64, sets int) Result {
+	res := Result{N: n, Variation: variation, Perturbations: make([]float64, 0, sets)}
+	correct := 0
+	for set := 0; set < sets; set++ {
+		src := xrand.NewSource(mc.Seed, uint64(n), uint64(set),
+			uint64(math.Float64bits(variation)))
+		delta := scalarTransient(mc.Circuit, mc.buildCells(nil, n, variation, src))
+		res.Perturbations = append(res.Perturbations, delta)
+		if n != 1 {
+			offset := mc.SenseOffsetV * src.Norm()
+			if delta+offset > 0 {
+				correct++
+			}
+		}
+	}
+	if n != 1 {
+		res.SuccessRate = float64(correct) / float64(sets)
+	}
+	return res
+}
+
+// transientOne integrates a single sample through the lane kernel.
+func transientOne(c Circuit, cells []cell) float64 {
+	var lc laneCells
+	lc.reset(len(cells))
+	lc.load(0, cells, c.StepNS)
+	return c.transient(&lc)[0]
+}
+
+// sameResult reports whether two Monte-Carlo results agree bit for bit.
+func sameResult(a, b Result) bool {
+	if a.N != b.N || math.Float64bits(a.Variation) != math.Float64bits(b.Variation) ||
+		math.Float64bits(a.SuccessRate) != math.Float64bits(b.SuccessRate) ||
+		len(a.Perturbations) != len(b.Perturbations) {
+		return false
+	}
+	for i := range a.Perturbations {
+		if math.Float64bits(a.Perturbations[i]) != math.Float64bits(b.Perturbations[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestLaneKernelMatchesScalar pins the lane kernel bit for bit against
+// the one-sample oracle on every Fig. 15 row count and variation, with
+// set counts 1–21 so that every partial tail group is covered.
+func TestLaneKernelMatchesScalar(t *testing.T) {
+	mc := NewMonteCarlo(11)
+	for _, n := range RowCounts {
+		for _, pv := range Variations {
+			for sets := 1; sets <= 21; sets++ {
+				got, err := mc.Run(n, pv, sets)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := scalarRun(mc, n, pv, sets); !sameResult(got, want) {
+					t.Fatalf("n=%d pv=%v sets=%d: lanes %+v, scalar %+v", n, pv, sets, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzTransientLanes checks the lane kernel against the one-sample oracle
+// for arbitrary seeds, row counts (including ones Fig. 15 does not sweep),
+// variations and set counts.
+func FuzzTransientLanes(f *testing.F) {
+	f.Add(uint64(1), uint8(4), 0.4, uint8(7))
+	f.Add(uint64(2), uint8(1), 0.0, uint8(1))
+	f.Add(uint64(3), uint8(32), 0.2, uint8(21))
+	f.Add(uint64(4), uint8(5), 0.99, uint8(13))
+	f.Fuzz(func(t *testing.T, seed uint64, nb uint8, variation float64, setsb uint8) {
+		n := int(nb%40) + 1
+		if n == 2 {
+			n = 1
+		}
+		if math.IsNaN(variation) || math.IsInf(variation, 0) {
+			t.Skip()
+		}
+		variation = math.Mod(math.Abs(variation), 1)
+		sets := int(setsb%21) + 1
+		mc := NewMonteCarlo(seed)
+		got, err := mc.Run(n, variation, sets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := scalarRun(mc, n, variation, sets); !sameResult(got, want) {
+			t.Fatalf("n=%d pv=%v sets=%d: lanes %+v, scalar %+v", n, variation, sets, got, want)
+		}
+	})
+}
 
 func TestDefaultCircuitValid(t *testing.T) {
 	if err := DefaultCircuit().Validate(); err != nil {
@@ -32,7 +149,7 @@ func TestCircuitValidateRejects(t *testing.T) {
 func TestTransientSingleCellConverges(t *testing.T) {
 	c := DefaultCircuit()
 	c.ShareNS = 50 // long enough to fully settle
-	got := c.Transient([]cell{{v: c.VDD, capF: c.CellFF, g: c.GOnUS}})
+	got := transientOne(c, []cell{{v: c.VDD, capF: c.CellFF, g: c.GOnUS}})
 	want := c.VDD / 2 * c.CellFF / (c.BitFF + c.CellFF)
 	if math.Abs(got-want)/want > 0.02 {
 		t.Fatalf("settled perturbation %v, analytic %v", got, want)
@@ -41,7 +158,7 @@ func TestTransientSingleCellConverges(t *testing.T) {
 
 func TestTransientBalancedCellsCancel(t *testing.T) {
 	c := DefaultCircuit()
-	got := c.Transient([]cell{
+	got := transientOne(c, []cell{
 		{v: c.VDD, capF: c.CellFF, g: c.GOnUS},
 		{v: 0, capF: c.CellFF, g: c.GOnUS},
 	})

@@ -170,12 +170,17 @@ func RunFleet(ctx context.Context, cfg FleetConfig) ([]Result, error) {
 				if err := json.Unmarshal(b, &out); err != nil {
 					return nil, fmt.Errorf("workload: module %s: decode shard: %w", e.Spec.ID, err)
 				}
+				cfg.addActivations(out)
 				return out, nil
 			}
 			continue
 		}
 		tasks[mi] = func(context.Context) ([]Result, error) {
-			return runModule(e, cfg, seed)
+			out, err := runModule(e, cfg, seed)
+			if err == nil {
+				cfg.addActivations(out)
+			}
+			return out, err
 		}
 	}
 	perModule, err := engine.RunKeyed(ctx, cfg.Engine, cfg.Stats, cfg.Memo, keys, tasks)
@@ -239,6 +244,23 @@ func runModule(e fleet.Entry, cfg FleetConfig, shardSeed uint64) ([]Result, erro
 		out = append(out, newResult(w, e.Spec.ID, profile.Name, e.Spec.DieRev, c, res))
 	}
 	return out, nil
+}
+
+// addActivations reports the APAs one executed shard's computers issued
+// to cfg.Stats: one per majority operation. Operand staging and NOT are
+// row copies over the channel in the simulation, and memoized shards
+// execute nothing, so neither counts.
+func (cfg FleetConfig) addActivations(rs []Result) {
+	if cfg.Stats == nil {
+		return
+	}
+	n := 0
+	for _, r := range rs {
+		for _, ops := range r.Counts.MAJ {
+			n += ops
+		}
+	}
+	cfg.Stats.AddActivations(n)
 }
 
 // countsDelta subtracts two op-count snapshots.

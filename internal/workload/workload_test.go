@@ -207,6 +207,40 @@ func TestFleetCompositionInvariance(t *testing.T) {
 	}
 }
 
+// TestFleetReportsActivations pins that a fleet run reports the APAs its
+// computers issued to the engine counters — one per majority operation —
+// and that observing them leaves the results unchanged.
+func TestFleetReportsActivations(t *testing.T) {
+	fc := fleet.DefaultConfig()
+	fc.Columns = 128
+	base := DefaultFleetConfig()
+	base.Entries = fleet.Representative(fc)
+	base.Workloads = []Workload{BitmapScan{}}
+	plain, err := RunFleet(context.Background(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	observed := base
+	observed.Stats = new(engine.Stats)
+	got, err := RunFleet(context.Background(), observed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, got) {
+		t.Fatal("engine stats changed the results")
+	}
+	want := 0
+	for _, r := range got {
+		for _, n := range r.Counts.MAJ {
+			want += n
+		}
+	}
+	if acts := observed.Stats.Snapshot().Activations; acts <= 0 || acts != int64(want) {
+		t.Fatalf("activations = %d, want %d majority operations (> 0)", acts, want)
+	}
+}
+
 func TestRunFleetValidation(t *testing.T) {
 	cfg := DefaultFleetConfig()
 	cfg.MaxX = 4
