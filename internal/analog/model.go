@@ -95,6 +95,14 @@ func (p Params) RFWeight(totalNS float64) float64 {
 // simultaneously asserted rows (decoder load) and shifts slightly with
 // temperature, VPP underscaling and operational aging.
 func (p Params) LatchThreshold(norm float64, nRows int, e Env) float64 {
+	return p.LatchMean(nRows, e) + p.LatchSettleSigma*norm
+}
+
+// LatchMean is the row-invariant part of LatchThreshold: the mean latch
+// settling threshold (ns) for nRows simultaneously asserted rows under
+// env e. Callers that threshold many rows at once compute it once and add
+// LatchSettleSigma·norm per row, the identical float sequence.
+func (p Params) LatchMean(nRows int, e Env) float64 {
 	mean := p.LatchSettleMean
 	if nRows > 1 {
 		mean += p.LatchLoadPerLog2N * math.Log2(float64(nRows))
@@ -103,7 +111,7 @@ func (p Params) LatchThreshold(norm float64, nRows int, e Env) float64 {
 	mean += p.LatchVPPCoeff * (p.VPPNominal - e.VPP)
 	mean += p.AgingLatchPerYear * e.Aging
 	mean += p.DisturbLatchPerUnit * e.Disturb
-	return mean + p.LatchSettleSigma*norm
+	return mean
 }
 
 // WLThreshold maps a static standard-normal draw to a per-row wordline

@@ -56,11 +56,14 @@ type Computer struct {
 	// and the construction-time probe all run allocation-free on these
 	// buffers: rowBufs backs operand staging (rows method), rowBuf is the
 	// single-row scratch for complemented/neutral fills, outBuf receives
-	// APA readbacks. Values handed out alias this storage and are only
-	// valid until the next operation.
+	// APA readbacks, and detBuf/metaBuf hold the planned probe's per-set
+	// sensing decomposition. Values handed out alias this storage and are
+	// only valid until the next operation.
 	rowBufs []bitvec.Vec
 	rowBuf  bitvec.Vec
 	outBuf  bitvec.Vec
+	detBuf  bitvec.Vec
+	metaBuf bitvec.Vec
 
 	zeroReg int // constant all-0s register
 	oneReg  int // constant all-1s register
@@ -77,7 +80,7 @@ type OpCounts struct {
 	Stage int         // operand placements (RowClone-equivalent)
 }
 
-// add merges other into o.
+// add counts one MAJx operation.
 func (o *OpCounts) add(x int) {
 	if o.MAJ == nil {
 		o.MAJ = make(map[int]int)
@@ -100,6 +103,17 @@ func NewComputer(mod *dram.Module, sa *dram.Subarray, maxX int) (*Computer, erro
 // operating envelope; NewComputer is the nominal-point special case.
 func NewComputerAt(mod *dram.Module, sa *dram.Subarray, maxX int,
 	env analog.Env, at timing.APATimings) (*Computer, error) {
+	return buildComputer(mod, sa, maxX, env, at, (*Computer).probeGroup)
+}
+
+// probeFunc probes candidate group g at width x and returns the columns
+// that passed every probe (see probeGroup).
+type probeFunc func(c *Computer, g bender.Group, x int) (bitvec.Vec, error)
+
+// buildComputer is NewComputerAt with the group probe as a parameter, so
+// the tests can run the same selection over the scalar reference probe.
+func buildComputer(mod *dram.Module, sa *dram.Subarray, maxX int,
+	env analog.Env, at timing.APATimings, probe probeFunc) (*Computer, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
@@ -126,6 +140,8 @@ func NewComputerAt(mod *dram.Module, sa *dram.Subarray, maxX int,
 		regs:    make(map[int]bool),
 		rowBuf:  bitvec.New(sa.Cols()),
 		outBuf:  bitvec.New(sa.Cols()),
+		detBuf:  bitvec.New(sa.Cols()),
+		metaBuf: bitvec.New(sa.Cols()),
 	}
 	// Probe every candidate group at every width and pick the one
 	// supporting the widest majority with the most reliable columns — the
@@ -135,7 +151,7 @@ func NewComputerAt(mod *dram.Module, sa *dram.Subarray, maxX int,
 	// case the computer falls back to narrower fused operations.
 	bestWidth, bestCount := 0, -1
 	for _, g := range groups {
-		width, mask, err := c.scoreGroup(g)
+		width, mask, err := c.scoreGroup(g, probe)
 		if err != nil {
 			return nil, err
 		}
@@ -177,12 +193,12 @@ func NewComputerAt(mod *dram.Module, sa *dram.Subarray, maxX int,
 // scoreGroup probes a candidate group at widths 3, 5, ... up to the
 // computer's bound, intersecting per-width reliability masks, and returns
 // the widest usable majority (0 if even MAJ3 is unusable) with its mask.
-func (c *Computer) scoreGroup(g bender.Group) (int, bitvec.Vec, error) {
+func (c *Computer) scoreGroup(g bender.Group, probe probeFunc) (int, bitvec.Vec, error) {
 	threshold := c.sa.Cols() / 3
 	width := 0
 	var reliable bitvec.Vec
 	for x := 3; x <= c.maxX; x += 2 {
-		mask, err := c.probeGroup(g, x)
+		mask, err := probe(c, g, x)
 		if err != nil {
 			return 0, bitvec.Vec{}, err
 		}
@@ -245,24 +261,86 @@ func (c *Computer) probeGroup(g bender.Group, x int) (bitvec.Vec, error) {
 				weakenRowIndex(0, x, winnerSlot)}
 		}
 		for _, weakenRow := range variants {
-			// Repeat each probe: a metastable column resolves randomly per
-			// trial and would pass a single look half the time.
-			for rep := 0; rep < probeRepeats; rep++ {
-				got, _, err := c.execMAJWeakened(operands, weakenRow)
-				if err != nil {
-					return bitvec.Vec{}, err
-				}
-				// Columns that missed the expected constant drop out of
-				// the mask, one word-parallel step.
-				if expectOne {
-					mask.And(mask, got)
-				} else {
-					mask.AndNot(mask, got)
-				}
+			if err := c.probeRepeated(operands, weakenRow, expectOne, mask); err != nil {
+				return bitvec.Vec{}, err
 			}
 		}
 	}
 	return mask, nil
+}
+
+// foldProbe drops the columns of got that missed the expected constant
+// from mask, one word-parallel step.
+func foldProbe(mask, got bitvec.Vec, expectOne bool) {
+	if expectOne {
+		mask.And(mask, got)
+	} else {
+		mask.AndNot(mask, got)
+	}
+}
+
+// probeRepeated runs probeRepeats repeats of one probe — a metastable
+// column resolves randomly per trial and would pass a single look half
+// the time — and folds every repeat into mask. A group's rows are the
+// decoder's whole activation set, so each repeat restages every row the
+// previous one sensed into, and in share mode the repeats differ only in
+// their per-trial draws: the operands are staged once, and the repeats
+// run as one trial-plane plan over trials c.trial+1 ..
+// c.trial+probeRepeats, with one ShareResolve per distinct asserted set
+// and one ShareOut per trial. The last trial's sensed row is then written
+// into its asserted rows and the trial counter advanced, which leaves the
+// subarray and the counter exactly where the per-repeat loop leaves them
+// (DESIGN §17). Single- and copy-mode plans run that loop.
+func (c *Computer) probeRepeated(operands []bitvec.Vec, weakenRow int, expectOne bool, mask bitvec.Vec) error {
+	if err := c.stage(operands, weakenRow); err != nil {
+		return err
+	}
+	opts := c.majOpts(len(operands), c.trial+1)
+	plan, err := c.sa.PlanAPA(c.group.RF, c.group.RS, probeRepeats, opts)
+	if err != nil {
+		return err
+	}
+	if plan.Mode != dram.ModeShare {
+		for rep := 0; rep < probeRepeats; rep++ {
+			if rep > 0 {
+				if err := c.stage(operands, weakenRow); err != nil {
+					return err
+				}
+			}
+			got, _, err := c.fire(len(operands))
+			if err != nil {
+				return err
+			}
+			foldProbe(mask, got, expectOne)
+		}
+		return nil
+	}
+	last := c.trial + probeRepeats
+	det, meta, out, lastOut := c.detBuf, c.metaBuf, c.outBuf, c.rowBuf
+	var lastRows []int
+	for _, set := range plan.Sets {
+		if plan.Viable {
+			c.sa.ShareResolve(det, meta, set, plan, opts)
+		}
+		for _, trial := range set.Trials {
+			c.sa.ShareOut(out, det, meta, plan, trial)
+			foldProbe(mask, out, expectOne)
+			if trial == last {
+				lastOut.CopyFrom(out)
+				lastRows = set.Rows
+			}
+		}
+	}
+	// Every set resolved against the staged rows; only now does the last
+	// trial's sensing land in its asserted rows, as its APA would leave it.
+	for _, r := range lastRows {
+		if err := c.sa.WriteRowVec(r, lastOut); err != nil {
+			return err
+		}
+	}
+	c.sa.Precharge()
+	c.trial = last
+	return nil
 }
 
 // rows returns n reusable column-width scratch rows, growing the
@@ -396,46 +474,63 @@ func weakenRowIndex(copy, x, slot int) int { return copy*x + slot }
 // reliability probe: the staged row at index `weakenRow` is written with
 // complemented data, reducing its side's vote margin by two.
 func (c *Computer) execMAJWeakened(operands []bitvec.Vec, weakenRow int) (bitvec.Vec, bool, error) {
+	if err := c.stage(operands, weakenRow); err != nil {
+		return bitvec.Vec{}, false, err
+	}
+	return c.fire(len(operands))
+}
+
+// stage writes the operand rows into the compute group round-robin, with
+// replication and neutral fill; the staged row at index weakenRow (if it
+// is an operand replica) takes the complemented operand.
+func (c *Computer) stage(operands []bitvec.Vec, weakenRow int) error {
 	x := len(operands)
-	n := c.group.N()
-	copies := n / x
+	copies := c.group.N() / x
 	fracOK := c.mod.Spec().Profile.FracSupported
 	if weakenRow >= copies*x {
 		weakenRow = -1
 	}
 	scratch := c.rowBuf
 	for i, r := range c.group.Rows {
+		var err error
 		switch {
 		case i == weakenRow:
 			scratch.Not(operands[i%x])
-			if err := c.sa.WriteRowVec(r, scratch); err != nil {
-				return bitvec.Vec{}, false, err
-			}
+			err = c.sa.WriteRowVec(r, scratch)
 		case i < copies*x:
-			if err := c.sa.WriteRowVec(r, operands[i%x]); err != nil {
-				return bitvec.Vec{}, false, err
-			}
+			err = c.sa.WriteRowVec(r, operands[i%x])
 		case fracOK:
-			if err := c.sa.SetFracRow(r); err != nil {
-				return bitvec.Vec{}, false, err
-			}
+			err = c.sa.SetFracRow(r)
 		default:
 			scratch.Fill((i-copies*x)%2 == 1)
-			if err := c.sa.WriteRowVec(r, scratch); err != nil {
-				return bitvec.Vec{}, false, err
-			}
+			err = c.sa.WriteRowVec(r, scratch)
+		}
+		if err != nil {
+			return err
 		}
 	}
-	c.trial++
-	res, err := c.sa.APA(c.group.RF, c.group.RS, dram.APAOptions{
+	return nil
+}
+
+// majOpts returns the APA options of a MAJx on the compute group at the
+// given trial.
+func (c *Computer) majOpts(x, trial int) dram.APAOptions {
+	return dram.APAOptions{
 		Timings: c.timings,
 		Env:     c.env,
-		Trial:   c.trial,
+		Trial:   trial,
 		// Compute data is arbitrary: assume full coupling like the random
 		// pattern, the paper's worst case.
 		PatternCoupling: dram.PatternRandom.CouplingFactor(),
-		MAJ:             &dram.MAJSpec{X: x, Copies: copies},
-	})
+		MAJ:             &dram.MAJSpec{X: x, Copies: c.group.N() / x},
+	}
+}
+
+// fire issues the next trial's MAJx APA over the staged compute group and
+// returns the sensed result.
+func (c *Computer) fire(x int) (bitvec.Vec, bool, error) {
+	c.trial++
+	res, err := c.sa.APA(c.group.RF, c.group.RS, c.majOpts(x, c.trial))
 	if err != nil {
 		return bitvec.Vec{}, false, err
 	}

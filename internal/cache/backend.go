@@ -28,6 +28,26 @@ type ErrorCounter interface {
 	Errors() int64
 }
 
+// Owner is optionally implemented by backends that can take ownership of
+// a value instead of copying it: after PutOwned the caller must never
+// modify v again. Cached bytes are immutable by contract anyway — the
+// local LRU hands the same slice to every hit — so a caller that just
+// produced v, or only shares it read-only, can hand it over and skip a
+// second copy of every entry.
+type Owner interface {
+	PutOwned(k Key, v []byte)
+}
+
+// PutOwned stores v under k in b, handing ownership of v over when b
+// implements Owner and falling back to b.Put (which copies) otherwise.
+func PutOwned(b Backend, k Key, v []byte) {
+	if o, ok := b.(Owner); ok {
+		o.PutOwned(k, v)
+		return
+	}
+	b.Put(k, v)
+}
+
 // MemBackend is an in-memory Backend: the fake remote tier used by tests
 // and by a node hosting the fleet's shared tier in-process. The zero
 // value is not usable; create with NewMemBackend.
@@ -60,8 +80,13 @@ func (m *MemBackend) Get(k Key) ([]byte, bool) {
 func (m *MemBackend) Put(k Key, v []byte) {
 	cp := make([]byte, len(v))
 	copy(cp, v)
+	m.PutOwned(k, cp)
+}
+
+// PutOwned stores v itself under k (see Owner).
+func (m *MemBackend) PutOwned(k Key, v []byte) {
 	m.mu.Lock()
-	m.entries[k] = cp
+	m.entries[k] = v
 	m.mu.Unlock()
 }
 
@@ -135,7 +160,8 @@ func (t *Tiered) Do(k Key, compute func() (any, int64, error)) (any, error) {
 		v, size, err := compute()
 		if err == nil {
 			if s, ok := v.(string); ok {
-				t.remote.Put(k, []byte(s))
+				// The conversion already copied s: hand that copy over.
+				PutOwned(t.remote, k, []byte(s))
 			}
 		}
 		return v, size, err

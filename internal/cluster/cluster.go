@@ -138,7 +138,9 @@ func (g *Group) Exec(ctx context.Context, req Request) ([]byte, error) {
 			return nil, 0, err
 		}
 		if g.remote != nil {
-			g.remote.Put(key, b)
+			// b is cached immutable bytes from here on (the local store
+			// hands it to every hit), so the shared tier can hold it too.
+			cache.PutOwned(g.remote, key, b)
 		}
 		return b, int64(len(b)), nil
 	})

@@ -586,7 +586,7 @@ func (s *Subarray) APA(rf, rs int, opts APAOptions) (APAResult, error) {
 		return APAResult{}, err
 	}
 	t := opts.Timings.Quantized()
-	params := s.mod.params
+	params := &s.mod.params
 	jedec := timing.DDR4()
 
 	// Multi-row activation requires the tRP violation (so the predecoder
@@ -607,13 +607,13 @@ func (s *Subarray) APA(rf, rs int, opts APAOptions) (APAResult, error) {
 	// Per-row wordline assertion: rf stays asserted from the first ACT;
 	// every other row in the set must win the settling race (§4 Obs. 2).
 	asserted := s.assertedBuf[:0]
-	n := len(activated)
+	latchMean := params.LatchMean(len(activated), opts.Env)
 	for _, r := range activated {
 		if r == rf {
 			asserted = append(asserted, r)
 			continue
 		}
-		if s.rowAsserts(r, n, opts.Trial, t, opts.Env) {
+		if s.rowAsserts(r, latchMean, opts.Trial, t) {
 			asserted = append(asserted, r)
 		}
 	}
@@ -631,15 +631,50 @@ func (s *Subarray) APA(rf, rs int, opts APAOptions) (APAResult, error) {
 	return res, nil
 }
 
-// rowAsserts draws one row's wordline settling race for one trial. The
-// per-trial jitter draw comes from the shared jitRow cache — the same
-// value the hash would produce inline.
-func (s *Subarray) rowAsserts(r, nActivated, trial int, t timing.APATimings, env analog.Env) bool {
-	params := s.mod.params
-	latchThresh := params.LatchThreshold(s.tab.latchNorm[r], nActivated, env)
-	wlThresh := params.WLThreshold(s.tab.wlNorm[r])
-	jit := params.AssertTransientSigma * s.tab.jitRow(s, r, trial+1)[trial]
+// rowAsserts draws one row's wordline settling race for one trial, given
+// the activation's row-invariant latch mean (Params.LatchMean): the row's
+// latch threshold is LatchMean + LatchSettleSigma·norm, LatchThreshold's
+// own float sequence. A race no jitter draw can flip is settled without
+// drawing (settleRace); otherwise the per-trial jitter draw comes from the
+// shared jitRow cache — the same value the hash would produce inline.
+// Params are read through a pointer so no row copies the struct.
+func (s *Subarray) rowAsserts(r int, latchMean float64, trial int, t timing.APATimings) bool {
+	params := &s.mod.params
+	latchThresh := latchMean + params.LatchSettleSigma*s.tab.latchNorm[r]
+	wlThresh := s.tab.wlThresh[r]
+	sigma := params.AssertTransientSigma
+	switch settleRace(t.T2, t.Total(), latchThresh, wlThresh, math.Abs(sigma)*xrand.NormMax) {
+	case raceAlways:
+		return true
+	case raceNever:
+		return false
+	}
+	jit := sigma * s.tab.jitRow(s, r, trial, 1)[0]
 	return t.T2+jit >= latchThresh && t.Total()+jit >= wlThresh
+}
+
+// Outcomes of a row's wordline settling race that its thresholds fix
+// before any jitter draw.
+const (
+	raceDrawn  = iota // the trial's jitter draw decides
+	raceAlways        // asserts whatever the draw
+	raceNever         // never asserts, whatever the draw
+)
+
+// settleRace classifies a row's settling race. The row asserts in a trial
+// iff t2+jit ≥ latch and total+jit ≥ wl, where jit = σ·NormOf(h) and
+// |NormOf(h)| < xrand.NormMax. Floating-point rounding is monotone, so
+// for jmax = |σ|·NormMax every such sum lies between x−jmax and x+jmax
+// as computed: a threshold outside that interval fixes the comparison for
+// every possible draw, and settling it without drawing changes no result.
+func settleRace(t2, total, latch, wl, jmax float64) int {
+	switch {
+	case t2-jmax >= latch && total-jmax >= wl:
+		return raceAlways
+	case t2+jmax < latch || total+jmax < wl:
+		return raceNever
+	}
+	return raceDrawn
 }
 
 // copyProbs returns the per-driven-bit-value failure probabilities of a

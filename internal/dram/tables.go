@@ -33,7 +33,7 @@ type saTables struct {
 	theta     []float64  // per-column reliable sensing threshold
 	saBias    bitvec.Vec // per-column sense-amp bias sign (Frac readout)
 	latchNorm []float64  // per-row predecoder latch draw
-	wlNorm    []float64  // per-row wordline settle draw
+	wlThresh  []float64  // per-row wordline settle threshold (ns)
 
 	mu            sync.Mutex
 	gammaRows     [][]float64 // per-cell capacitance draws, by row
@@ -41,7 +41,8 @@ type saTables struct {
 	weakWRRows    [][]float64 // per-cell weak-write uniforms, by row
 	weakCopyRows  [][]float64 // per-cell weak-copy uniforms, by row
 	wbaseRows     [][]float64 // per-cell charge-share weight base, by row
-	jitRows       [][]float64 // per-(row, trial) assertion jitter draws
+	jitRows       [][]float64 // per-(row, trial) assertion jitter draws, one run per row
+	jitStart      []int       // first trial of each row's jitter run
 	couplingNorms map[uint64][]float64
 	wcRows        map[wcRowKey][]float64 // w·wbase[c], by (row, drive weight)
 	metaPlanes    map[metaPlaneKey][]uint64
@@ -77,11 +78,14 @@ var tableReg = struct {
 	bytes int64       // Σ charged over the registered sets
 }{m: make(map[tableKey]*saTables)}
 
-// charge counts n bytes of rows the set just published against the
-// registry budget, evicting the oldest sets while the registry is over
-// it. Rows published by an evicted set live only as long as the instances
-// holding it, so they are not counted.
+// charge counts n bytes of rows the set just published (or, negative, just
+// dropped) against the registry budget, evicting the oldest sets while the
+// registry is over it. Rows published by an evicted set live only as long
+// as the instances holding it, so they are not counted.
 func (t *saTables) charge(n int) {
+	if n == 0 {
+		return
+	}
 	tableReg.Lock()
 	defer tableReg.Unlock()
 	if t.evicted {
@@ -141,14 +145,14 @@ func (s *Subarray) attachTables() {
 		t.theta = make([]float64, s.cols)
 		t.saBias = bitvec.New(s.cols)
 		t.latchNorm = make([]float64, s.rows)
-		t.wlNorm = make([]float64, s.rows)
+		t.wlThresh = make([]float64, s.rows)
 		for c := 0; c < s.cols; c++ {
 			t.theta[c] = s.mod.params.SenseThreshold(s.colNorm(c, tagTheta))
 			t.saBias.Set(c, s.colNorm(c, tagSABias) > 0)
 		}
 		for r := 0; r < s.rows; r++ {
 			t.latchNorm[r] = s.rowNorm(r, tagLatch)
-			t.wlNorm[r] = s.rowNorm(r, tagWL)
+			t.wlThresh[r] = s.mod.params.WLThreshold(s.rowNorm(r, tagWL))
 		}
 		t.gammaRows = make([][]float64, s.rows)
 		t.fracRows = make([][]float64, s.rows)
@@ -156,13 +160,14 @@ func (s *Subarray) attachTables() {
 		t.weakCopyRows = make([][]float64, s.rows)
 		t.wbaseRows = make([][]float64, s.rows)
 		t.jitRows = make([][]float64, s.rows)
+		t.jitStart = make([]int, s.rows)
 		t.couplingNorms = make(map[uint64][]float64)
 		t.wcRows = make(map[wcRowKey][]float64)
 		t.metaPlanes = make(map[metaPlaneKey][]uint64)
 		statStaticSets.Add(1)
 		// Values of the per-column and per-row tables, plus the headers
-		// of the six lazy row tables.
-		t.charge(8*(s.cols+s.words+2*s.rows) + 6*24*s.rows)
+		// of the six lazy row tables and the jitter runs' start trials.
+		t.charge(8*(s.cols+s.words+3*s.rows) + 6*24*s.rows)
 	})
 	s.tab = t
 }
@@ -211,27 +216,70 @@ func (t *saTables) wbaseRow(s *Subarray, row int) []float64 {
 	return r
 }
 
-// jitRow returns the row's first `trials` assertion-jitter normal draws,
-// extending the cached prefix on demand. The draws are pure functions of
-// (row, trial), so the timing sweeps that replay the same trials at every
-// grid cell share one Box-Muller evaluation per draw. Entries below the
-// requested length are never rewritten, so the returned prefix is safe to
-// read outside the lock. No fresh per-cell table derivation happens here
-// (it is the same per-trial draw the scalar path makes inline), so it
-// doesn't count toward the derivation counters.
-func (t *saTables) jitRow(s *Subarray, row, trials int) []float64 {
+// jitRow returns the row's assertion-jitter normal draws for trials
+// first..first+n-1. Each row keeps one run of consecutive draws, starting
+// at the first trial requested: a window inside the run is a slice of it,
+// a window reaching past the run's end appends to it, and a window that
+// starts before the run or beyond its end starts a fresh run at its own
+// first trial. The draws are pure functions of (row, trial), so the timing
+// sweeps that replay trials 0..T-1 at every grid cell share one Box-Muller
+// evaluation per draw, while a calibration probe that looks at a row over
+// a few late trials holds only those. Published arrays are never
+// rewritten — appends land past every returned window and a fresh run is
+// a new array — so the returned window is safe to read outside the lock.
+// The run's draws are what is charged: a fresh run returns the old run's
+// charge. No fresh per-cell table derivation happens here (it is the same
+// per-trial draw the scalar path makes inline), so it doesn't count toward
+// the derivation counters.
+func (t *saTables) jitRow(s *Subarray, row, first, n int) []float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	r := t.jitRows[row]
-	if len(r) >= trials {
-		return r[:trials]
+	w, grown := t.jitWindow(s, row, first, n)
+	t.charge(grown)
+	return w
+}
+
+// jitWindows is jitRow for every rows[i] whose bit i is set in need,
+// under one table lock and one registry charge: wins[i] receives that
+// row's window.
+func (t *saTables) jitWindows(s *Subarray, rows []int, need uint64, first, n int, wins [][]float64) {
+	if need == 0 {
+		return
 	}
-	t.charge(8 * (trials - len(r)))
-	for len(r) < trials {
-		r = append(r, xrand.Norm(s.key3(uint64(row), uint64(len(r)), tagJitter)))
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	grown := 0
+	for i, r := range rows {
+		if need>>uint(i)&1 == 1 {
+			var g int
+			wins[i], g = t.jitWindow(s, r, first, n)
+			grown += g
+		}
 	}
-	t.jitRows[row] = r
-	return r
+	t.charge(grown)
+}
+
+// jitWindow is jitRow's body. The caller holds t.mu and charges the
+// returned byte delta.
+func (t *saTables) jitWindow(s *Subarray, row, first, n int) ([]float64, int) {
+	r, start := t.jitRows[row], t.jitStart[row]
+	grown := 0
+	if first < start || first > start+len(r) {
+		grown -= 8 * len(r)
+		r, start = nil, first
+		t.jitStart[row] = first
+	}
+	end := first + n
+	if have := start + len(r); end > have {
+		grown += 8 * (end - have)
+		// key3(row, trial, tagJitter) with the row prefix hoisted.
+		k := s.keyChain.Mix(uint64(row))
+		for trial := have; trial < end; trial++ {
+			r = append(r, xrand.Norm(k.Mix(uint64(trial)).Mix(tagJitter).Sum()))
+		}
+		t.jitRows[row] = r
+	}
+	return r[first-start : end-start : end-start], grown
 }
 
 // wcRowKey identifies one charge-share weight row: the row index and the

@@ -143,10 +143,14 @@ func TestPlanAPAMatchesScalar(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		t1, t2 float64
+		first  int
 	}{
-		{"share", 6, 3},
-		{"copy", 40, 3},
-		{"single", 6, 30},
+		{"share", 6, 3, 0},
+		{"copy", 40, 3, 0},
+		{"single", 6, 30, 0},
+		{"share-offset", 6, 3, 1203},
+		{"share-marginal", 1.5, 1.3, 40},
+		{"copy-offset", 40, 3, 57},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sa := testSubarray(t, ProfileH)
@@ -156,7 +160,10 @@ func TestPlanAPAMatchesScalar(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			plan, err := sa.PlanAPA(0, 384, trials, apaOpts(tc.t1, tc.t2, 0))
+			// A plan starts at opts.Trial: the sweeps plan from trial 0, a
+			// calibration probe from wherever its trial counter stands.
+			first := tc.first
+			plan, err := sa.PlanAPA(0, 384, trials, apaOpts(tc.t1, tc.t2, first))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +180,7 @@ func TestPlanAPAMatchesScalar(t *testing.T) {
 					byTrial[trial] = set.Rows
 				}
 			}
-			for trial := 0; trial < trials; trial++ {
+			for trial := first; trial < first+trials; trial++ {
 				res, err := sa.APA(0, 384, apaOpts(tc.t1, tc.t2, trial))
 				if err != nil {
 					t.Fatal(err)

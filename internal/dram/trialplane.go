@@ -2,10 +2,12 @@ package dram
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/bitvec"
 	"repro/internal/timing"
+	"repro/internal/xrand"
 )
 
 // Trial-plane planning: the characterization kernels repeat one APA
@@ -64,11 +66,12 @@ func (p *APAPlan) Trials() int {
 }
 
 // PlanAPA computes the trial-plane plan of trials repetitions of
-// APA(rf, rs, opts) without mutating the subarray's array state. The
-// opts.Trial field is ignored: the plan covers trials 0..trials-1. Every
-// draw matches what the scalar APA path would draw for the same trial
-// index. The returned plan aliases subarray-owned scratch and is valid
-// until the next PlanAPA call on this subarray.
+// APA(rf, rs, opts) without mutating the subarray's array state. opts.Trial
+// is the first trial: the plan covers trials opts.Trial ..
+// opts.Trial+trials-1, and the sets' Trials list those absolute indices.
+// Every draw matches what the scalar APA path would draw for the same
+// trial index. The returned plan aliases subarray-owned scratch and is
+// valid until the next PlanAPA call on this subarray.
 func (s *Subarray) PlanAPA(rf, rs, trials int, opts APAOptions) (*APAPlan, error) {
 	if err := s.checkRow(rf); err != nil {
 		return nil, err
@@ -79,6 +82,10 @@ func (s *Subarray) PlanAPA(rf, rs, trials int, opts APAOptions) (*APAPlan, error
 	if trials < 1 {
 		return nil, fmt.Errorf("dram: PlanAPA needs at least 1 trial, got %d", trials)
 	}
+	if opts.Trial < 0 {
+		return nil, fmt.Errorf("dram: PlanAPA first trial %d is negative", opts.Trial)
+	}
+	first := opts.Trial
 	t := opts.Timings.Quantized()
 	jedec := timing.DDR4()
 	plan := &s.planBuf
@@ -99,7 +106,7 @@ func (s *Subarray) PlanAPA(rf, rs, trials int, opts APAOptions) (*APAPlan, error
 		}
 		rows := append(s.planRows[:0], rs)
 		for i := range trialsBuf {
-			trialsBuf[i] = i
+			trialsBuf[i] = first + i
 		}
 		plan.Activated = rows
 		if cap(s.planSets) < 1 {
@@ -131,21 +138,44 @@ func (s *Subarray) PlanAPA(rf, rs, trials int, opts APAOptions) (*APAPlan, error
 	}
 	// Rows outer, trials inner: the settling thresholds are trial-invariant,
 	// so hoist them and replay only the cached per-trial jitter draws —
-	// the same race rowAsserts decides, evaluated once per row.
-	params := s.mod.params
+	// the same race rowAsserts decides, evaluated once per row. The latch
+	// mean is row-invariant too, and LatchMean + LatchSettleSigma·norm is
+	// LatchThreshold's own float sequence. Params are read through a
+	// pointer so no row copies the struct. Rows whose race no jitter draw
+	// can flip (settleRace) are settled without drawing; the rest fetch
+	// their windows under one table lock.
+	params := &s.mod.params
+	latchMean := params.LatchMean(n, opts.Env)
+	sigma := params.AssertTransientSigma
+	jmax := math.Abs(sigma) * xrand.NormMax
+	total := t.Total()
+	var drawn uint64 // activated indices whose race the jitter decides
 	for i, r := range activated {
-		if r == rf {
+		race := raceAlways
+		if r != rf {
+			latchThresh := latchMean + params.LatchSettleSigma*s.tab.latchNorm[r]
+			race = settleRace(t.T2, total, latchThresh, s.tab.wlThresh[r], jmax)
+		}
+		switch race {
+		case raceAlways:
 			for trial := range masks {
 				masks[trial] |= 1 << uint(i)
 			}
+		case raceDrawn:
+			drawn |= 1 << uint(i)
+		}
+	}
+	var wins [64][]float64 // the 64-bit masks bound the activation set
+	s.tab.jitWindows(s, activated, drawn, first, trials, wins[:n])
+	for i, r := range activated {
+		if drawn>>uint(i)&1 == 0 {
 			continue
 		}
-		latchThresh := params.LatchThreshold(s.tab.latchNorm[r], n, opts.Env)
-		wlThresh := params.WLThreshold(s.tab.wlNorm[r])
-		sigma := params.AssertTransientSigma
-		for trial, jn := range s.tab.jitRow(s, r, trials) {
+		latchThresh := latchMean + params.LatchSettleSigma*s.tab.latchNorm[r]
+		wlThresh := s.tab.wlThresh[r]
+		for trial, jn := range wins[i] {
 			jit := sigma * jn
-			if t.T2+jit >= latchThresh && t.Total()+jit >= wlThresh {
+			if t.T2+jit >= latchThresh && total+jit >= wlThresh {
 				masks[trial] |= 1 << uint(i)
 			}
 		}
@@ -192,10 +222,10 @@ func (s *Subarray) PlanAPA(rf, rs, trials int, opts APAOptions) (*APAPlan, error
 		sets[k] = AssertSet{Rows: rows, Trials: trialsBuf[toff : toff : toff+counts[k]]}
 		toff += counts[k]
 	}
-	for trial, m := range masks {
+	for i, m := range masks {
 		for k := range uniq {
 			if uniq[k] == m {
-				sets[k].Trials = append(sets[k].Trials, trial)
+				sets[k].Trials = append(sets[k].Trials, first+i)
 				break
 			}
 		}

@@ -201,6 +201,6 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, err, http.StatusBadRequest)
 		return
 	}
-	s.hosted.Put(k, b)
+	s.hosted.PutOwned(k, b) // b is this request's own fresh buffer
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -180,6 +180,52 @@ func TestGroupsByteIdentity(t *testing.T) {
 	}
 }
 
+// copyingBackend hides MemBackend's ownership hand-off, so every write to
+// the shared tier copies as a remote backend's would.
+type copyingBackend struct{ cache.Backend }
+
+// TestGroupsHandOffByteIdentity: a two-group node whose in-process shared
+// tier takes ownership of shard and response bytes answers byte-identically
+// to one whose shared tier copies them — both for the node that computes
+// and for a second node answering from the shared tier.
+func TestGroupsHandOffByteIdentity(t *testing.T) {
+	if _, ok := cache.Backend(copyingBackend{cache.NewMemBackend()}).(cache.Owner); ok {
+		t.Fatal("copyingBackend still exposes the hand-off")
+	}
+	reqs := []struct{ path, body string }{
+		{"/v1/sweep", smallSweep()},
+		{"/v1/workload", `{"workloads":"bitmap-scan","modules":"representative","cols":64,"maxx":5,"format":"csv"}`},
+	}
+	outputs := func(backend cache.Backend) []string {
+		var out []string
+		for node := range 2 {
+			srv, ts := testServer(t, Config{Groups: 2, Backend: backend})
+			for _, tc := range reqs {
+				st, body := postJSON(t, ts.URL+tc.path, tc.body)
+				if st != http.StatusOK {
+					t.Fatalf("%s: status %d (%s)", tc.path, st, body)
+				}
+				var r Response
+				if err := json.Unmarshal([]byte(body), &r); err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, r.Key+"\n"+r.Output)
+			}
+			if st := srv.CacheStats(); node == 1 && st.RemoteHits != int64(len(reqs)) {
+				t.Fatalf("second node tier stats %+v; want every response from the shared tier", st)
+			}
+		}
+		return out
+	}
+	owned := outputs(cache.NewMemBackend())
+	copied := outputs(copyingBackend{cache.NewMemBackend()})
+	for i := range owned {
+		if owned[i] != copied[i] || owned[i] != owned[i%len(reqs)] {
+			t.Fatalf("response %d diverged with the shared tier's hand-off", i)
+		}
+	}
+}
+
 // TestPeerTopology drives a real two-node HTTP fleet: a worker whose
 // shared tier points at a cache host, and a coordinator fanning shards
 // to the worker over the internal shard route. The coordinator's answer

@@ -69,6 +69,13 @@ func Norm(parts ...uint64) float64 {
 	return NormOf(Hash(parts...))
 }
 
+// NormMax bounds every NormOf value in magnitude. The Box-Muller radius
+// sqrt(-2·ln u1) is largest at the smallest u1: 2^-53 gives 8.57, and the
+// log(0) guard's 1e-300 gives 37.17; |cos| ≤ 1. A caller comparing
+// x + σ·NormOf(h) against a threshold can therefore decide the comparison
+// without drawing whenever the threshold lies beyond x ± |σ|·NormMax.
+const NormMax = 37.2
+
 // NormOf returns the standard-normal variate derived from an already
 // computed Hash value: NormOf(Hash(parts...)) == Norm(parts...). Chain
 // users call it to draw normals without materializing a parts slice.

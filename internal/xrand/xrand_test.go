@@ -207,3 +207,16 @@ func TestChainMatchesHash(t *testing.T) {
 		t.Fatalf("prefix chain = %#x, want %#x", got, want)
 	}
 }
+
+// TestNormMaxBoundsNorm pins NormMax above the largest radius NormOf can
+// produce (the log(0) guard's) and above a sample of draws.
+func TestNormMaxBoundsNorm(t *testing.T) {
+	if r := math.Sqrt(-2 * math.Log(1e-300)); r >= NormMax {
+		t.Fatalf("guarded radius %v reaches NormMax %v", r, NormMax)
+	}
+	for i := uint64(0); i < 1<<16; i++ {
+		if v := NormOf(i); math.Abs(v) >= NormMax {
+			t.Fatalf("NormOf(%d) = %v exceeds NormMax", i, v)
+		}
+	}
+}
