@@ -14,26 +14,20 @@ import (
 // "format":"columnar" in the body or an Accept header naming this type.
 const ColumnarContentType = "application/vnd.simra.columnar"
 
-// wantsColumnar reports whether the request's Accept header asks for the
-// columnar media type. It only applies when the body leaves the format
-// empty — an explicit "format" always wins.
-func wantsColumnar(r *http.Request) bool {
+// acceptFormat defaults an empty body format to "columnar" when the
+// request's Accept header names the columnar media type, before
+// normalization. An explicit "format" always wins.
+func acceptFormat(r *http.Request, format *string) {
+	if *format != "" {
+		return
+	}
 	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
 		mt, _, _ := strings.Cut(strings.TrimSpace(part), ";")
 		if strings.TrimSpace(mt) == ColumnarContentType {
-			return true
+			*format = "columnar"
+			return
 		}
 	}
-	return false
-}
-
-// acceptFormat defaults an empty body format from the Accept header
-// before normalization.
-func acceptFormat(r *http.Request, format string) string {
-	if format == "" && wantsColumnar(r) {
-		return "columnar"
-	}
-	return format
 }
 
 // keyTag is the whole-response cache key namespace for one request kind:

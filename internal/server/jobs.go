@@ -11,245 +11,29 @@ import (
 	"strings"
 
 	"repro/internal/cache"
-	"repro/internal/campaign"
-	"repro/internal/charexp"
 	"repro/internal/colenc"
-	"repro/internal/dram"
 	"repro/internal/engine"
 	"repro/internal/jobs"
-	"repro/internal/scenario"
-	"repro/internal/trng"
-	"repro/internal/workload"
 )
 
-// JobRequest submits one request family for asynchronous execution: the
-// discriminated payload mirrors BatchItem, plus an optional completion
-// webhook. The job's identity is the inner request's canonical cache key,
-// so a job and the corresponding blocking POST address the same cache
-// entry and produce byte-identical output.
-type JobRequest struct {
-	Kind     string           `json:"kind"` // "sweep", "workload", "trng", "scenario" or "campaign"
-	Sweep    *SweepRequest    `json:"sweep,omitempty"`
-	Workload *WorkloadRequest `json:"workload,omitempty"`
-	TRNG     *TRNGRequest     `json:"trng,omitempty"`
-	Scenario *ScenarioRequest `json:"scenario,omitempty"`
-	Campaign *CampaignRequest `json:"campaign,omitempty"`
-	// Webhook, when set, receives the signed terminal job status (see
-	// DESIGN.md §11 for the signature scheme).
-	Webhook *jobs.WebhookSpec `json:"webhook,omitempty"`
-}
-
-// normalize validates the envelope and the inner request, reusing each
-// family's 422 contract.
-func (q JobRequest) normalize() (JobRequest, error) {
-	switch q.Kind {
-	case "sweep":
-		inner := SweepRequest{}
-		if q.Sweep != nil {
-			inner = *q.Sweep
-		}
-		n, err := inner.normalize()
-		if err != nil {
-			return q, err
-		}
-		q.Sweep = &n
-	case "workload":
-		inner := WorkloadRequest{}
-		if q.Workload != nil {
-			inner = *q.Workload
-		}
-		n, err := inner.normalize()
-		if err != nil {
-			return q, err
-		}
-		q.Workload = &n
-	case "trng":
-		inner := TRNGRequest{}
-		if q.TRNG != nil {
-			inner = *q.TRNG
-		}
-		n, err := inner.normalize()
-		if err != nil {
-			return q, err
-		}
-		q.TRNG = &n
-	case "scenario":
-		inner := ScenarioRequest{}
-		if q.Scenario != nil {
-			inner = *q.Scenario
-		}
-		n, err := inner.normalize()
-		if err != nil {
-			return q, err
-		}
-		q.Scenario = &n
-	case "campaign":
-		inner := CampaignRequest{}
-		if q.Campaign != nil {
-			inner = *q.Campaign
-		}
-		n, err := inner.normalize()
-		if err != nil {
-			return q, err
-		}
-		q.Campaign = &n
-	default:
-		return q, fmt.Errorf("unknown kind %q; valid: sweep, workload, trng, scenario, campaign", q.Kind)
+// bind validates the envelope and binds it to its family's pipeline,
+// normalizing the payload in place with the family's 422 contract. The
+// key is the job's content address, shared with the blocking route.
+func (q *JobRequest) bind(s *Server) (cache.Key, kindExec, error) {
+	f, err := envelopeFamily(q.Kind, q, func(f *family) slot[JobRequest] { return f.job })
+	if err != nil {
+		return cache.Key{}, nil, err
 	}
-	if q.Webhook != nil && q.Webhook.URL == "" {
-		return q, fmt.Errorf("webhook needs a url")
+	key, exec, err := f.job.bind(s, q)
+	if err == nil && q.Webhook != nil && q.Webhook.URL == "" {
+		err = fmt.Errorf("webhook needs a url")
 	}
-	return q, nil
-}
-
-// key returns the normalized inner request's cache key: the job's
-// content address, shared with the blocking route.
-func (q JobRequest) key() cache.Key {
-	switch q.Kind {
-	case "sweep":
-		return q.Sweep.key()
-	case "workload":
-		return q.Workload.key()
-	case "trng":
-		return q.TRNG.key()
-	case "campaign":
-		return q.Campaign.key()
-	default:
-		return q.Scenario.key()
-	}
+	return key, exec, err
 }
 
 // jobID derives the job identifier from the kind and content key.
 func jobID(kind string, key cache.Key) string {
 	return kind + "-" + cache.KeyString(key)
-}
-
-// kindExec is one request family's execution pipeline with the job tier's
-// observability hooks threaded through: st receives live shard progress,
-// pool supplies warm module instances. The blocking routes call it with
-// (nil, nil) — both hooks never affect result bytes.
-type kindExec func(ctx context.Context, st *engine.Stats, pool dram.ModulePool) (string, error)
-
-// sweepExec builds the sweep pipeline for one normalized request.
-func (s *Server) sweepExec(q SweepRequest) kindExec {
-	return func(ctx context.Context, st *engine.Stats, pool dram.ModulePool) (string, error) {
-		cfg := q.config()
-		cfg.Engine.Workers = s.cfg.Workers
-		cfg.ShardMemo = s.sweepMemo
-		cfg.Dispatch = s.dispatch(ctx)
-		cfg.Stats = st
-		cfg.Pool = pool
-		runner, err := charexp.NewRunner(cfg)
-		if err != nil {
-			return "", err
-		}
-		defer runner.Release()
-		return runner.RunFigure(q.Figure, q.Sets, q.Format)
-	}
-}
-
-// workloadExec builds the workload pipeline for one normalized request.
-func (s *Server) workloadExec(q WorkloadRequest) kindExec {
-	return func(ctx context.Context, st *engine.Stats, pool dram.ModulePool) (string, error) {
-		cfg, err := q.options().Resolve()
-		if err != nil {
-			return "", err
-		}
-		cfg.Engine.Workers = s.cfg.Workers
-		cfg.Memo = s.workloadMemo
-		cfg.Dispatch = s.dispatch(ctx)
-		cfg.Stats = st
-		cfg.Pool = pool
-		results, err := workload.RunFleet(ctx, cfg)
-		if err != nil {
-			return "", err
-		}
-		var b strings.Builder
-		if err := workload.WriteReport(&b, results, q.Format); err != nil {
-			return "", err
-		}
-		return b.String(), nil
-	}
-}
-
-// scenarioExec builds the scenario pipeline for one normalized request.
-func (s *Server) scenarioExec(q ScenarioRequest) kindExec {
-	return func(ctx context.Context, st *engine.Stats, pool dram.ModulePool) (string, error) {
-		cfg, err := q.options().Resolve()
-		if err != nil {
-			return "", err
-		}
-		cfg.Engine.Workers = s.cfg.Workers
-		cfg.Memo = s.sweepMemo
-		cfg.Dispatch = s.dispatch(ctx)
-		cfg.Stats = st
-		cfg.Pool = pool
-		res, err := scenario.Run(ctx, cfg)
-		if err != nil {
-			return "", err
-		}
-		var b strings.Builder
-		if err := scenario.WriteReport(&b, res, q.Format); err != nil {
-			return "", err
-		}
-		return b.String(), nil
-	}
-}
-
-// campaignExec builds the campaign pipeline for one normalized request.
-// Phase-1 module shards share workloadMemo with the workload family;
-// phase-2 candidate evaluations memoize under campaignMemo.
-func (s *Server) campaignExec(q CampaignRequest) kindExec {
-	return func(ctx context.Context, st *engine.Stats, pool dram.ModulePool) (string, error) {
-		cfg, err := q.options().Resolve()
-		if err != nil {
-			return "", err
-		}
-		cfg.Engine.Workers = s.cfg.Workers
-		cfg.ModMemo = s.workloadMemo
-		cfg.Memo = s.campaignMemo
-		cfg.Dispatch = s.dispatch(ctx)
-		cfg.Stats = st
-		cfg.Pool = pool
-		res, err := campaign.Run(ctx, cfg)
-		if err != nil {
-			return "", err
-		}
-		var b strings.Builder
-		if err := campaign.WriteReport(&b, res, q.Format); err != nil {
-			return "", err
-		}
-		return b.String(), nil
-	}
-}
-
-// trngExec builds the TRNG pipeline for one normalized request. The
-// generator runs on a private throwaway module, so the warmpool and
-// progress hooks don't apply.
-func (s *Server) trngExec(q TRNGRequest) kindExec {
-	return func(context.Context, *engine.Stats, dram.ModulePool) (string, error) {
-		out, err := trng.Generate(q.options())
-		if err != nil {
-			return "", err
-		}
-		return trng.FormatHex(out), nil
-	}
-}
-
-// exec maps the normalized job request onto its family pipeline.
-func (q JobRequest) exec(s *Server) kindExec {
-	switch q.Kind {
-	case "sweep":
-		return s.sweepExec(*q.Sweep)
-	case "workload":
-		return s.workloadExec(*q.Workload)
-	case "trng":
-		return s.trngExec(*q.TRNG)
-	case "campaign":
-		return s.campaignExec(*q.Campaign)
-	default:
-		return s.scenarioExec(*q.Scenario)
-	}
 }
 
 // jobExec wraps a family pipeline for the job tier: it shares the
@@ -277,14 +61,13 @@ func (s *Server) jobExec(kind string, key cache.Key, run kindExec) jobs.Exec {
 	}
 }
 
-// submit validates and enqueues one job request (the shared path of the
-// HTTP handler and the in-process facade).
-func (s *Server) submit(q JobRequest) (*jobs.Job, bool, error) {
-	key := q.key()
+// submit enqueues one bound job request (the shared path of the HTTP
+// handler and the in-process facade).
+func (s *Server) submit(q JobRequest, key cache.Key, run kindExec) (*jobs.Job, bool, error) {
 	req := jobs.Request{
 		ID:      jobID(q.Kind, key),
 		Kind:    q.Kind,
-		Exec:    s.jobExec(q.Kind, key, q.exec(s)),
+		Exec:    s.jobExec(q.Kind, key, run),
 		Webhook: q.Webhook,
 	}
 	if v, ok := s.tier.Get(key); ok {
@@ -297,11 +80,11 @@ func (s *Server) submit(q JobRequest) (*jobs.Job, bool, error) {
 // SubmitJob validates and submits a job in-process (the facade's
 // surface); the HTTP handler shares its path.
 func (s *Server) SubmitJob(q JobRequest) (st jobs.Status, existing bool, err error) {
-	q, err = q.normalize()
+	key, run, err := q.bind(s)
 	if err != nil {
 		return jobs.Status{}, false, err
 	}
-	j, existing, err := s.submit(q)
+	j, existing, err := s.submit(q, key, run)
 	if err != nil {
 		return jobs.Status{}, false, err
 	}
@@ -332,12 +115,12 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, err, http.StatusBadRequest)
 		return
 	}
-	q, err := q.normalize()
+	key, run, err := q.bind(s)
 	if err != nil {
 		writeError(w, r, err, http.StatusUnprocessableEntity)
 		return
 	}
-	j, existing, err := s.submit(q)
+	j, existing, err := s.submit(q, key, run)
 	if err != nil {
 		if errors.Is(err, jobs.ErrBusy) {
 			err = fmt.Errorf("job queue full: %w", errBusy)

@@ -45,60 +45,20 @@ type apiRoute struct {
 	handler http.HandlerFunc
 }
 
-// routes builds the route table. Handlers are bound per call; the
-// documentation fields are static.
+// routes builds the route table: one blocking route per families row,
+// then the fixed routes. Handlers are bound per call; the documentation
+// fields are static.
 func (s *Server) routes() []apiRoute {
-	return []apiRoute{
-		{
-			Method: "post", Path: "/v1/sweep",
-			Summary: "Run one characterization figure/table (charexp sweep)",
-			Request: reflect.TypeOf(SweepRequest{}), Response: reflect.TypeOf(Response{}),
-			Columnar: true,
-			handler: endpoint(SweepRequest.normalize, s.runSweep,
-				func(r *http.Request, q SweepRequest) SweepRequest {
-					q.Format = acceptFormat(r, q.Format)
-					return q
-				}),
-		},
-		{
-			Method: "post", Path: "/v1/workload",
-			Summary: "Run a fleet-wide workload sweep",
-			Request: reflect.TypeOf(WorkloadRequest{}), Response: reflect.TypeOf(Response{}),
-			Columnar: true,
-			handler: endpoint(WorkloadRequest.normalize, s.runWorkload,
-				func(r *http.Request, q WorkloadRequest) WorkloadRequest {
-					q.Format = acceptFormat(r, q.Format)
-					return q
-				}),
-		},
-		{
-			Method: "post", Path: "/v1/trng",
-			Summary: "Draw health-screened random bytes from the simulated TRNG",
-			Request: reflect.TypeOf(TRNGRequest{}), Response: reflect.TypeOf(Response{}),
-			handler: endpoint(TRNGRequest.normalize, s.runTRNG),
-		},
-		{
-			Method: "post", Path: "/v1/scenario",
-			Summary: "Run an operating-envelope scenario: grid scan or adaptive envelope search",
-			Request: reflect.TypeOf(ScenarioRequest{}), Response: reflect.TypeOf(Response{}),
-			Columnar: true,
-			handler: endpoint(ScenarioRequest.normalize, s.runScenario,
-				func(r *http.Request, q ScenarioRequest) ScenarioRequest {
-					q.Format = acceptFormat(r, q.Format)
-					return q
-				}),
-		},
-		{
-			Method: "post", Path: "/v1/campaign",
-			Summary: "Run a fleet-design campaign: rank Table-2 module mixes by reliable throughput per watt",
-			Request: reflect.TypeOf(CampaignRequest{}), Response: reflect.TypeOf(Response{}),
-			Columnar: true,
-			handler: endpoint(CampaignRequest.normalize, s.runCampaign,
-				func(r *http.Request, q CampaignRequest) CampaignRequest {
-					q.Format = acceptFormat(r, q.Format)
-					return q
-				}),
-		},
+	var rts []apiRoute
+	for _, f := range families {
+		rts = append(rts, apiRoute{
+			Method: "post", Path: "/v1/" + f.kind,
+			Summary: f.summary, Request: f.request, Response: reflect.TypeOf(Response{}),
+			Columnar: f.columnar,
+			handler:  f.handler(s),
+		})
+	}
+	return append(rts, []apiRoute{
 		{
 			Method: "post", Path: "/v1/batch",
 			Summary: "Run several requests in one round trip, each through the cache + coalescing path",
@@ -183,7 +143,7 @@ func (s *Server) routes() []apiRoute {
 			Pattern: "PUT " + cluster.CachePathPrefix + "{key}", Internal: true,
 			handler: s.handleCachePut,
 		},
-	}
+	}...)
 }
 
 // OpenAPI renders the public route table as an OpenAPI 3.0 document:

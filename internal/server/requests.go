@@ -363,40 +363,6 @@ func (q CampaignRequest) key() cache.Key {
 		Sum()
 }
 
-// BatchItem is one request of a batch, discriminated by Kind.
-type BatchItem struct {
-	Kind     string           `json:"kind"` // "sweep", "workload", "trng", "scenario" or "campaign"
-	Sweep    *SweepRequest    `json:"sweep,omitempty"`
-	Workload *WorkloadRequest `json:"workload,omitempty"`
-	TRNG     *TRNGRequest     `json:"trng,omitempty"`
-	Scenario *ScenarioRequest `json:"scenario,omitempty"`
-	Campaign *CampaignRequest `json:"campaign,omitempty"`
-}
-
-// format returns the item's requested render format, "" when the inner
-// request is absent or the kind has none.
-func (b BatchItem) format() string {
-	switch b.Kind {
-	case "sweep":
-		if b.Sweep != nil {
-			return b.Sweep.Format
-		}
-	case "workload":
-		if b.Workload != nil {
-			return b.Workload.Format
-		}
-	case "scenario":
-		if b.Scenario != nil {
-			return b.Scenario.Format
-		}
-	case "campaign":
-		if b.Campaign != nil {
-			return b.Campaign.Format
-		}
-	}
-	return ""
-}
-
 // BatchRequest submits several requests in one round trip. Items execute
 // in order; each one goes through the same cache + coalescing path as its
 // dedicated endpoint, so a batch of identical items still costs one

@@ -12,8 +12,14 @@
 //	POST /v1/scenario  an operating-envelope scan or envelope search (cmd/simra-scan's surface)
 //	POST /v1/campaign  a fleet-design campaign over Table-2 module mixes (cmd/simra-campaign's surface)
 //	POST /v1/batch     several of the above in one round trip
+//	POST /v1/jobs      one of the above on the async job tier
 //	GET  /healthz      liveness
 //	GET  /metrics      Prometheus-style counters
+//
+// The five request families are rows of one table (families.go): each
+// row drives its blocking route, its /v1/batch items and /v1/jobs
+// envelopes ({"kind":…,"<kind>":{…}}), its OpenAPI entry and its
+// /metrics labels.
 //
 // Malformed request bodies return 400; well-formed requests naming
 // unknown figures, workloads, modules, ops or axes return 422 with an
@@ -160,9 +166,6 @@ func (c Config) withDefaults() Config {
 
 // errBusy sheds load when the execution queue is full.
 var errBusy = errors.New("server: execution queue full")
-
-// kinds are the request families the counters track.
-var kinds = []string{"sweep", "workload", "trng", "scenario", "campaign", "batch"}
 
 // kindCounters tracks one request family.
 type kindCounters struct {
@@ -409,7 +412,10 @@ func (s *Server) acquire(ctx context.Context) (release func(), err error) {
 // execution runs on a context detached from the initiating request:
 // coalesced waiters share it, so one client's disconnect must not fail
 // the others (or waste the nearly finished result). The returned Cached
-// flag reports whether this call avoided executing.
+// flag reports whether this call avoided executing. The pipeline runs
+// without a progress accumulator or warmpool — neither affects result
+// bytes, so the blocking response, the job-tier result and the CLI stdout
+// stay byte-identical (the invariance suites assert it).
 //
 // The shared store is also the job tier's, and a job execution runs
 // under its job's cancelable context — so a blocking request can
@@ -417,7 +423,7 @@ func (s *Server) acquire(ctx context.Context) (release func(), err error) {
 // That cancellation is the job's, not this caller's: when a coalesced
 // wait ends in context.Canceled while our own caller is still live, we
 // re-enter the store and compute (detached, as always) ourselves.
-func (s *Server) respond(ctx context.Context, kind string, key cache.Key, exec func(ctx context.Context) (string, error)) (Response, error) {
+func (s *Server) respond(ctx context.Context, kind string, key cache.Key, exec kindExec) (Response, error) {
 	s.counters[kind].requests.Add(1)
 	detached := context.WithoutCancel(ctx)
 	var (
@@ -435,7 +441,7 @@ func (s *Server) respond(ctx context.Context, kind string, key cache.Key, exec f
 			}
 			defer release()
 			s.counters[kind].executions.Add(1)
-			out, err := exec(detached)
+			out, err := exec(detached, nil, nil)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -460,47 +466,6 @@ func (s *Server) respond(ctx context.Context, kind string, key cache.Key, exec f
 		Cached: !executed,
 		Output: v.(string),
 	}, nil
-}
-
-// runSweep executes one normalized sweep request.
-func (s *Server) runSweep(ctx context.Context, q SweepRequest) (Response, error) {
-	return s.respond(ctx, "sweep", q.key(), blocking(s.sweepExec(q)))
-}
-
-// runWorkload executes one normalized workload request.
-func (s *Server) runWorkload(ctx context.Context, q WorkloadRequest) (Response, error) {
-	return s.respond(ctx, "workload", q.key(), blocking(s.workloadExec(q)))
-}
-
-// runScenario executes one normalized scenario request. Point shards are
-// memoized in the same store as sweep shards (both are []core.GroupOutcome
-// under distinct key families), so an envelope search warms later grid
-// scans and vice versa.
-func (s *Server) runScenario(ctx context.Context, q ScenarioRequest) (Response, error) {
-	return s.respond(ctx, "scenario", q.key(), blocking(s.scenarioExec(q)))
-}
-
-// runTRNG executes one normalized TRNG request.
-func (s *Server) runTRNG(ctx context.Context, q TRNGRequest) (Response, error) {
-	return s.respond(ctx, "trng", q.key(), blocking(s.trngExec(q)))
-}
-
-// runCampaign executes one normalized campaign request. Phase-1 module
-// shards share the workload memo (a campaign warms workload requests and
-// vice versa); phase-2 candidate evaluations memoize under their own
-// campaign/candidate keys.
-func (s *Server) runCampaign(ctx context.Context, q CampaignRequest) (Response, error) {
-	return s.respond(ctx, "campaign", q.key(), blocking(s.campaignExec(q)))
-}
-
-// blocking adapts a family pipeline to the blocking routes: no progress
-// accumulator, no warmpool — neither affects result bytes, so the
-// blocking response, the job-tier result and the CLI stdout stay
-// byte-identical (the invariance suite asserts it).
-func blocking(run kindExec) func(ctx context.Context) (string, error) {
-	return func(ctx context.Context) (string, error) {
-		return run(ctx, nil, nil)
-	}
 }
 
 // decodeJSON strictly parses the request body.
@@ -551,31 +516,31 @@ func post(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// endpoint builds the standard POST handler shape shared by every request
-// family: a malformed body is 400, a well-formed body that fails
-// normalization (unknown figure/workload/op/axis names, out-of-range
-// values) is 422 with an error listing the valid options, and an
-// execution failure is 500.
-// The optional prep hooks run between decode and normalization — the
-// format-bearing families use one to default an empty format from the
-// Accept header (content negotiation never overrides an explicit body
-// format).
-func endpoint[Q any](normalize func(Q) (Q, error), run func(context.Context, Q) (Response, error), prep ...func(*http.Request, Q) Q) http.HandlerFunc {
+// endpoint builds a family's blocking POST /v1/<kind> handler: a
+// malformed body is 400, a well-formed body that fails normalization
+// (unknown figure/workload/op/axis names, out-of-range values) is 422 with
+// an error listing the valid options, and an execution failure is 500.
+// A family with a format field (format != nil) defaults an empty body
+// format from the Accept header before normalization — content
+// negotiation never overrides an explicit body format.
+func endpoint[Q request[Q]](s *Server, kind string, format func(*Q) *string, exec pipeline[Q]) http.HandlerFunc {
 	return post(func(w http.ResponseWriter, r *http.Request) {
 		var q Q
 		if err := decodeJSON(r, &q); err != nil {
 			writeError(w, r, err, http.StatusBadRequest)
 			return
 		}
-		for _, p := range prep {
-			q = p(r, q)
+		if format != nil {
+			acceptFormat(r, format(&q))
 		}
-		q, err := normalize(q)
+		q, err := q.normalize()
 		if err != nil {
 			writeError(w, r, err, http.StatusUnprocessableEntity)
 			return
 		}
-		resp, err := run(r.Context(), q)
+		resp, err := s.respond(r.Context(), kind, q.key(), func(ctx context.Context, st *engine.Stats, pool dram.ModulePool) (string, error) {
+			return exec(s, ctx, q, st, pool)
+		})
 		if err != nil {
 			writeError(w, r, err, http.StatusInternalServerError)
 			return
@@ -621,93 +586,32 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(out)
 }
 
-// runBatchItem routes one batch item; failures are reported in-band so
-// sibling items still execute.
+// runBatchItem routes one batch item through its family's row; failures
+// are reported in-band so sibling items still execute.
 func (s *Server) runBatchItem(ctx context.Context, item BatchItem) Response {
-	fail := func(kind string, err error) Response {
-		return Response{Kind: kind, Error: err.Error()}
+	fail := func(err error) Response {
+		return Response{Kind: item.Kind, Error: err.Error()}
+	}
+	f, err := envelopeFamily(item.Kind, &item, func(f *family) slot[BatchItem] { return f.item })
+	if err != nil {
+		return fail(err)
 	}
 	// The columnar encoding is binary and the batch envelope is JSON:
 	// riding a JSON string would mangle the bytes, so batch items refuse
 	// it in-band and point at the dedicated endpoints.
-	if f := item.format(); f == "columnar" {
-		return fail(item.Kind, fmt.Errorf(
+	if f.itemFormat(&item) == "columnar" {
+		return fail(fmt.Errorf(
 			"columnar format is not available on /v1/batch (binary output cannot ride the JSON envelope); use POST /v1/%s or a job; valid: text, csv", item.Kind))
 	}
-	switch item.Kind {
-	case "sweep":
-		q := SweepRequest{}
-		if item.Sweep != nil {
-			q = *item.Sweep
-		}
-		q, err := q.normalize()
-		if err != nil {
-			return fail("sweep", err)
-		}
-		resp, err := s.runSweep(ctx, q)
-		if err != nil {
-			return fail("sweep", err)
-		}
-		return resp
-	case "workload":
-		q := WorkloadRequest{}
-		if item.Workload != nil {
-			q = *item.Workload
-		}
-		q, err := q.normalize()
-		if err != nil {
-			return fail("workload", err)
-		}
-		resp, err := s.runWorkload(ctx, q)
-		if err != nil {
-			return fail("workload", err)
-		}
-		return resp
-	case "trng":
-		q := TRNGRequest{}
-		if item.TRNG != nil {
-			q = *item.TRNG
-		}
-		q, err := q.normalize()
-		if err != nil {
-			return fail("trng", err)
-		}
-		resp, err := s.runTRNG(ctx, q)
-		if err != nil {
-			return fail("trng", err)
-		}
-		return resp
-	case "scenario":
-		q := ScenarioRequest{}
-		if item.Scenario != nil {
-			q = *item.Scenario
-		}
-		q, err := q.normalize()
-		if err != nil {
-			return fail("scenario", err)
-		}
-		resp, err := s.runScenario(ctx, q)
-		if err != nil {
-			return fail("scenario", err)
-		}
-		return resp
-	case "campaign":
-		q := CampaignRequest{}
-		if item.Campaign != nil {
-			q = *item.Campaign
-		}
-		q, err := q.normalize()
-		if err != nil {
-			return fail("campaign", err)
-		}
-		resp, err := s.runCampaign(ctx, q)
-		if err != nil {
-			return fail("campaign", err)
-		}
-		return resp
-	default:
-		return fail(item.Kind, fmt.Errorf("unknown kind %q; valid: sweep, workload, trng, scenario, campaign", item.Kind))
+	key, exec, err := f.item.bind(s, &item)
+	if err != nil {
+		return fail(err)
 	}
+	resp, err := s.respond(ctx, f.kind, key, exec)
+	if err != nil {
+		return fail(err)
+	}
+	return resp
 }
 
 // writeMetrics renders the Prometheus-style counter page.

@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/dram"
+	"repro/internal/engine"
 	"repro/internal/scenario"
 )
 
@@ -337,7 +339,7 @@ func TestBlockingRetriesWhenCoalescedExecutionCanceled(t *testing.T) {
 	done := make(chan result, 1)
 	go func() {
 		resp, err := s.respond(context.Background(), "trng", key,
-			func(context.Context) (string, error) { return "recomputed", nil })
+			func(context.Context, *engine.Stats, dram.ModulePool) (string, error) { return "recomputed", nil })
 		done <- result{resp, err}
 	}()
 	// Only release the fake execution once the blocking request has

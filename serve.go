@@ -21,13 +21,15 @@ type (
 	// CacheStats is a snapshot of the result cache's counters (hits,
 	// misses, coalesced and executed requests, evictions, resident bytes).
 	CacheStats = cache.Stats
-	// SweepRequest, WorkloadRequest, TRNGRequest, ScenarioRequest and
-	// BatchRequest are the serving API's request bodies; ServeResponse is
+	// SweepRequest, WorkloadRequest, TRNGRequest, ScenarioRequest,
+	// CampaignRequest and BatchRequest are the serving API's request
+	// bodies (one per request family, plus the batch); ServeResponse is
 	// the JSON envelope.
 	SweepRequest    = server.SweepRequest
 	WorkloadRequest = server.WorkloadRequest
 	TRNGRequest     = server.TRNGRequest
 	ScenarioRequest = server.ScenarioRequest
+	CampaignRequest = server.CampaignRequest
 	BatchRequest    = server.BatchRequest
 	ServeResponse   = server.Response
 	// JobRequest submits one request family for asynchronous execution on
