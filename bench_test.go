@@ -367,3 +367,33 @@ func BenchmarkAPAThroughput(b *testing.B) {
 		sa.Precharge()
 	}
 }
+
+// BenchmarkCharSweepOp is one char-sweep op of the end-to-end benchmark
+// (perfbench): a fresh runner at a fresh seed every iteration — a
+// 64-column representative fleet, 2 trials and 2 groups per subarray in
+// 1 bank, the engine on 2 workers — then Figs. 3, 6, 7, 8, 10, 11 and 15
+// (20 Monte-Carlo sets), each rendered to CSV.
+func BenchmarkCharSweepOp(b *testing.B) {
+	fc := simra.DefaultFleetConfig()
+	fc.Columns = 64
+	cfg := simra.DefaultExperimentConfig()
+	cfg.Fleet = simra.FleetRepresentative(fc)
+	cfg.Trials, cfg.GroupsPerSubarray, cfg.Banks = 2, 2, 1
+	cfg.Engine = simra.EngineConfig{Workers: 2}
+	bytes := 0
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = uint64(i) + 1
+		r, err := simra.NewExperiments(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, id := range []string{"3", "6", "7", "8", "10", "11", "15"} {
+			out, err := r.RunFigure(id, 20, "csv")
+			if err != nil {
+				b.Fatal(err)
+			}
+			bytes += len(out)
+		}
+	}
+	b.ReportMetric(float64(bytes)/float64(b.N), "csv-bytes/op")
+}

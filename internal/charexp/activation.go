@@ -42,23 +42,26 @@ func (f Figure3Result) Cell(t1, t2 float64, n int) (stats.Summary, bool) {
 // simultaneous many-row activation (§4, Obs. 1–2).
 func (r *Runner) Figure3() (Figure3Result, error) {
 	var out Figure3Result
+	var cells []sweepCell
 	for _, t1 := range timing.SweepT1SiMRA {
 		for _, t2 := range timing.SweepT2 {
 			for _, n := range ActivationRows {
-				rates, err := r.pooledSweep(core.SweepConfig{
+				cells = append(cells, sweepCell{sc: core.SweepConfig{
 					Op:      core.OpManyRowActivation,
 					N:       n,
 					Timings: timing.APATimings{T1: t1, T2: t2},
 					Pattern: dram.PatternRandom,
-				}, analog.NominalEnv())
-				if err != nil {
-					return Figure3Result{}, err
-				}
-				out.Cells = append(out.Cells, TimingCell{
-					T1: t1, T2: t2, N: n, Summary: stats.MustSummarize(rates),
-				})
+				}, env: analog.NominalEnv()})
+				out.Cells = append(out.Cells, TimingCell{T1: t1, T2: t2, N: n})
 			}
 		}
+	}
+	rates, err := r.pooledSweeps(cells)
+	if err != nil {
+		return Figure3Result{}, err
+	}
+	for i := range out.Cells {
+		out.Cells[i].Summary = stats.MustSummarize(rates[i])
 	}
 	return out, nil
 }
@@ -121,21 +124,24 @@ func (r *Runner) activationEnvSweep(axis string, levels []float64,
 	env func(float64) analog.Env) (Figure4Result, error) {
 
 	out := Figure4Result{Axis: axis}
+	var cells []sweepCell
 	for _, level := range levels {
 		for _, n := range ActivationRows {
-			rates, err := r.pooledSweep(core.SweepConfig{
+			cells = append(cells, sweepCell{sc: core.SweepConfig{
 				Op:      core.OpManyRowActivation,
 				N:       n,
 				Timings: timing.BestSiMRA(),
 				Pattern: dram.PatternRandom,
-			}, env(level))
-			if err != nil {
-				return Figure4Result{}, err
-			}
-			out.Cells = append(out.Cells, EnvCell{
-				Level: level, N: n, Summary: stats.MustSummarize(rates),
-			})
+			}, env: env(level)})
+			out.Cells = append(out.Cells, EnvCell{Level: level, N: n})
 		}
+	}
+	rates, err := r.pooledSweeps(cells)
+	if err != nil {
+		return Figure4Result{}, err
+	}
+	for i := range out.Cells {
+		out.Cells[i].Summary = stats.MustSummarize(rates[i])
 	}
 	return out, nil
 }

@@ -94,6 +94,10 @@ type Runner struct {
 	// runner builds, so concurrent shard kernels reuse arenas within the
 	// run without contending with unrelated runs.
 	arenas *core.ArenaPool
+	// gridRef, when non-nil, runs figure grids in place of the batched
+	// plan. Only the differential tests set it, to their per-cell
+	// reference loop.
+	gridRef func(cells []sweepCell) ([][]float64, error)
 }
 
 // NewRunner instantiates the fleet of the configuration.
@@ -132,54 +136,77 @@ func (r *Runner) Config() Config { return r.cfg }
 // accumulated across every sweep this runner has executed.
 func (r *Runner) Stats() engine.Snapshot { return r.stats.Snapshot() }
 
-// pooledSweep runs one sweep configuration across every applicable module
-// of the fleet under the given environment and pools the per-group success
-// rates, mirroring the paper's "distribution across all tested row groups
-// in all DRAM chips". Modules whose profile cannot run the configuration
-// (MAJ width beyond MaxMAJ, guarded chips) are skipped; an error is
-// returned if no module applies. The per-(module, bank, subarray) shards
-// execute on the engine's worker pool.
-func (r *Runner) pooledSweep(sc core.SweepConfig, env analog.Env) ([]float64, error) {
-	sc = r.boundSweep(sc)
-	shards, applicable, err := r.sweepShards(sc, env, "")
-	if err != nil {
-		return nil, err
+// pooledSweeps runs every cell of a figure grid across every applicable
+// module of the fleet and pools each cell's per-group success rates,
+// mirroring the paper's "distribution across all tested row groups in all
+// DRAM chips"; rates[i] belongs to cells[i]. Modules whose profile cannot
+// run a cell's configuration (MAJ width beyond MaxMAJ, guarded chips) are
+// skipped; an error is returned if no module applies to some cell. The
+// shards of all cells — one per (module, bank, subarray) and cell — are
+// enumerated first, so an enumeration error surfaces before any shard
+// runs, and then execute as one engine run on the worker pool.
+func (r *Runner) pooledSweeps(cells []sweepCell) ([][]float64, error) {
+	if r.gridRef != nil {
+		return r.gridRef(cells)
 	}
-	if applicable == 0 {
-		return nil, fmt.Errorf("charexp: no module in the fleet can run %v (X=%d)", sc.Op, sc.X)
-	}
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("charexp: %v (X=%d): no subarrays sampled; check the sampling bounds", sc.Op, sc.X)
-	}
-	outcomes, err := r.runShards(sc, shards)
-	if err != nil {
-		return nil, err
-	}
-	var pooled []float64
-	for _, out := range outcomes {
-		for _, o := range out {
-			pooled = append(pooled, o.Result.Rate())
+	p := r.newSweepPlan()
+	ends := make([]int, len(cells))
+	for i, c := range cells {
+		start := len(p.shards)
+		applicable, err := p.add(c.sc, c.env, "")
+		if err != nil {
+			return nil, err
 		}
+		if applicable == 0 {
+			return nil, fmt.Errorf("charexp: no module in the fleet can run %v (X=%d)", c.sc.Op, c.sc.X)
+		}
+		if len(p.shards) == start {
+			return nil, fmt.Errorf("charexp: %v (X=%d): no subarrays sampled; check the sampling bounds", c.sc.Op, c.sc.X)
+		}
+		ends[i] = len(p.shards)
 	}
-	return pooled, nil
+	outcomes, err := p.run()
+	if err != nil {
+		return nil, err
+	}
+	groups := 0
+	for _, out := range outcomes {
+		groups += len(out)
+	}
+	// One backing array for every cell's rates; each cell's slice is
+	// capped so it can never grow into its neighbour's.
+	all := make([]float64, 0, groups)
+	rates := make([][]float64, len(cells))
+	start := 0
+	for i, end := range ends {
+		from := len(all)
+		for _, out := range outcomes[start:end] {
+			for _, o := range out {
+				all = append(all, o.Result.Rate())
+			}
+		}
+		rates[i] = all[from:len(all):len(all)]
+		start = end
+	}
+	return rates, nil
 }
 
 // bestSweepRate returns the highest per-group success rate across modules
 // of one manufacturer for a MAJ configuration (the §8.1 "highest
 // throughput group" selection).
 func (r *Runner) bestSweepRate(mfr string, sc core.SweepConfig, env analog.Env) (float64, error) {
-	sc = r.boundSweep(sc)
-	shards, applicable, err := r.sweepShards(sc, env, mfr)
+	p := r.newSweepPlan()
+	applicable, err := p.add(sc, env, mfr)
 	if err != nil {
 		return 0, err
 	}
 	if applicable == 0 {
 		return 0, fmt.Errorf("charexp: no %s module can run MAJ%d", mfr, sc.X)
 	}
-	if len(shards) == 0 {
+	if len(p.shards) == 0 {
 		return 0, fmt.Errorf("charexp: %s MAJ%d: no subarrays sampled; check the sampling bounds", mfr, sc.X)
 	}
-	outcomes, err := r.runShards(sc, shards)
+	outcomes, err := p.run()
 	if err != nil {
 		return 0, err
 	}

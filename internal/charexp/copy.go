@@ -42,22 +42,25 @@ func (f Figure10Result) Cell(t1, t2 float64, dests int) (stats.Summary, bool) {
 // (Obs. 14–15).
 func (r *Runner) Figure10() (Figure10Result, error) {
 	var out Figure10Result
+	var cells []sweepCell
 	for _, t1 := range timing.SweepT1Copy {
 		for _, t2 := range timing.SweepT2 {
 			for _, dests := range CopyDestinations {
-				rates, err := r.pooledSweep(core.SweepConfig{
+				cells = append(cells, sweepCell{sc: core.SweepConfig{
 					Op: core.OpMultiRowCopy, N: dests + 1,
 					Timings: timing.APATimings{T1: t1, T2: t2},
 					Pattern: dram.PatternRandom,
-				}, analog.NominalEnv())
-				if err != nil {
-					return Figure10Result{}, err
-				}
-				out.Cells = append(out.Cells, CopyCell{
-					T1: t1, T2: t2, Dests: dests, Summary: stats.MustSummarize(rates),
-				})
+				}, env: analog.NominalEnv()})
+				out.Cells = append(out.Cells, CopyCell{T1: t1, T2: t2, Dests: dests})
 			}
 		}
+	}
+	rates, err := r.pooledSweeps(cells)
+	if err != nil {
+		return Figure10Result{}, err
+	}
+	for i := range out.Cells {
+		out.Cells[i].Summary = stats.MustSummarize(rates[i])
 	}
 	return out, nil
 }
@@ -97,21 +100,26 @@ func (f Figure11Result) Mean(p dram.Pattern, dests int) (float64, bool) {
 // data (Obs. 16).
 func (r *Runner) Figure11() (Figure11Result, error) {
 	var out Figure11Result
+	var cells []sweepCell
+	best := timing.BestCopy()
 	for _, p := range dram.CopyPatterns {
 		for _, dests := range CopyDestinations {
-			rates, err := r.pooledSweep(core.SweepConfig{
+			cells = append(cells, sweepCell{sc: core.SweepConfig{
 				Op: core.OpMultiRowCopy, N: dests + 1,
-				Timings: timing.BestCopy(),
+				Timings: best,
 				Pattern: p,
-			}, analog.NominalEnv())
-			if err != nil {
-				return Figure11Result{}, err
-			}
+			}, env: analog.NominalEnv()})
 			out.Cells = append(out.Cells, CopyCell{
-				T1: timing.BestCopy().T1, T2: timing.BestCopy().T2,
-				Dests: dests, Pattern: p, Summary: stats.MustSummarize(rates),
+				T1: best.T1, T2: best.T2, Dests: dests, Pattern: p,
 			})
 		}
+	}
+	rates, err := r.pooledSweeps(cells)
+	if err != nil {
+		return Figure11Result{}, err
+	}
+	for i := range out.Cells {
+		out.Cells[i].Summary = stats.MustSummarize(rates[i])
 	}
 	return out, nil
 }
@@ -164,20 +172,23 @@ func (r *Runner) copyEnvSweep(axis string, levels []float64,
 	env func(float64) analog.Env) (Figure12Result, error) {
 
 	out := Figure12Result{Axis: axis}
+	var cells []sweepCell
 	for _, level := range levels {
 		for _, dests := range CopyDestinations {
-			rates, err := r.pooledSweep(core.SweepConfig{
+			cells = append(cells, sweepCell{sc: core.SweepConfig{
 				Op: core.OpMultiRowCopy, N: dests + 1,
 				Timings: timing.BestCopy(),
 				Pattern: dram.PatternRandom,
-			}, env(level))
-			if err != nil {
-				return Figure12Result{}, err
-			}
-			out.Cells = append(out.Cells, CopyCell{
-				Dests: dests, Level: level, Summary: stats.MustSummarize(rates),
-			})
+			}, env: env(level)})
+			out.Cells = append(out.Cells, CopyCell{Dests: dests, Level: level})
 		}
+	}
+	rates, err := r.pooledSweeps(cells)
+	if err != nil {
+		return Figure12Result{}, err
+	}
+	for i := range out.Cells {
+		out.Cells[i].Summary = stats.MustSummarize(rates[i])
 	}
 	return out, nil
 }

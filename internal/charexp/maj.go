@@ -44,22 +44,25 @@ func (f Figure6Result) Cell(t1, t2 float64, n int) (stats.Summary, bool) {
 // MAJ3 (Obs. 6–7).
 func (r *Runner) Figure6() (Figure6Result, error) {
 	var out Figure6Result
+	var cells []sweepCell
 	for _, t1 := range timing.SweepT1SiMRA {
 		for _, t2 := range timing.SweepT2 {
 			for _, n := range MAJRowCounts(3) {
-				rates, err := r.pooledSweep(core.SweepConfig{
+				cells = append(cells, sweepCell{sc: core.SweepConfig{
 					Op: core.OpMAJ, X: 3, N: n,
 					Timings: timing.APATimings{T1: t1, T2: t2},
 					Pattern: dram.PatternRandom,
-				}, analog.NominalEnv())
-				if err != nil {
-					return Figure6Result{}, err
-				}
-				out.Cells = append(out.Cells, TimingCell{
-					T1: t1, T2: t2, N: n, Summary: stats.MustSummarize(rates),
-				})
+				}, env: analog.NominalEnv()})
+				out.Cells = append(out.Cells, TimingCell{T1: t1, T2: t2, N: n})
 			}
 		}
+	}
+	rates, err := r.pooledSweeps(cells)
+	if err != nil {
+		return Figure6Result{}, err
+	}
+	for i := range out.Cells {
+		out.Cells[i].Summary = stats.MustSummarize(rates[i])
 	}
 	return out, nil
 }
@@ -109,22 +112,25 @@ func (f Figure7Result) Mean(x int, p dram.Pattern, n int) (float64, bool) {
 // the manufacturers that support them, as the paper does (footnote 11).
 func (r *Runner) Figure7() (Figure7Result, error) {
 	var out Figure7Result
+	var cells []sweepCell
 	for _, x := range MAJWidths {
 		for _, p := range dram.MAJPatterns {
 			for _, n := range MAJRowCounts(x) {
-				rates, err := r.pooledSweep(core.SweepConfig{
+				cells = append(cells, sweepCell{sc: core.SweepConfig{
 					Op: core.OpMAJ, X: x, N: n,
 					Timings: timing.BestMAJ(),
 					Pattern: p,
-				}, analog.NominalEnv())
-				if err != nil {
-					return Figure7Result{}, err
-				}
-				out.Cells = append(out.Cells, MAJCell{
-					X: x, N: n, Pattern: p, Summary: stats.MustSummarize(rates),
-				})
+				}, env: analog.NominalEnv()})
+				out.Cells = append(out.Cells, MAJCell{X: x, N: n, Pattern: p})
 			}
 		}
+	}
+	rates, err := r.pooledSweeps(cells)
+	if err != nil {
+		return Figure7Result{}, err
+	}
+	for i := range out.Cells {
+		out.Cells[i].Summary = stats.MustSummarize(rates[i])
 	}
 	return out, nil
 }
@@ -175,22 +181,25 @@ func (r *Runner) majEnvSweep(axis string, levels []float64,
 	env func(float64) analog.Env) (FigureMAJEnvResult, error) {
 
 	out := FigureMAJEnvResult{Axis: axis}
+	var cells []sweepCell
 	for _, x := range MAJWidths {
 		for _, level := range levels {
 			for _, n := range MAJRowCounts(x) {
-				rates, err := r.pooledSweep(core.SweepConfig{
+				cells = append(cells, sweepCell{sc: core.SweepConfig{
 					Op: core.OpMAJ, X: x, N: n,
 					Timings: timing.BestMAJ(),
 					Pattern: dram.PatternRandom,
-				}, env(level))
-				if err != nil {
-					return FigureMAJEnvResult{}, err
-				}
-				out.Cells = append(out.Cells, MAJCell{
-					X: x, N: n, Level: level, Summary: stats.MustSummarize(rates),
-				})
+				}, env: env(level)})
+				out.Cells = append(out.Cells, MAJCell{X: x, N: n, Level: level})
 			}
 		}
+	}
+	rates, err := r.pooledSweeps(cells)
+	if err != nil {
+		return FigureMAJEnvResult{}, err
+	}
+	for i := range out.Cells {
+		out.Cells[i].Summary = stats.MustSummarize(rates[i])
 	}
 	return out, nil
 }

@@ -1,9 +1,11 @@
 package charexp
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/decoder"
+	"repro/internal/engine"
 	"repro/internal/fleet"
 	"repro/internal/spice"
 	"repro/internal/stats"
@@ -78,25 +80,38 @@ type Figure15Result struct {
 // replication (§7.2). Sets is the number of Monte-Carlo samples per cell
 // (the paper uses 1000).
 func (r *Runner) Figure15(sets int) (Figure15Result, error) {
+	// Every (rows, variation) point draws from its own seeded sources, so
+	// the points run as one engine run in any order. They are SPICE
+	// points, not APA shards, so the runner's shard counters stay out of
+	// it.
 	mc := spice.NewMonteCarlo(r.cfg.Seed)
+	var tasks []engine.Task[spice.Result]
+	for _, n := range spice.RowCounts {
+		for _, pv := range spice.Variations {
+			tasks = append(tasks, func(context.Context) (spice.Result, error) {
+				return mc.Run(n, pv, sets)
+			})
+		}
+	}
+	results, err := engine.Run(context.Background(), r.cfg.Engine, nil, tasks)
+	if err != nil {
+		return Figure15Result{}, err
+	}
 	out := Figure15Result{
 		Perturbation: make(map[int]map[float64]stats.Summary),
 		Success:      make(map[int]map[float64]float64),
 	}
-	for _, n := range spice.RowCounts {
-		out.Perturbation[n] = make(map[float64]stats.Summary)
-		if n > 1 {
-			out.Success[n] = make(map[float64]float64)
-		}
-		for _, pv := range spice.Variations {
-			res, err := mc.Run(n, pv, sets)
-			if err != nil {
-				return Figure15Result{}, err
-			}
-			out.Perturbation[n][pv] = stats.MustSummarize(res.Perturbations)
+	for _, res := range results {
+		n, pv := res.N, res.Variation
+		if out.Perturbation[n] == nil {
+			out.Perturbation[n] = make(map[float64]stats.Summary)
 			if n > 1 {
-				out.Success[n][pv] = res.SuccessRate
+				out.Success[n] = make(map[float64]float64)
 			}
+		}
+		out.Perturbation[n][pv] = stats.MustSummarize(res.Perturbations)
+		if n > 1 {
+			out.Success[n][pv] = res.SuccessRate
 		}
 	}
 	return out, nil

@@ -175,14 +175,16 @@ func TestRunnerStats(t *testing.T) {
 // stable sub-seeds, and manufacturer filtering.
 func TestSweepShardsEnumeration(t *testing.T) {
 	r := smallRunner(t)
-	sc := r.boundSweep(core.SweepConfig{
+	sc := core.SweepConfig{
 		Op: core.OpManyRowActivation, N: 8,
 		Timings: timing.BestSiMRA(), Pattern: dram.PatternRandom,
-	})
-	all, applicable, err := r.sweepShards(sc, analog.NominalEnv(), "")
+	}
+	p := r.newSweepPlan()
+	applicable, err := p.add(sc, analog.NominalEnv(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	all := p.shards
 	if len(all) == 0 {
 		t.Fatal("no shards enumerated")
 	}
@@ -199,10 +201,11 @@ func TestSweepShardsEnumeration(t *testing.T) {
 			t.Fatal("shard without tester")
 		}
 	}
-	hOnly, _, err := r.sweepShards(sc, analog.NominalEnv(), "H")
-	if err != nil {
+	hp := r.newSweepPlan()
+	if _, err := hp.add(sc, analog.NominalEnv(), "H"); err != nil {
 		t.Fatal(err)
 	}
+	hOnly := hp.shards
 	if len(hOnly) == 0 || len(hOnly) >= len(all) {
 		t.Fatalf("manufacturer filter: %d H shards of %d total", len(hOnly), len(all))
 	}

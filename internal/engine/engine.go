@@ -128,9 +128,12 @@ func (s *Stats) AddActivations(n int) { s.activations.Add(int64(n)) }
 
 // Snapshot is a point-in-time copy of the counters.
 type Snapshot struct {
-	// Runs is the number of completed engine runs (one per sweep).
+	// Runs is the number of completed engine runs. A charexp grid
+	// figure is one run, not one per cell.
 	Runs int64
 	// ShardsTotal and ShardsDone count submitted and completed shards.
+	// A run submits all its shards when it starts, so a grid figure's
+	// whole shard count is in ShardsTotal from its first progress view.
 	ShardsTotal int64
 	ShardsDone  int64
 	// ShardsCached counts shards served from a Memo without executing

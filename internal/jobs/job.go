@@ -49,7 +49,9 @@ type Progress struct {
 	ShardsDone  int64 `json:"shards_done"`
 	// ShardsCached counts shards served from the shard memo.
 	ShardsCached int64 `json:"shards_cached"`
-	// Runs counts completed engine runs (envelope probes each run once).
+	// Runs counts completed engine runs (envelope probes each run once;
+	// a sweep figure's whole grid is one run, so ShardsTotal holds the
+	// figure's full shard count from the first progress event).
 	Runs int64 `json:"runs"`
 	// Activations counts issued APA activations.
 	Activations int64 `json:"activations"`
@@ -221,11 +223,15 @@ func (j *Job) start(cancel context.CancelFunc) bool {
 // finish records the execution outcome, emits the final events and closes
 // the stream. A requested cancellation wins over the execution error it
 // induced. An already-terminal job (e.g. one Cancel settled while it was
-// still queued) is left untouched.
-func (j *Job) finish(output string, err error) {
+// still queued) is left untouched. settle receives the terminal state and
+// runs before the done event and the Done channel publish it (see
+// publishLocked).
+func (j *Job) finish(output string, err error, settle func(State)) {
 	j.mu.Lock()
 	if j.state.Terminal() {
+		s := j.state
 		j.mu.Unlock()
+		settle(s)
 		return
 	}
 	j.finished = time.Now()
@@ -240,8 +246,7 @@ func (j *Job) finish(output string, err error) {
 		j.output = output
 		j.transitionLocked(StateSucceeded, "completed")
 	}
-	j.finishLocked()
-	j.mu.Unlock()
+	j.publishLocked(settle)
 }
 
 // completeCached finishes a job whose result was already in the response
@@ -261,15 +266,31 @@ func (j *Job) completeCached(output string) {
 }
 
 // cancelQueued finishes a job that was canceled before any worker picked
-// it up.
-func (j *Job) cancelQueued() {
+// it up; settle runs as in finish.
+func (j *Job) cancelQueued(settle func(State)) {
 	j.mu.Lock()
 	if j.state.Terminal() {
+		s := j.state
 		j.mu.Unlock()
+		settle(s)
 		return
 	}
 	j.finished = time.Now()
 	j.transitionLocked(StateCanceled, "canceled before execution")
+	j.publishLocked(settle)
+}
+
+// publishLocked is entered holding j.mu with the job just made terminal.
+// It releases the lock to run settle — the manager's counter update, whose
+// lock orders before j.mu — and then publishes the terminal events and
+// closes Done, so a watcher woken by either reads settled counters. While
+// the lock is released the state is already terminal, so every other
+// transition is a no-op.
+func (j *Job) publishLocked(settle func(State)) {
+	s := j.state
+	j.mu.Unlock()
+	settle(s)
+	j.mu.Lock()
 	j.finishLocked()
 	j.mu.Unlock()
 }

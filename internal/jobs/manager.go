@@ -290,11 +290,12 @@ func (m *Manager) Cancel(id string) (Status, error) {
 		// The worker that eventually drains the queue entry sees the
 		// canceled flag and skips it; settle the job now so watchers and
 		// webhooks don't wait for that drain.
-		j.cancelQueued()
-		m.mu.Lock()
-		m.counters.queued--
-		m.counters.canceled++
-		m.mu.Unlock()
+		j.cancelQueued(func(State) {
+			m.mu.Lock()
+			m.counters.queued--
+			m.counters.canceled++
+			m.mu.Unlock()
+		})
 		m.notify(j)
 	}
 	return j.Status(), nil
@@ -433,19 +434,19 @@ func (m *Manager) execute(j *Job) {
 	}
 	close(stopMonitor)
 	<-monitorDone
-	j.finish(out, err)
-
-	m.mu.Lock()
-	m.counters.running--
-	switch j.State() {
-	case StateSucceeded:
-		m.counters.completed++
-	case StateCanceled:
-		m.counters.canceled++
-	default:
-		m.counters.failed++
-	}
-	m.mu.Unlock()
+	j.finish(out, err, func(s State) {
+		m.mu.Lock()
+		m.counters.running--
+		switch s {
+		case StateSucceeded:
+			m.counters.completed++
+		case StateCanceled:
+			m.counters.canceled++
+		default:
+			m.counters.failed++
+		}
+		m.mu.Unlock()
+	})
 	m.notify(j)
 }
 

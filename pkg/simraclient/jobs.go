@@ -31,6 +31,9 @@ type JobWebhook struct {
 }
 
 // JobProgress is a point-in-time view of a job's per-shard progress.
+// Runs counts completed engine runs: a sweep job's figure is one run,
+// not one per grid cell, so ShardsTotal is the figure's full shard count
+// from the first progress event.
 type JobProgress struct {
 	ShardsTotal  int64 `json:"shards_total"`
 	ShardsDone   int64 `json:"shards_done"`
