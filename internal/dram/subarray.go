@@ -32,15 +32,6 @@ const (
 // chargeFrac is the stored level of a Frac (VDD/2) cell.
 const chargeFrac = 0.5
 
-// couplingCacheMax bounds the per-group coupling-noise cache; beyond it
-// the cache resets (entries are recomputable at any time).
-const couplingCacheMax = 1 << 12
-
-// copyMaskCacheMax bounds the per-(row, probability) copy fail-mask
-// cache: envelope searches sweep t1 continuously, so the probability
-// coordinate is unbounded. Entries are recomputable.
-const copyMaskCacheMax = 1 << 12
-
 // Subarray is one DRAM subarray: a rows×columns array of cells sharing
 // bitlines and sense amplifiers, addressed by a local row decoder. All PUD
 // operations take place within a single subarray.
@@ -55,11 +46,11 @@ const copyMaskCacheMax = 1 << 12
 //
 // Static process-variation tables are shared across every Subarray
 // instance with the same simulation identity (see saTables); the fields
-// below memoize the shared rows locally so the hot path never locks. The
-// hot path is also allocation-free: structural keys extend a precomputed
-// hash chain, decoder activation sets and weak-cell failure masks are
-// cached, and the kernels reuse per-subarray scratch (a subarray is
-// driven by one goroutine at a time; the engine shards per subarray).
+// below memoize the shared per-cell rows locally so per-row accesses skip
+// the table lock. The hot path is also allocation-free: structural keys
+// extend a precomputed hash chain, decoder activation sets are cached,
+// and the kernels reuse per-subarray scratch (a subarray is driven by one
+// goroutine at a time; the engine shards per subarray).
 type Subarray struct {
 	mod      *Module
 	bankIdx  int
@@ -80,19 +71,9 @@ type Subarray struct {
 	weakWRLocal   [][]float64
 	weakCopyLocal [][]float64
 	wbaseLocal    [][]float64
-	couplingLocal map[uint64][]float64
-	// Local memo of the drive-weighted rows, one slot per weight role
-	// (non-RF drive, RF weight); a slot resets when its weight changes
-	// (once per sweep cell at most).
-	wcW     [2]uint64
-	wcLocal [2][][]float64
 
-	// Derived caches: decoder activation sets per (rf, rs) and packed
-	// weak-cell failure masks per (row, probability coordinate). All are
-	// pure functions of structural coordinates.
-	actCache      map[uint64][]int
-	wrMaskCache   map[uint32][]uint64
-	copyMaskCache map[maskKey][]uint64
+	// Decoder activation sets per (rf, rs), a pure function of the pair.
+	actCache map[uint64][]int
 
 	// Cached charge-share denominators per asserted set (see
 	// shareDetMeta): the denominator accumulation is data-independent, so
@@ -117,12 +98,6 @@ type Subarray struct {
 	planCounts []int    // trials per distinct mask
 	planTrials []int    // backing for the sets' Trials slices
 	planRows   []int    // backing for the sets' Rows slices
-}
-
-// maskKey addresses one cached weak-copy failure mask.
-type maskKey struct {
-	row   int
-	pBits uint64
 }
 
 // intsEqual reports whether two int slices are element-wise equal.
@@ -170,11 +145,8 @@ func newSubarray(m *Module, bankIdx, saIdx int) *Subarray {
 		weakWRLocal:   make([][]float64, rows),
 		weakCopyLocal: make([][]float64, rows),
 		wbaseLocal:    make([][]float64, rows),
-		couplingLocal: make(map[uint64][]float64),
 
-		actCache:      make(map[uint64][]int),
-		wrMaskCache:   make(map[uint32][]uint64),
-		copyMaskCache: make(map[maskKey][]uint64),
+		actCache: make(map[uint64][]int),
 
 		assertedBuf: make([]int, 0, m.dec.MaxSimultaneousRows()),
 		numBuf:      make([]float64, cols),
@@ -272,23 +244,6 @@ func (s *Subarray) wbaseRow(row int) []float64 {
 	return r
 }
 
-// wcRow returns the row's drive-weighted charge-share weights
-// (w·wbase[c]), memoizing the shared immutable rows locally per weight
-// slot so the accumulation loop's accesses skip the table lock.
-func (s *Subarray) wcRow(row int, w float64, slot int) []float64 {
-	wb := math.Float64bits(w)
-	if s.wcW[slot] != wb || s.wcLocal[slot] == nil {
-		s.wcW[slot] = wb
-		s.wcLocal[slot] = make([][]float64, s.rows)
-	}
-	if r := s.wcLocal[slot][row]; r != nil {
-		return r
-	}
-	r := s.tab.wcRow(s, row, w)
-	s.wcLocal[slot][row] = r
-	return r
-}
-
 func (s *Subarray) weakWRRow(row int) []float64 {
 	if r := s.weakWRLocal[row]; r != nil {
 		return r
@@ -304,19 +259,6 @@ func (s *Subarray) weakCopyRow(row int) []float64 {
 	}
 	r := s.tab.cellRow(s, s.tab.weakCopyRows, row, tagWeakCopy, true)
 	s.weakCopyLocal[row] = r
-	return r
-}
-
-// couplingRow returns the per-column coupling-noise draws of one group.
-func (s *Subarray) couplingRow(groupKey uint64) []float64 {
-	if r, ok := s.couplingLocal[groupKey]; ok {
-		return r
-	}
-	if len(s.couplingLocal) >= couplingCacheMax {
-		s.couplingLocal = make(map[uint64][]float64)
-	}
-	r := s.tab.couplingRow(s.cols, groupKey)
-	s.couplingLocal[groupKey] = r
 	return r
 }
 
@@ -336,55 +278,40 @@ func (s *Subarray) activatedRows(rf, rs int) ([]int, error) {
 	return rows, nil
 }
 
-// uniformMask packs "uniform draw below p" per column into words: the
-// static weak-cell selection for probability p.
-func (s *Subarray) uniformMask(u []float64, p float64) []uint64 {
-	m := make([]uint64, s.words)
-	for wi := range m {
-		var word uint64
+// weakMask packs a write's static weak-cell failures into dst: bit c is
+// set when the cell's uniform draw u[c] falls below the failure
+// probability of the bit the write drives into it — pOne where drive has
+// a 1, pZero where it has a 0 (a nil drive is all zeros).
+func (s *Subarray) weakMask(dst, drive []uint64, u []float64, pOne, pZero float64) {
+	for wi := range dst {
+		var dw, word uint64
+		if drive != nil {
+			dw = drive[wi]
+		}
 		base := wi * 64
 		nb := s.cols - base
 		if nb > 64 {
 			nb = 64
 		}
 		for b := 0; b < nb; b++ {
+			p := pZero
+			if dw>>uint(b)&1 == 1 {
+				p = pOne
+			}
 			if u[base+b] < p {
 				word |= 1 << uint(b)
 			}
 		}
-		m[wi] = word
+		dst[wi] = word
 	}
-	return m
 }
 
-// wrFailMask returns the packed weak-write failure mask of one row under
-// a WR that overdrives nAsserted open rows. Pure function of the two
-// coordinates (the failure probability depends only on the open-row
-// count), cached; callers must not mutate the returned words.
-func (s *Subarray) wrFailMask(row, nAsserted int) []uint64 {
-	k := uint32(row)<<8 | uint32(nAsserted)
-	if m, ok := s.wrMaskCache[k]; ok {
-		return m
-	}
-	m := s.uniformMask(s.weakWRRow(row), s.mod.params.WriteFailProb(nAsserted))
-	s.wrMaskCache[k] = m
-	return m
-}
-
-// copyFailMask returns the packed weak-copy mask of one destination row
-// at failure probability p (one of the two per-bit-value probabilities).
-// Cached per (row, probability bits); callers must not mutate it.
-func (s *Subarray) copyFailMask(row int, p float64) []uint64 {
-	k := maskKey{row: row, pBits: math.Float64bits(p)}
-	if m, ok := s.copyMaskCache[k]; ok {
-		return m
-	}
-	if len(s.copyMaskCache) >= copyMaskCacheMax {
-		s.copyMaskCache = make(map[maskKey][]uint64)
-	}
-	m := s.uniformMask(s.weakCopyRow(row), p)
-	s.copyMaskCache[k] = m
-	return m
+// wrFailMask writes into dst the weak-write failure mask of one row under
+// a WR that overdrives nAsserted open rows (the failure probability
+// depends only on the open-row count, not on the data).
+func (s *Subarray) wrFailMask(dst []uint64, row, nAsserted int) {
+	p := s.mod.params.WriteFailProb(nAsserted)
+	s.weakMask(dst, nil, s.weakWRRow(row), p, p)
 }
 
 // WriteRowVec performs a nominal-timing activate + write + precharge of
@@ -699,9 +626,9 @@ func (s *Subarray) copyProbs(rf, nAct int, t timing.APATimings, opts APAOptions)
 
 // applyCopy drives the sense amplifiers' latched data (the first row's
 // contents) into every asserted row. Weak destination cells keep their old
-// charge. The per-bit-value failure draws are static, so the weak-cell
-// masks come from the (row, probability) cache and the write collapses to
-// word ops.
+// charge. The per-bit-value failure draws are static: one pass over the
+// row's weak-copy uniforms packs the failure mask, and the write
+// collapses to word ops.
 func (s *Subarray) applyCopy(rf int, asserted []int, t timing.APATimings, opts APAOptions) {
 	pTrue, pFalse := s.copyProbs(rf, len(asserted), t, opts)
 
@@ -720,12 +647,11 @@ func (s *Subarray) applyCopy(rf int, asserted []int, t timing.APATimings, opts A
 		// Static weak-cell draws: a weak destination never takes the
 		// copy, so it fails every trial (matching the all-trials success
 		// metric).
-		mt := s.copyFailMask(r, pTrue)
-		mf := s.copyFailMask(r, pFalse)
+		fail := s.failBuf.Words()
+		s.weakMask(fail, src, s.weakCopyRow(r), pTrue, pFalse)
 		for wi := range val {
-			fail := src[wi]&mt[wi] | ^src[wi]&mf[wi]
-			val[wi] = src[wi]&^fail | val[wi]&fail
-			frac[wi] &= fail
+			val[wi] = src[wi]&^fail[wi] | val[wi]&fail[wi]
+			frac[wi] &= fail[wi]
 		}
 	}
 }
@@ -808,14 +734,11 @@ func (s *Subarray) shareDetMeta(det, meta []uint64, rf int, asserted []int,
 		}
 	}
 	for _, r := range asserted {
-		w, slot := drive, 0
+		w := drive
 		if r == rf {
-			w, slot = rfWeight, 1
+			w = rfWeight
 		}
-		// wcw[c] is the cached w·(1 + CellCapSigma·gamma[c]) — the
-		// identical multiply the inline expression did, shared across
-		// sets, trials and data patterns (see saTables.wcRow).
-		wcw := s.wcRow(r, w, slot)
+		wbase := s.wbaseRow(r)
 		val, frac := s.rowVal(r), s.rowFrac(r)
 		var fracTab []float64
 		if anyWord(frac) {
@@ -830,24 +753,25 @@ func (s *Subarray) shareDetMeta(det, meta []uint64, rf int, asserted []int,
 			}
 			// Word-local subslices let the compiler elide the per-column
 			// bounds checks; the arithmetic is unchanged.
-			nm, dn, wcs := num[base:base+nb], den[base:base+nb], wcw[base:base+nb]
+			nm, dn, wbs := num[base:base+nb], den[base:base+nb], wbase[base:base+nb]
 			if fw == 0 && ret == 1 {
 				// Fast path: no Frac cells in the word, so level is ±1 and
-				// the sign multiply collapses to a sign-bit flip — wc is
-				// positive, and IEEE multiplication by exact ±1.0 only
-				// toggles the sign bit, so this is bit-identical to the
+				// the sign multiply collapses to a sign-bit flip. IEEE
+				// multiplication by exact ±1.0 only toggles the sign bit,
+				// whatever the sign of wc (a large CellCapSigma makes some
+				// weights negative), so XOR-ing it is bit-identical to the
 				// general path below.
 				if denHit {
 					for b := range nm {
 						sb := (vw>>uint(b)&1 ^ 1) << 63
-						nm[b] += math.Float64frombits(math.Float64bits(wcs[b]) | sb)
+						nm[b] += math.Float64frombits(math.Float64bits(w*wbs[b]) ^ sb)
 					}
 					continue
 				}
 				for b := range nm {
-					wc := wcs[b]
+					wc := w * wbs[b]
 					sb := (vw>>uint(b)&1 ^ 1) << 63
-					nm[b] += math.Float64frombits(math.Float64bits(wc) | sb)
+					nm[b] += math.Float64frombits(math.Float64bits(wc) ^ sb)
 					dn[b] += wc
 				}
 				continue
@@ -862,7 +786,7 @@ func (s *Subarray) shareDetMeta(det, meta []uint64, rf int, asserted []int,
 				default:
 					level = -1
 				}
-				wc := wcs[b]
+				wc := w * wbs[b]
 				nm[b] += wc * level * ret
 				if !denHit {
 					dn[b] += wc
@@ -884,7 +808,7 @@ func (s *Subarray) shareDetMeta(det, meta []uint64, rf int, asserted []int,
 			s.denNext = (s.denNext + 1) % denCacheCap
 		}
 	}
-	coup := s.couplingRow(groupKey)
+	coup := s.tab.couplingRow(s.cols, groupKey)
 	theta := s.tab.theta
 	// VDD/2 and CouplingSigma·patternFactor are loop-invariant prefixes of
 	// left-associative products — hoisting them performs the identical
@@ -971,8 +895,8 @@ func (s *Subarray) applyShare(rf, rs int, asserted []int, t timing.APATimings, o
 // WriteOpenRowsVec models the WR command of the §3.2 methodology: the
 // write drivers overdrive the bitlines, updating the cells of every row
 // still asserted from the preceding APA. Weak cells (static, rare) miss
-// the update — their masks come from the (row, open-row count) cache, so
-// the write is pure word ops. It returns an error if no rows are open.
+// the update — one pass over the row's weak-write uniforms packs their
+// mask, and the write is word ops. It returns an error if no rows are open.
 func (s *Subarray) WriteOpenRowsVec(v bitvec.Vec) error {
 	if len(s.asserted) == 0 {
 		return fmt.Errorf("dram: WR with no open rows (issue APA first)")
@@ -980,9 +904,9 @@ func (s *Subarray) WriteOpenRowsVec(v bitvec.Vec) error {
 	if v.Len() != s.cols {
 		return fmt.Errorf("dram: WR data has %d bits, want %d", v.Len(), s.cols)
 	}
-	data := v.Words()
+	data, fail := v.Words(), s.failBuf.Words()
 	for _, r := range s.asserted {
-		fail := s.wrFailMask(r, len(s.asserted))
+		s.wrFailMask(fail, r, len(s.asserted))
 		val, frac := s.rowVal(r), s.rowFrac(r)
 		for wi := range val {
 			val[wi] = data[wi]&^fail[wi] | val[wi]&fail[wi]

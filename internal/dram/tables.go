@@ -1,7 +1,6 @@
 package dram
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -44,7 +43,6 @@ type saTables struct {
 	jitRows       [][]float64 // per-(row, trial) assertion jitter draws, one run per row
 	jitStart      []int       // first trial of each row's jitter run
 	couplingNorms map[uint64][]float64
-	wcRows        map[wcRowKey][]float64 // w·wbase[c], by (row, drive weight)
 	metaPlanes    map[metaPlaneKey][]uint64
 }
 
@@ -162,7 +160,6 @@ func (s *Subarray) attachTables() {
 		t.jitRows = make([][]float64, s.rows)
 		t.jitStart = make([]int, s.rows)
 		t.couplingNorms = make(map[uint64][]float64)
-		t.wcRows = make(map[wcRowKey][]float64)
 		t.metaPlanes = make(map[metaPlaneKey][]uint64)
 		statStaticSets.Add(1)
 		// Values of the per-column and per-row tables, plus the headers
@@ -282,44 +279,6 @@ func (t *saTables) jitWindow(s *Subarray, row, first, n int) ([]float64, int) {
 	return r[first-start : end-start : end-start], grown
 }
 
-// wcRowKey identifies one charge-share weight row: the row index and the
-// exact bits of the drive weight it is scaled by (a float64 key would
-// admit no collisions either, but bits make the exactness explicit).
-type wcRowKey struct {
-	row int
-	w   uint64
-}
-
-// wcRowMax bounds the weighted-row cache per table set; beyond it the map
-// resets (entries are recomputable).
-const wcRowMax = 4096
-
-// wcRow returns the row's charge-share weights scaled by drive weight w:
-// wc[c] = w·(1 + CellCapSigma·gamma[c]), the exact per-column multiply
-// shareDetMeta performs. The product depends only on (row, w) — w takes
-// one value per (timings, env) pair — so the accumulation loop reuses one
-// multiplication pass across every asserted set, trial and data pattern.
-// Published rows are immutable.
-func (t *saTables) wcRow(s *Subarray, row int, w float64) []float64 {
-	wb := s.wbaseRow(row) // derive outside t.mu: wbaseRow locks too
-	key := wcRowKey{row: row, w: math.Float64bits(w)}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if r, ok := t.wcRows[key]; ok {
-		return r
-	}
-	if len(t.wcRows) >= wcRowMax {
-		t.wcRows = make(map[wcRowKey][]float64)
-	}
-	r := make([]float64, s.cols)
-	for c := range r {
-		r[c] = w * wb[c]
-	}
-	t.wcRows[key] = r
-	t.charge(8 * len(r))
-	return r
-}
-
 // metaPlaneKey addresses one packed metastable-coin plane: the group's
 // draw key, the trial, and which draw family (metaResolve's bare chain or
 // metaOverlay's Mix(1)-suffixed chain).
@@ -374,6 +333,10 @@ func (t *saTables) metaPlane(s *Subarray, groupKey uint64, trial int, overlay bo
 	t.charge(8 * len(r))
 	return r
 }
+
+// couplingCacheMax bounds the per-group coupling-noise rows of one table
+// set; beyond it the map resets (rows are recomputable at any time).
+const couplingCacheMax = 1 << 12
 
 // couplingRow returns the per-column coupling-noise draws of one group,
 // deriving and publishing them on first access.

@@ -267,7 +267,7 @@ func (s *Subarray) ShareOut(out, det, meta bitvec.Vec, plan *APAPlan, trial int)
 // nAsserted open rows: bit c set means cell c misses the write. Static —
 // identical for every trial of the plan.
 func (s *Subarray) WRFail(fail bitvec.Vec, row, nAsserted int) {
-	copy(fail.Words(), s.wrFailMask(row, nAsserted))
+	s.wrFailMask(fail.Words(), row, nAsserted)
 }
 
 // CopyFail writes row's copy-failure mask for a latched copy of src into
@@ -276,10 +276,5 @@ func (s *Subarray) WRFail(fail bitvec.Vec, row, nAsserted int) {
 // (the sense amplifiers' latched value). Static per (row, set).
 func (s *Subarray) CopyFail(fail bitvec.Vec, row int, src bitvec.Vec, nAsserted int, plan *APAPlan, opts APAOptions) {
 	pTrue, pFalse := s.copyProbs(plan.RF, nAsserted, plan.T, opts)
-	mt := s.copyFailMask(row, pTrue)
-	mf := s.copyFailMask(row, pFalse)
-	fw, sw := fail.Words(), src.Words()
-	for i := range fw {
-		fw[i] = sw[i]&mt[i] | ^sw[i]&mf[i]
-	}
+	s.weakMask(fail.Words(), src.Words(), s.weakCopyRow(row), pTrue, pFalse)
 }
