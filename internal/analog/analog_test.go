@@ -155,21 +155,6 @@ func TestSenseThresholdLognormal(t *testing.T) {
 	}
 }
 
-func TestStaticSenseMargin(t *testing.T) {
-	// Correct-1 sensing: margin positive when perturbation clears threshold.
-	if m := StaticSenseMargin(0.1, 0, 0.05, 1); m != 0.05 {
-		t.Fatalf("margin = %v", m)
-	}
-	// Correct-0 sensing of a negative perturbation.
-	if m := StaticSenseMargin(-0.1, 0, 0.05, -1); m != 0.05 {
-		t.Fatalf("margin = %v", m)
-	}
-	// Wrong-direction perturbation yields a negative margin.
-	if m := StaticSenseMargin(-0.1, 0, 0.05, 1); m >= 0 {
-		t.Fatalf("margin = %v, want negative", m)
-	}
-}
-
 func TestStableProbMonotone(t *testing.T) {
 	p := DefaultParams()
 	prev := 0.0
@@ -241,29 +226,6 @@ func TestLatchThresholdTrends(t *testing.T) {
 	}
 	if p.LatchThreshold(1, 2, e) <= p.LatchThreshold(-1, 2, e) {
 		t.Fatal("threshold must follow the static draw")
-	}
-}
-
-func TestAssertsAllTrials(t *testing.T) {
-	noJitter := func(int) float64 { return 0 }
-	always, never := AssertsAllTrials(3.0, 6.0, 1.0, 2.0, 0, 8, noJitter)
-	if !always || never {
-		t.Fatal("comfortable timings should always assert")
-	}
-	always, never = AssertsAllTrials(0.5, 1.0, 1.0, 2.0, 0, 8, noJitter)
-	if always || !never {
-		t.Fatal("hopeless timings should never assert")
-	}
-	// A row exactly at threshold flickers with alternating jitter.
-	alternating := func(trial int) float64 {
-		if trial%2 == 0 {
-			return 1
-		}
-		return -1
-	}
-	always, never = AssertsAllTrials(1.0, 6.0, 1.0, 2.0, 0.1, 8, alternating)
-	if always || never {
-		t.Fatal("borderline row should be flaky, not always/never")
 	}
 }
 
@@ -372,13 +334,13 @@ func TestCopyFailProbTrends(t *testing.T) {
 }
 
 func TestNormCDF(t *testing.T) {
-	if math.Abs(NormCDF(0)-0.5) > 1e-12 {
+	if math.Abs(normCDF(0)-0.5) > 1e-12 {
 		t.Fatal("Φ(0) != 0.5")
 	}
-	if math.Abs(NormCDF(1.96)-0.975) > 1e-3 {
-		t.Fatalf("Φ(1.96) = %v", NormCDF(1.96))
+	if math.Abs(normCDF(1.96)-0.975) > 1e-3 {
+		t.Fatalf("Φ(1.96) = %v", normCDF(1.96))
 	}
-	if NormCDF(-5) > 1e-6 || NormCDF(5) < 1-1e-6 {
+	if normCDF(-5) > 1e-6 || normCDF(5) < 1-1e-6 {
 		t.Fatal("tails wrong")
 	}
 }

@@ -56,18 +56,6 @@ func (p Params) CouplingNoise(norm, patternFactor float64) float64 {
 	return p.CouplingSigma * patternFactor * norm
 }
 
-// StaticSenseMargin combines the static quantities of a sensing event: the
-// margin by which the bitline perturbation (with coupling) clears the
-// column's sensing threshold in the expected direction. expectedSign is
-// +1 when the correct result is logic 1, -1 for logic 0.
-//
-// A trial succeeds iff margin + transient noise > 0, so a cell is stable
-// (correct in all trials) only when the static margin exceeds the largest
-// adverse transient excursion.
-func StaticSenseMargin(delta, coupling, threshold, expectedSign float64) float64 {
-	return expectedSign*(delta+coupling) - threshold
-}
-
 // StableProb returns the probability that a sensing event with the given
 // static margin passes all `trials` independent trials under transient
 // noise. It is the closed form the trial loop converges to; used by the
@@ -118,23 +106,6 @@ func (p Params) LatchMean(nRows int, e Env) float64 {
 // settling threshold (ns) that t1+t2 must meet.
 func (p Params) WLThreshold(norm float64) float64 {
 	return p.WLSettleMean + p.WLSettleSigma*norm
-}
-
-// AssertsAllTrials reports whether a row with the given static thresholds
-// asserts in every one of `trials` trials, given per-trial jitter draws
-// produced by the jitter function (indexed by trial). It also reports
-// whether it asserts in none of them; rows in between are flaky.
-func AssertsAllTrials(t2, totalNS, latchThresh, wlThresh, jitterSigma float64,
-	trials int, jitter func(trial int) float64) (always, never bool) {
-
-	okCount := 0
-	for t := 0; t < trials; t++ {
-		j := jitterSigma * jitter(t)
-		if t2+j >= latchThresh && totalNS+j >= wlThresh {
-			okCount++
-		}
-	}
-	return okCount == trials, okCount == 0
 }
 
 // ViabilityZ computes the z-score bound of the group-viability draw for a
@@ -204,6 +175,3 @@ func (p Params) CopyFailProb(value bool, onesFrac float64, nAct int, e Env, t1, 
 func normCDF(z float64) float64 {
 	return 0.5 * (1 + math.Erf(z/math.Sqrt2))
 }
-
-// NormCDF exposes the standard normal CDF for analytical harness code.
-func NormCDF(z float64) float64 { return normCDF(z) }

@@ -1,113 +1,25 @@
 package bender
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/timing"
 )
 
-func TestAPAProgramSchedule(t *testing.T) {
-	p := APAProgram(0, 7, timing.APATimings{T1: 1.5, T2: 3})
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Steps) != 3 {
-		t.Fatalf("steps = %d", len(p.Steps))
-	}
-	if p.Steps[0].Cmd != timing.CmdACT || p.Steps[0].At != 0 {
-		t.Fatalf("first step = %+v", p.Steps[0])
-	}
-	if p.Steps[1].Cmd != timing.CmdPRE || p.Steps[1].At != 1.5 {
-		t.Fatalf("second step = %+v", p.Steps[1])
-	}
-	if p.Steps[2].Cmd != timing.CmdACT || p.Steps[2].At != 4.5 || p.Steps[2].Row != 7 {
-		t.Fatalf("third step = %+v", p.Steps[2])
-	}
-}
-
-func TestProgramQuantizesDelays(t *testing.T) {
-	var p Program
-	p.Append(timing.CmdACT, 0, 0)
-	p.Append(timing.CmdPRE, -1, 2.2) // quantizes to 1.5-grid: 3.0? (nearest)
-	if p.Steps[1].At != timing.Quantize(2.2) {
-		t.Fatalf("At = %v", p.Steps[1].At)
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestProgramValidateRejectsRegressions(t *testing.T) {
-	p := Program{Steps: []Step{
-		{At: 0, Cmd: timing.CmdACT, Row: 0},
-		{At: 0, Cmd: timing.CmdPRE, Row: -1}, // same cycle: not issuable
-	}}
-	if err := p.Validate(); err == nil {
-		t.Fatal("same-cycle steps should fail validation")
-	}
+// apaIssueTimes is the oracle schedule of one ACT→PRE→ACT sequence on the
+// tester's command grid: the issue time (ns) of each command, the first at
+// t = 0 and each later one its quantized delay after the previous.
+func apaIssueTimes(t timing.APATimings) []float64 {
+	pre := timing.Quantize(t.T1)
+	return []float64{0, pre, pre + timing.Quantize(t.T2)}
 }
 
 func TestProgramDuration(t *testing.T) {
-	p := APAProgram(0, 1, timing.BestCopy())
+	at := apaIssueTimes(timing.BestCopy())
 	jedec := timing.DDR4()
-	got := p.Duration(jedec.TRAS + jedec.TRP)
+	got := at[len(at)-1] + jedec.TRAS + jedec.TRP
 	want := NewLatencyModel().RowClone()
 	if got != want {
-		t.Fatalf("program duration %v != latency model RowClone %v", got, want)
-	}
-	var empty Program
-	if empty.Duration(10) != 0 {
-		t.Fatal("empty program should have zero duration")
-	}
-}
-
-func TestActivationProgram(t *testing.T) {
-	p := ActivationProgram(0, 7, timing.BestSiMRA(), timing.DDR4())
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// APA then WR then PRE.
-	cmds := []timing.Command{timing.CmdACT, timing.CmdPRE, timing.CmdACT,
-		timing.CmdWR, timing.CmdPRE}
-	if len(p.Steps) != len(cmds) {
-		t.Fatalf("steps = %d", len(p.Steps))
-	}
-	for i, c := range cmds {
-		if p.Steps[i].Cmd != c {
-			t.Fatalf("step %d = %v, want %v", i, p.Steps[i].Cmd, c)
-		}
-	}
-}
-
-func TestMAJProgramStructure(t *testing.T) {
-	jedec := timing.DDR4()
-	p := MAJProgram(3, 32, timing.BestMAJ(), jedec, true)
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// 3 RowClones (3 cmds each) + 3 replications (3 each) + 2 Fracs (2
-	// each) + final APA (3) = 9 + 9 + 4 + 3 = 25 commands.
-	if len(p.Steps) != 25 {
-		t.Fatalf("MAJ3@32 program has %d commands, want 25", len(p.Steps))
-	}
-	// Without Frac support the neutralization is not scheduled in-DRAM.
-	pm := MAJProgram(3, 32, timing.BestMAJ(), jedec, false)
-	if len(pm.Steps) != 21 {
-		t.Fatalf("non-Frac program has %d commands, want 21", len(pm.Steps))
-	}
-	// No replication needed at N == X.
-	p4 := MAJProgram(3, 3, timing.BestMAJ(), jedec, true)
-	if len(p4.Steps) != 12 {
-		t.Fatalf("MAJ3@3 program has %d commands, want 12", len(p4.Steps))
-	}
-}
-
-func TestProgramString(t *testing.T) {
-	p := RowCloneProgram(4, 5)
-	s := p.String()
-	if !strings.Contains(s, "RowClone(4→5)") || !strings.Contains(s, "ACT") ||
-		!strings.Contains(s, "PRE") {
-		t.Fatalf("trace missing content:\n%s", s)
+		t.Fatalf("scheduled RowClone duration %v != latency model RowClone %v", got, want)
 	}
 }

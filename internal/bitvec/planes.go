@@ -1,10 +1,11 @@
 package bitvec
 
 // Planes is a dense stack of equally sized bit vectors: plane t holds the
-// outcome bits of trial t, so the paper's all-trials success metric (§3.1)
-// reduces to a word-wise AND across planes. The planes live in one
-// contiguous word slice (plane-major), which keeps a whole trial stack in
-// cache while the reduction streams through it.
+// failure bits of trial t, so the paper's all-trials success metric (§3.1)
+// reduces to a word-wise OR across planes (a cell is correct in all trials
+// iff no plane marks it). The planes live in one contiguous word slice
+// (plane-major), which keeps a whole trial stack in cache while the
+// reduction streams through it.
 //
 // Like Vec, Planes is a header over shared backing storage: copying the
 // struct aliases the same bits. Each plane obeys the zero-tail invariant.
@@ -47,32 +48,6 @@ func (p Planes) Slice(t int) Planes {
 	return Planes{t: t, n: p.n, stride: p.stride, w: p.w[:t*p.stride]}
 }
 
-// Zero clears every plane.
-func (p Planes) Zero() {
-	for i := range p.w {
-		p.w[i] = 0
-	}
-}
-
-// ReduceAnd sets dst to the word-wise AND across all planes: dst bit i is
-// 1 iff bit i is set in every plane — "correct in all trials". The stack
-// must be non-empty and dst must match the plane length.
-func (p Planes) ReduceAnd(dst Vec) {
-	if p.t == 0 {
-		panic("bitvec: ReduceAnd over zero planes")
-	}
-	if dst.n != p.n {
-		panic("bitvec: length mismatch")
-	}
-	copy(dst.w, p.w[:p.stride])
-	for t := 1; t < p.t; t++ {
-		pw := p.w[t*p.stride : (t+1)*p.stride]
-		for i := range dst.w {
-			dst.w[i] &= pw[i]
-		}
-	}
-}
-
 // ReduceOr sets dst to the word-wise OR across all planes: dst bit i is 1
 // iff bit i is set in any plane — "failed in at least one trial" when the
 // planes hold failures. The stack must be non-empty and dst must match the
@@ -89,41 +64,6 @@ func (p Planes) ReduceOr(dst Vec) {
 		pw := p.w[t*p.stride : (t+1)*p.stride]
 		for i := range dst.w {
 			dst.w[i] |= pw[i]
-		}
-	}
-}
-
-// AndPlanes sets dst to the bit-wise AND of the operands — the free-vector
-// form of Planes.ReduceAnd. The operand list must be non-empty and every
-// operand must match dst's length.
-func AndPlanes(dst Vec, vs []Vec) {
-	if len(vs) == 0 {
-		panic("bitvec: AndPlanes over zero operands")
-	}
-	for _, v := range vs {
-		dst.check(v)
-	}
-	copy(dst.w, vs[0].w)
-	for _, v := range vs[1:] {
-		for i := range dst.w {
-			dst.w[i] &= v.w[i]
-		}
-	}
-}
-
-// OrPlanes sets dst to the bit-wise OR of the operands — the free-vector
-// form of Planes.ReduceOr.
-func OrPlanes(dst Vec, vs []Vec) {
-	if len(vs) == 0 {
-		panic("bitvec: OrPlanes over zero operands")
-	}
-	for _, v := range vs {
-		dst.check(v)
-	}
-	copy(dst.w, vs[0].w)
-	for _, v := range vs[1:] {
-		for i := range dst.w {
-			dst.w[i] |= v.w[i]
 		}
 	}
 }

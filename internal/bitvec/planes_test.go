@@ -44,10 +44,6 @@ func TestPlanesShape(t *testing.T) {
 	if s.T() != 2 || !s.Plane(1).Get(64) {
 		t.Fatal("Slice does not alias the original planes")
 	}
-	p.Zero()
-	if p.Plane(1).Get(64) {
-		t.Fatal("Zero left a bit set")
-	}
 }
 
 func TestPlanesPanics(t *testing.T) {
@@ -56,10 +52,8 @@ func TestPlanesPanics(t *testing.T) {
 		"negative shape": func() { NewPlanes(-1, 3) },
 		"plane range":    func() { p.Plane(2) },
 		"slice range":    func() { p.Slice(3) },
-		"empty reduce":   func() { NewPlanes(0, 10).ReduceAnd(New(10)) },
-		"length":         func() { p.ReduceAnd(New(11)) },
-		"empty and":      func() { AndPlanes(New(10), nil) },
-		"empty or":       func() { OrPlanes(New(10), nil) },
+		"empty reduce":   func() { NewPlanes(0, 10).ReduceOr(New(10)) },
+		"length":         func() { p.ReduceOr(New(11)) },
 	} {
 		func() {
 			defer func() {
@@ -72,7 +66,7 @@ func TestPlanesPanics(t *testing.T) {
 	}
 }
 
-// TestPlanesReduceProperty checks both reductions against the naive
+// TestPlanesReduceProperty checks the reduction against the naive
 // [][]bool model at every interesting width (word boundaries ±1) and plane
 // count, including the trial counts the differential suite uses.
 func TestPlanesReduceProperty(t *testing.T) {
@@ -81,65 +75,21 @@ func TestPlanesReduceProperty(t *testing.T) {
 		for _, planes := range []int{1, 2, 3, 7, 8, 63, 64, 65} {
 			model := naivePlanes(data, planes, width)
 			stack := stackFrom(model, width)
-			and, or := New(width), New(width)
-			stack.ReduceAnd(and)
+			or := New(width)
 			stack.ReduceOr(or)
-			vs := make([]Vec, planes)
-			for i := range vs {
-				vs[i] = stack.Plane(i)
-			}
-			fAnd, fOr := New(width), New(width)
-			AndPlanes(fAnd, vs)
-			OrPlanes(fOr, vs)
 			for i := 0; i < width; i++ {
-				wantAnd, wantOr := true, false
+				wantOr := false
 				for p := 0; p < planes; p++ {
-					wantAnd = wantAnd && model[p][i]
 					wantOr = wantOr || model[p][i]
-				}
-				if and.Get(i) != wantAnd {
-					t.Fatalf("ReduceAnd(%d planes, width %d) bit %d = %v, want %v",
-						planes, width, i, and.Get(i), wantAnd)
 				}
 				if or.Get(i) != wantOr {
 					t.Fatalf("ReduceOr(%d planes, width %d) bit %d = %v, want %v",
 						planes, width, i, or.Get(i), wantOr)
 				}
 			}
-			if !fAnd.Equal(and) || !fOr.Equal(or) {
-				t.Fatalf("AndPlanes/OrPlanes diverge from stack reductions at (%d, %d)", planes, width)
-			}
-			checkTail(t, "ReduceAnd", and)
 			checkTail(t, "ReduceOr", or)
 		}
 	}
-}
-
-func FuzzPlanesReduceAnd(f *testing.F) {
-	f.Add([]byte{0xff, 0x0f, 0xa5}, uint16(65), byte(3))
-	f.Add([]byte{0xaa, 0x55}, uint16(63), byte(8))
-	f.Add([]byte{0x01}, uint16(1), byte(1))
-	f.Add([]byte{0xde, 0xad, 0xbe, 0xef}, uint16(129), byte(65))
-	f.Fuzz(func(t *testing.T, data []byte, n uint16, tc byte) {
-		width := fuzzWidth(n)
-		planes := 1 + int(tc)%65
-		model := naivePlanes(data, planes, width)
-		stack := stackFrom(model, width)
-		dst := New(width)
-		stack.ReduceAnd(dst)
-		want := make([]bool, width)
-		for i := range want {
-			want[i] = true
-			for p := 0; p < planes; p++ {
-				want[i] = want[i] && model[p][i]
-			}
-		}
-		checkBits(t, dst, want, "ReduceAnd")
-		// The planes themselves must be untouched by the reduction.
-		for p := 0; p < planes; p++ {
-			checkBits(t, stack.Plane(p), model[p], "ReduceAnd source plane")
-		}
-	})
 }
 
 func FuzzPlanesReduceOr(f *testing.F) {
@@ -161,15 +111,5 @@ func FuzzPlanesReduceOr(f *testing.F) {
 			}
 		}
 		checkBits(t, dst, want, "ReduceOr")
-		// Cross-check the free-vector form on the same planes.
-		vs := make([]Vec, planes)
-		for i := range vs {
-			vs[i] = stack.Plane(i)
-		}
-		free := New(width)
-		OrPlanes(free, vs)
-		if !free.Equal(dst) {
-			t.Fatalf("OrPlanes diverges from ReduceOr at width %d, %d planes", width, planes)
-		}
 	})
 }

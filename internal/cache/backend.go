@@ -119,9 +119,6 @@ func NewTiered(local *Cache, remote Backend) *Tiered {
 	return &Tiered{local: local, remote: remote}
 }
 
-// Local returns the underlying local cache.
-func (t *Tiered) Local() *Cache { return t.local }
-
 // Get returns the value for k from the local tier, falling back to the
 // remote tier (promoting a remote hit into the local LRU).
 func (t *Tiered) Get(k Key) (any, bool) {

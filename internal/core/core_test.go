@@ -9,7 +9,7 @@ import (
 	"repro/internal/timing"
 )
 
-func testTester(t *testing.T, profile dram.Profile, opts ...Option) *Tester {
+func testTester(t testing.TB, profile dram.Profile, opts ...Option) *Tester {
 	t.Helper()
 	spec := dram.NewSpec("core-test", profile, 0xfeed)
 	spec.Columns = 256
@@ -24,7 +24,7 @@ func testTester(t *testing.T, profile dram.Profile, opts ...Option) *Tester {
 	return tester
 }
 
-func firstGroup(t *testing.T, tester *Tester, n int) (*dram.Subarray, bender.Group) {
+func firstGroup(t testing.TB, tester *Tester, n int) (*dram.Subarray, bender.Group) {
 	t.Helper()
 	sa, err := tester.Module().Subarray(0, 0)
 	if err != nil {

@@ -35,24 +35,26 @@ var diffTimings = []struct {
 
 var diffProfiles = []dram.Profile{dram.ProfileH, dram.ProfileH640, dram.ProfileM, dram.ProfileS}
 
-// diffPair builds scalar and plane testers over separate but identically
-// seeded modules (shared static tables, independent cell state).
+// diffPair builds two testers over separate but identically seeded
+// modules (shared static tables, independent cell state): the suite runs
+// the scalar oracle (scalar_test.go) on the first and the trial-plane
+// kernels on the second.
 func diffPair(t *testing.T, profile dram.Profile, trials int) (scalar, planes *Tester) {
 	t.Helper()
-	build := func(opts ...Option) *Tester {
+	build := func() *Tester {
 		spec := dram.NewSpec("diff-test", profile, 0xd1ff)
 		spec.Columns = 192 // partial tail word: tail handling is under test
 		m, err := dram.NewModule(spec, analog.DefaultParams())
 		if err != nil {
 			t.Fatal(err)
 		}
-		tester, err := NewTester(m, append(opts, WithTrials(trials), WithSeed(7))...)
+		tester, err := NewTester(m, WithTrials(trials), WithSeed(7))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tester
 	}
-	return build(WithScalarKernel()), build()
+	return build(), build()
 }
 
 func diffGroups(t *testing.T, tester *Tester, n int) (*dram.Subarray, []bender.Group) {
@@ -86,7 +88,7 @@ func TestDifferentialManyRowActivation(t *testing.T) {
 					for gi, g := range groups {
 						label := fmt.Sprintf("%s/%s trials=%d %s g%d",
 							profile.Name, tm.name, trials, p, gi)
-						want, err := sc.ManyRowActivation(saS, g, tm.at, p)
+						want, err := sc.manyRowActivationScalar(saS, g, tm.at, p)
 						if err != nil {
 							t.Fatal(label, err)
 						}
@@ -123,7 +125,7 @@ func TestDifferentialMAJ(t *testing.T) {
 						for gi, g := range groups {
 							label := fmt.Sprintf("%s/MAJ%d/%s trials=%d %s g%d",
 								profile.Name, c.x, tm.name, trials, p, gi)
-							want, err := sc.MAJ(saS, g, c.x, tm.at, p)
+							want, err := sc.majScalar(saS, g, c.x, tm.at, p)
 							if err != nil {
 								t.Fatal(label, err)
 							}
@@ -152,7 +154,7 @@ func TestDifferentialMultiRowCopy(t *testing.T) {
 						for gi, g := range groups {
 							label := fmt.Sprintf("%s/copy%d/%s trials=%d %s g%d",
 								profile.Name, n, tm.name, trials, p, gi)
-							want, err := sc.MultiRowCopy(saS, g, tm.at, p)
+							want, err := sc.multiRowCopyScalar(saS, g, tm.at, p)
 							if err != nil {
 								t.Fatal(label, err)
 							}
@@ -169,9 +171,36 @@ func TestDifferentialMultiRowCopy(t *testing.T) {
 	}
 }
 
+// scalarSweep is the oracle of RunSweep for a Mitigation-free
+// ManyRowActivation config: the same subarray samples and row groups,
+// characterized in order by the scalar kernel.
+func scalarSweep(t *testing.T, tester *Tester, cfg SweepConfig) []GroupOutcome {
+	t.Helper()
+	cfg = cfg.withDefaults()
+	var out []GroupOutcome
+	for _, s := range tester.SweepSamples(cfg) {
+		sa, err := tester.subarray(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups, err := tester.sampleGroups(sa, cfg.N, cfg.GroupsPerSubarray)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range groups {
+			r, err := tester.manyRowActivationScalar(sa, g, cfg.Timings, cfg.Pattern)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, GroupOutcome{Sample: s, Group: g, Result: r})
+		}
+	}
+	return out
+}
+
 // TestDifferentialSweep runs full sweeps — the integration path through
-// engine sharding — under both kernels and requires identical outcome
-// streams.
+// engine sharding — on the plane kernels and requires the outcome stream
+// the scalar oracle produces for the same samples and groups.
 func TestDifferentialSweep(t *testing.T) {
 	for _, tm := range []timing.APATimings{{T1: 6, T2: 3}, {T1: 40, T2: 3}} {
 		cfg := SweepConfig{
@@ -180,19 +209,16 @@ func TestDifferentialSweep(t *testing.T) {
 			GroupsPerSubarray: 2, SubarraysPerBank: 1, Banks: 2,
 		}
 		sc, pl := diffPair(t, dram.ProfileH, 8)
-		want, err := sc.RunSweep(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := scalarSweep(t, sc, cfg)
 		got, err := pl.RunSweep(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(want.Outcomes) != len(got.Outcomes) {
-			t.Fatalf("outcome counts differ: %d vs %d", len(want.Outcomes), len(got.Outcomes))
+		if len(want) != len(got.Outcomes) {
+			t.Fatalf("outcome counts differ: %d vs %d", len(want), len(got.Outcomes))
 		}
-		for i := range want.Outcomes {
-			w, g := want.Outcomes[i], got.Outcomes[i]
+		for i := range want {
+			w, g := want[i], got.Outcomes[i]
 			if w.Sample != g.Sample || w.Group.RF != g.Group.RF ||
 				w.Group.RS != g.Group.RS || w.Result != g.Result {
 				t.Fatalf("outcome %d differs:\nscalar %+v\nplanes %+v", i, w, g)

@@ -10,8 +10,7 @@ import (
 )
 
 // Trial-plane kernels: the packed successors of the scalar per-trial
-// loops in core.go (retained there as the differential reference, see
-// WithScalarKernel). Each kernel asks the subarray for the
+// loops (kept in scalar_test.go as the differential oracle). Each kernel asks the subarray for the
 // trial-invariant plan of its T trials (dram.PlanAPA), evaluates the
 // expensive resolution once per distinct asserted set, materializes the
 // per-trial outcomes as bit-planes, and reduces the paper's all-trials

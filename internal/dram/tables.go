@@ -288,7 +288,8 @@ type metaPlaneKey struct {
 	overlay bool
 }
 
-// metaPlaneMax bounds the coin-plane cache; beyond it the map resets.
+// metaPlaneMax bounds the coin-plane cache; beyond it the map resets and
+// the dropped planes' bytes are refunded to the registry.
 const metaPlaneMax = 1 << 14
 
 // metaPlane returns the packed per-column metastable coin draws of one
@@ -325,17 +326,24 @@ func (t *saTables) metaPlane(s *Subarray, groupKey uint64, trial int, overlay bo
 		r[wi] = word
 	}
 	t.mu.Lock()
+	if won, ok := t.metaPlanes[key]; ok {
+		t.mu.Unlock()
+		return won // a concurrent miss published (and charged) it first
+	}
+	grown := 8 * len(r)
 	if len(t.metaPlanes) >= metaPlaneMax {
+		grown -= 8 * s.words * len(t.metaPlanes)
 		t.metaPlanes = make(map[metaPlaneKey][]uint64)
 	}
 	t.metaPlanes[key] = r
 	t.mu.Unlock()
-	t.charge(8 * len(r))
+	t.charge(grown)
 	return r
 }
 
 // couplingCacheMax bounds the per-group coupling-noise rows of one table
-// set; beyond it the map resets (rows are recomputable at any time).
+// set; beyond it the map resets (rows are recomputable at any time) and
+// the dropped rows' bytes are refunded to the registry.
 const couplingCacheMax = 1 << 12
 
 // couplingRow returns the per-column coupling-noise draws of one group,
@@ -346,7 +354,9 @@ func (t *saTables) couplingRow(cols int, groupKey uint64) []float64 {
 	if r, ok := t.couplingNorms[groupKey]; ok {
 		return r
 	}
+	grown := 8 * cols
 	if len(t.couplingNorms) >= couplingCacheMax {
+		grown -= 8 * cols * len(t.couplingNorms)
 		t.couplingNorms = make(map[uint64][]float64)
 	}
 	r := make([]float64, cols)
@@ -355,6 +365,6 @@ func (t *saTables) couplingRow(cols int, groupKey uint64) []float64 {
 		r[c] = xrand.NormOf(gc.Mix(uint64(c)).Mix(tagCoupling).Sum())
 	}
 	t.couplingNorms[groupKey] = r
-	t.charge(8 * len(r))
+	t.charge(grown)
 	return r
 }

@@ -261,3 +261,44 @@ func TestShareOutMatchesScalarAPA(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoResetRefundsCharge fills one 64-column table set's coupling
+// rows and coin planes past couplingCacheMax and metaPlaneMax, so each
+// memo map resets once, and checks that the set's registry charge still
+// equals the bytes of the rows it holds: a reset refunds what it drops.
+func TestMemoResetRefundsCharge(t *testing.T) {
+	spec := NewSpec("tables-test", ProfileH, 0xfeed00c0)
+	spec.Columns = 64
+	m, err := NewModule(spec, analog.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa, err := m.Subarray(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := sa.tab
+	charged := func() int64 {
+		tableReg.Lock()
+		defer tableReg.Unlock()
+		if tab.evicted {
+			t.Fatal("table set evicted mid-test")
+		}
+		return tab.charged
+	}
+	base := charged()
+	for k := uint64(0); k <= couplingCacheMax; k++ {
+		tab.couplingRow(sa.cols, k)
+	}
+	for k := uint64(0); k <= metaPlaneMax; k++ {
+		tab.metaPlane(sa, k, 0, false)
+	}
+	if len(tab.couplingNorms) != 1 || len(tab.metaPlanes) != 1 {
+		t.Fatalf("memo maps hold %d rows and %d planes, want 1 each after the reset",
+			len(tab.couplingNorms), len(tab.metaPlanes))
+	}
+	held := int64(8*sa.cols*len(tab.couplingNorms) + 8*sa.words*len(tab.metaPlanes))
+	if got := charged() - base; got != held {
+		t.Fatalf("set charged %d bytes for coupling rows and coin planes, holds %d", got, held)
+	}
+}

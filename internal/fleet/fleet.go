@@ -138,18 +138,6 @@ func TotalChips(entries []Entry) int {
 	return total
 }
 
-// ByManufacturer filters entries by the paper's manufacturer tag
-// ("H" or "M").
-func ByManufacturer(entries []Entry, name string) []Entry {
-	var out []Entry
-	for _, e := range entries {
-		if e.Spec.Profile.Name == name {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Build instantiates the modules of the given entries.
 func Build(entries []Entry, params analog.Params) ([]*dram.Module, error) {
 	return BuildFrom(nil, entries, params)

@@ -21,9 +21,15 @@ func TestTable1Population(t *testing.T) {
 // TestTable1Manufacturers checks the per-manufacturer breakdown of
 // Table 1: SK Hynix 12 modules / 96 chips, Micron 6 modules / 24 chips.
 func TestTable1Manufacturers(t *testing.T) {
-	entries := Modules(DefaultConfig())
-	h := ByManufacturer(entries, "H")
-	m := ByManufacturer(entries, "M")
+	var h, m []Entry
+	for _, e := range Modules(DefaultConfig()) {
+		switch e.Spec.Profile.Name {
+		case "H":
+			h = append(h, e)
+		case "M":
+			m = append(m, e)
+		}
+	}
 	if len(h) != 12 || TotalChips(h) != 96 {
 		t.Fatalf("Mfr. H: %d modules, %d chips; want 12/96", len(h), TotalChips(h))
 	}

@@ -130,16 +130,8 @@ func newJob(id, kind string, exec Exec, webhook *WebhookSpec) *Job {
 // ID returns the job's content-addressed identifier.
 func (j *Job) ID() string { return j.id }
 
-// Kind returns the request family ("sweep", "workload", "trng",
-// "scenario").
-func (j *Job) Kind() string { return j.kind }
-
 // Done is closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
-
-// Stats exposes the job's live progress accumulator: the executing
-// pipeline adds to it, the SSE monitor and status endpoint snapshot it.
-func (j *Job) Stats() *engine.Stats { return j.stats }
 
 // progress converts the engine snapshot into the job progress view.
 func (j *Job) progress() Progress {

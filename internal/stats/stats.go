@@ -1,7 +1,6 @@
 // Package stats provides the summary statistics used throughout the
 // characterization harness: success-rate distributions across row groups,
-// box-and-whiskers summaries matching the paper's plots, and simple
-// histograms.
+// box-and-whiskers summaries matching the paper's plots.
 package stats
 
 import (
@@ -102,24 +101,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Quantile computes the q-th quantile of an unsorted sample. It returns
-// ErrEmpty for an empty sample and clamps q into [0, 1].
-func Quantile(sample []float64, q float64) (float64, error) {
-	if len(sample) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	sorted := make([]float64, len(sample))
-	copy(sorted, sample)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q), nil
-}
-
 // Mean returns the arithmetic mean, or 0 for an empty sample.
 func Mean(sample []float64) float64 {
 	if len(sample) == 0 {
@@ -130,103 +111,4 @@ func Mean(sample []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(sample))
-}
-
-// Accumulator incrementally collects sample values; it is the building
-// block experiments use to gather per-row-group success rates without
-// retaining intermediate structures. The zero value is ready to use.
-type Accumulator struct {
-	values []float64
-}
-
-// Add appends one observation.
-func (a *Accumulator) Add(v float64) { a.values = append(a.values, v) }
-
-// AddAll appends many observations.
-func (a *Accumulator) AddAll(vs ...float64) { a.values = append(a.values, vs...) }
-
-// Len reports the number of collected observations.
-func (a *Accumulator) Len() int { return len(a.values) }
-
-// Values returns a copy of the collected observations.
-func (a *Accumulator) Values() []float64 {
-	out := make([]float64, len(a.values))
-	copy(out, a.values)
-	return out
-}
-
-// Summary summarizes the collected observations.
-func (a *Accumulator) Summary() Summary { return MustSummarize(a.values) }
-
-// Histogram is a fixed-width-bin histogram over [Lo, Hi].
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	under  int
-	over   int
-}
-
-// NewHistogram creates a histogram with the given bounds and bin count.
-// It returns an error for invalid configurations rather than panicking.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: bins must be positive, got %d", bins)
-	}
-	if !(lo < hi) {
-		return nil, fmt.Errorf("stats: invalid bounds [%v, %v]", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}, nil
-}
-
-// Add records one observation; out-of-range values are tallied separately.
-func (h *Histogram) Add(v float64) {
-	if v < h.Lo {
-		h.under++
-		return
-	}
-	if v >= h.Hi {
-		if v == h.Hi {
-			h.Counts[len(h.Counts)-1]++
-			return
-		}
-		h.over++
-		return
-	}
-	idx := int((v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if idx >= len(h.Counts) {
-		idx = len(h.Counts) - 1
-	}
-	h.Counts[idx]++
-}
-
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Outliers returns the number of observations below Lo and above Hi.
-func (h *Histogram) Outliers() (under, over int) { return h.under, h.over }
-
-// PercentDiff returns the difference a-b expressed in percentage points
-// when a and b are rates in [0,1], i.e. (a-b)*100.
-func PercentDiff(a, b float64) float64 { return (a - b) * 100 }
-
-// RelativeChange returns (a-b)/b, guarding against division by zero: when b
-// is zero it returns +Inf for positive a, 0 for zero a, and -Inf otherwise.
-func RelativeChange(a, b float64) float64 {
-	if b == 0 {
-		switch {
-		case a > 0:
-			return math.Inf(1)
-		case a < 0:
-			return math.Inf(-1)
-		default:
-			return 0
-		}
-	}
-	return (a - b) / b
 }

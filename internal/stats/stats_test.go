@@ -90,12 +90,10 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 		if len(in) == 0 {
 			return true
 		}
+		sort.Float64s(in)
 		prev := math.Inf(-1)
 		for q := 0.0; q <= 1.0; q += 0.1 {
-			v, err := Quantile(in, q)
-			if err != nil {
-				return false
-			}
+			v := quantileSorted(in, q)
 			if v < prev {
 				return false
 			}
@@ -108,109 +106,19 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestQuantileClamp(t *testing.T) {
-	in := []float64{1, 2, 3}
-	lo, _ := Quantile(in, -1)
-	hi, _ := Quantile(in, 2)
-	if lo != 1 || hi != 3 {
-		t.Fatalf("clamped quantiles = %v, %v", lo, hi)
-	}
-}
-
 func TestMeanEmpty(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Fatal("Mean(nil) should be 0")
 	}
 }
 
-func TestAccumulator(t *testing.T) {
-	var a Accumulator
-	a.Add(1)
-	a.AddAll(2, 3)
-	if a.Len() != 3 {
-		t.Fatalf("Len = %d", a.Len())
-	}
-	s := a.Summary()
-	if s.Mean != 2 {
-		t.Fatalf("mean = %v, want 2", s.Mean)
-	}
-	vs := a.Values()
-	vs[0] = 99
-	if a.Summary().Mean != 2 {
-		t.Fatal("Values() must return a copy")
-	}
-}
-
-func TestAccumulatorZeroValue(t *testing.T) {
-	var a Accumulator
-	s := a.Summary()
-	if s.N != 0 {
-		t.Fatalf("empty accumulator summary N = %d", s.N)
-	}
-}
-
-func TestHistogramBasic(t *testing.T) {
-	h, err := NewHistogram(0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(11)
-	h.Add(10) // boundary goes to last bin
-	if h.Total() != 11 {
-		t.Fatalf("Total = %d, want 11", h.Total())
-	}
-	under, over := h.Outliers()
-	if under != 1 || over != 1 {
-		t.Fatalf("outliers = %d, %d", under, over)
-	}
-	for i, c := range h.Counts {
-		want := 1
-		if i == 9 {
-			want = 2
-		}
-		if c != want {
-			t.Fatalf("bin %d count = %d, want %d", i, c, want)
-		}
-	}
-}
-
-func TestHistogramInvalid(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Fatal("expected error for zero bins")
-	}
-	if _, err := NewHistogram(5, 5, 10); err == nil {
-		t.Fatal("expected error for lo == hi")
-	}
-}
-
-func TestPercentDiff(t *testing.T) {
-	if got := PercentDiff(0.99, 0.68); math.Abs(got-31.0) > 1e-9 {
-		t.Fatalf("PercentDiff = %v, want 31", got)
-	}
-}
-
-func TestRelativeChange(t *testing.T) {
-	if got := RelativeChange(3, 2); got != 0.5 {
-		t.Fatalf("RelativeChange(3,2) = %v", got)
-	}
-	if got := RelativeChange(1, 0); !math.IsInf(got, 1) {
-		t.Fatalf("RelativeChange(1,0) = %v, want +Inf", got)
-	}
-	if got := RelativeChange(0, 0); got != 0 {
-		t.Fatalf("RelativeChange(0,0) = %v, want 0", got)
-	}
-}
-
 func TestQuantileSortedAgainstSort(t *testing.T) {
 	in := []float64{9, 1, 8, 2, 7, 3, 6, 4, 5}
-	med, err := Quantile(in, 0.5)
+	s, err := Summarize(in)
 	if err != nil {
 		t.Fatal(err)
 	}
+	med := s.Median
 	sorted := append([]float64(nil), in...)
 	sort.Float64s(sorted)
 	if med != sorted[4] {

@@ -104,16 +104,6 @@ func Quantize(ns float64) float64 {
 	return float64(n) * Tick
 }
 
-// IsIssuable reports whether a delay lies on the tester's command grid.
-func IsIssuable(ns float64) bool {
-	if ns < Tick {
-		return false
-	}
-	q := Quantize(ns)
-	diff := ns - q
-	return diff < 1e-9 && diff > -1e-9
-}
-
 // APATimings describes the two timing delays of an
 // ACT(RF) --t1--> PRE --t2--> ACT(RS) command sequence. The paper's PUD
 // operations are entirely parameterized by this pair.

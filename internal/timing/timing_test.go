@@ -76,15 +76,6 @@ func TestQuantizePropertyOnGrid(t *testing.T) {
 	}
 }
 
-func TestIsIssuable(t *testing.T) {
-	if !IsIssuable(1.5) || !IsIssuable(3.0) || !IsIssuable(36.0) {
-		t.Fatal("grid values must be issuable")
-	}
-	if IsIssuable(2.0) || IsIssuable(0.5) || IsIssuable(0) {
-		t.Fatal("off-grid values must not be issuable")
-	}
-}
-
 func TestAPAViolations(t *testing.T) {
 	p := DDR4()
 	apa := APATimings{T1: 3, T2: 3}

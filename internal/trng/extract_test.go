@@ -82,7 +82,7 @@ func TestAnalyzePRNGStreamHealthy(t *testing.T) {
 	src := xrand.NewSource(9)
 	stream := make([]bool, 8192)
 	for i := range stream {
-		stream[i] = src.Bool()
+		stream[i] = src.Uint64()&1 == 1
 	}
 	rep, err := Analyze(stream)
 	if err != nil {

@@ -131,11 +131,6 @@ func (s *Source) Norm() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// Bool returns the next fair coin flip.
-func (s *Source) Bool() bool {
-	return s.Uint64()&1 == 1
-}
-
 // Perm returns a deterministic pseudo-random permutation of [0, n).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)

@@ -169,20 +169,6 @@ func TestSampleKTooLarge(t *testing.T) {
 	}
 }
 
-func TestSourceBoolBalanced(t *testing.T) {
-	s := NewSource(8)
-	trues := 0
-	const n = 10000
-	for i := 0; i < n; i++ {
-		if s.Bool() {
-			trues++
-		}
-	}
-	if trues < n/2-300 || trues > n/2+300 {
-		t.Fatalf("Bool produced %d trues out of %d", trues, n)
-	}
-}
-
 // TestChainMatchesHash pins the Chain API to Hash exactly: the hot paths
 // precompute chains over fixed coordinate prefixes, so any divergence
 // would silently change every derived draw.
