@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/analog"
 	"repro/internal/bender"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/timing"
@@ -83,6 +84,24 @@ func TestPerModuleMatchesDirectSweeps(t *testing.T) {
 // sampleAt builds a subarray sample for key-sensitivity checks.
 func sampleAt(bank, subarray int) bender.SubarraySample {
 	return bender.SubarraySample{Bank: bank, Subarray: subarray}
+}
+
+// TestShardKeyKnownAnswer pins one sweep shard's memo key — the shared
+// dram.Spec.HashModule block plus the shard fields — to a fixed digest, so
+// the per-shard memo addresses survive refactors of the Hasher byte for
+// byte.
+func TestShardKeyKnownAnswer(t *testing.T) {
+	cfg := DefaultConfig()
+	r := &Runner{cfg: cfg}
+	sc := r.boundSweep(core.SweepConfig{
+		Op: core.OpMAJ, X: 3, N: 8,
+		Timings: timing.BestSiMRA(), Pattern: dram.PatternRandom,
+	})
+	key := r.shardKey(cfg.Fleet[1].Spec, sc, analog.NominalEnv(), sampleAt(1, 0))
+	const want = "e4b7e291fa10e424894003df662026422e6f53ab0bd6506145ba6e6ae8eee05c"
+	if got := cache.KeyString(key); got != want {
+		t.Errorf("shard key %s, want %s", got, want)
+	}
 }
 
 // TestShardMemoKeySensitivity pins the keying scheme: any change to an
