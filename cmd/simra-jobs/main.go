@@ -396,6 +396,14 @@ func cmdServerJSON(c *client, path string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// The sink's connection timeouts: a sender gets sinkReadHeaderTimeout to
+// send its headers, and an idle kept-alive connection is closed after
+// sinkIdleTimeout.
+const (
+	sinkReadHeaderTimeout = 5 * time.Second
+	sinkIdleTimeout       = 2 * time.Minute
+)
+
 // cmdSink runs a local webhook receiver: it verifies each delivery's
 // signature against -secret, prints the delivered status JSON, and exits
 // once -n deliveries arrived (0 = run until interrupted).
@@ -446,7 +454,7 @@ func cmdSink(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	})
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: sinkReadHeaderTimeout, IdleTimeout: sinkIdleTimeout}
 	go srv.Serve(ln)
 	code := <-done
 	srv.Close()

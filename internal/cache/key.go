@@ -18,7 +18,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 	"math"
 )
 
@@ -33,13 +32,21 @@ func KeyString(k Key) string { return hex.EncodeToString(k[:]) }
 // Hasher builds canonical keys from typed fields. Every write is tagged
 // with a type byte and fixed-width or length-prefixed, so field boundaries
 // are unambiguous: Str("ab").Str("c") and Str("a").Str("bc") yield
-// different keys. The zero value is not usable; start with NewHasher.
+// different keys. Fields are appended to one buffer, backed inline up to
+// a typical request key's size, and Sum hashes it with one SHA-256 call:
+// a key costs the Hasher's own allocation, not one per field. Start with
+// NewHasher.
 type Hasher struct {
-	h hash.Hash
+	buf    []byte
+	inline [256]byte
 }
 
 // NewHasher returns an empty canonical hasher.
-func NewHasher() *Hasher { return &Hasher{h: sha256.New()} }
+func NewHasher() *Hasher {
+	h := new(Hasher)
+	h.buf = h.inline[:0]
+	return h
+}
 
 // tag bytes disambiguate field types in the hashed stream.
 const (
@@ -50,57 +57,37 @@ const (
 	tagBool = 0x05
 )
 
-func (h *Hasher) writeTagged(tag byte, payload []byte) *Hasher {
-	var buf [9]byte
-	buf[0] = tag
-	h.h.Write(buf[:1])
-	h.h.Write(payload)
+// word appends a tagged fixed-width field.
+func (h *Hasher) word(tag byte, v uint64) *Hasher {
+	h.buf = binary.BigEndian.AppendUint64(append(h.buf, tag), v)
 	return h
 }
 
 // Str hashes a length-prefixed string field.
 func (h *Hasher) Str(s string) *Hasher {
-	var n [9]byte
-	n[0] = tagStr
-	binary.BigEndian.PutUint64(n[1:], uint64(len(s)))
-	h.h.Write(n[:])
-	h.h.Write([]byte(s))
+	h.word(tagStr, uint64(len(s)))
+	h.buf = append(h.buf, s...)
 	return h
 }
 
 // U64 hashes an unsigned integer field.
-func (h *Hasher) U64(v uint64) *Hasher {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return h.writeTagged(tagU64, b[:])
-}
+func (h *Hasher) U64(v uint64) *Hasher { return h.word(tagU64, v) }
 
 // Int hashes a signed integer field.
-func (h *Hasher) Int(v int) *Hasher {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(int64(v)))
-	return h.writeTagged(tagI64, b[:])
-}
+func (h *Hasher) Int(v int) *Hasher { return h.word(tagI64, uint64(int64(v))) }
 
 // F64 hashes a float field by its IEEE-754 bits.
-func (h *Hasher) F64(v float64) *Hasher {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], math.Float64bits(v))
-	return h.writeTagged(tagF64, b[:])
-}
+func (h *Hasher) F64(v float64) *Hasher { return h.word(tagF64, math.Float64bits(v)) }
 
 // Bool hashes a boolean field.
 func (h *Hasher) Bool(v bool) *Hasher {
-	b := []byte{0}
+	b := byte(0)
 	if v {
-		b[0] = 1
+		b = 1
 	}
-	return h.writeTagged(tagBool, b)
+	h.buf = append(h.buf, tagBool, b)
+	return h
 }
 
-// Sum finalizes the key. The hasher must not be reused afterwards.
-func (h *Hasher) Sum() Key {
-	var k Key
-	h.h.Sum(k[:0])
-	return k
-}
+// Sum finalizes the key.
+func (h *Hasher) Sum() Key { return sha256.Sum256(h.buf) }

@@ -84,50 +84,54 @@ func table2() []tableRow {
 	}
 }
 
-// Modules returns the 18 PUD-capable modules of Table 1/2 (120 chips).
-func Modules(cfg Config) []Entry {
-	var out []Entry
-	idx := 0
+// The module templates depend on no Config, so they are built once per
+// process: Table 1/2 in table order, its first module per (manufacturer,
+// die revision, subarray rows), and the §9 controls. A template's
+// Spec.Seed is its offset from Config.Seed; Spec.Columns is unset.
+var table2Modules, representatives, samsungModules = templates()
+
+func templates() (mods, rep, samsung []Entry) {
+	seen := make(map[string]bool)
 	for _, row := range table2() {
 		for i := 0; i < row.modules; i++ {
+			idx := len(mods)
 			id := fmt.Sprintf("%s-%s-%d", row.profile.Name, row.dieRev, idx)
-			spec := dram.NewSpec(id, row.profile, cfg.Seed+uint64(idx)*0x9e37)
+			spec := dram.NewSpec(id, row.profile, uint64(idx)*0x9e37)
 			spec.Chips = row.chips
-			spec.Columns = cfg.Columns
 			spec.DensityGbit = row.densityGb
 			spec.DieRev = row.dieRev
 			spec.FreqMTps = row.freq
-			out = append(out, Entry{
-				Spec:             spec,
-				ModuleVendor:     row.vendor,
-				ModuleIdentifier: row.moduleID,
-				ChipIdentifier:   row.chipID,
-				MfrDate:          row.mfrDate,
-			})
-			idx++
+			mods = append(mods, Entry{spec, row.vendor, row.moduleID, row.chipID, row.mfrDate})
+			if g := fmt.Sprint(row.profile.Name, "/", row.dieRev, "/", row.profile.Decoder.Rows); !seen[g] {
+				seen[g] = true
+				rep = append(rep, mods[idx])
+			}
 		}
+	}
+	for i := 0; i < 8; i++ {
+		spec := dram.NewSpec(fmt.Sprintf("S-ctl-%d", i), dram.ProfileS, 0xabcd+uint64(i)*0x9e37)
+		samsung = append(samsung, Entry{spec, "Samsung", "control", "control", "Unknown"})
+	}
+	return mods, rep, samsung
+}
+
+// instantiate copies tmpl under cfg into a fresh slice the caller owns.
+func instantiate(cfg Config, tmpl []Entry) []Entry {
+	out := make([]Entry, len(tmpl))
+	for i, e := range tmpl {
+		e.Spec.Columns = cfg.Columns
+		e.Spec.Seed += cfg.Seed
+		out[i] = e
 	}
 	return out
 }
 
+// Modules returns the 18 PUD-capable modules of Table 1/2 (120 chips).
+func Modules(cfg Config) []Entry { return instantiate(cfg, table2Modules) }
+
 // SamsungModules returns the §9 control population: 8 modules (64 chips)
 // whose control circuitry guards against timing-violating APA sequences.
-func SamsungModules(cfg Config) []Entry {
-	out := make([]Entry, 0, 8)
-	for i := 0; i < 8; i++ {
-		id := fmt.Sprintf("S-ctl-%d", i)
-		spec := dram.NewSpec(id, dram.ProfileS, cfg.Seed+0xabcd+uint64(i)*0x9e37)
-		spec.Columns = cfg.Columns
-		out = append(out, Entry{
-			Spec:             spec,
-			ModuleVendor:     "Samsung",
-			ModuleIdentifier: "control",
-			ChipIdentifier:   "control",
-			MfrDate:          "Unknown",
-		})
-	}
-	return out
-}
+func SamsungModules(cfg Config) []Entry { return instantiate(cfg, samsungModules) }
 
 // TotalChips sums the chip count over entries.
 func TotalChips(entries []Entry) int {
@@ -183,18 +187,4 @@ func Release(pool dram.ModulePool, mods []*dram.Module) {
 // module per (manufacturer, die revision) — used by experiments that
 // cannot afford the full population (the paper itself restricts voltage
 // experiments to two modules, footnote 9).
-func Representative(cfg Config) []Entry {
-	all := Modules(cfg)
-	seen := make(map[string]bool)
-	var out []Entry
-	for _, e := range all {
-		key := e.Spec.Profile.Name + "/" + e.Spec.DieRev + "/" +
-			fmt.Sprint(e.Spec.Profile.Decoder.Rows)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, e)
-	}
-	return out
-}
+func Representative(cfg Config) []Entry { return instantiate(cfg, representatives) }

@@ -1,9 +1,12 @@
 package fleet
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/analog"
+	"repro/internal/dram"
 )
 
 // TestTable1Population checks the headline population numbers: 18 modules
@@ -147,6 +150,114 @@ func TestDeterministicFleet(t *testing.T) {
 		if a[i].Spec.ID != b[i].Spec.ID || a[i].Spec.Seed != b[i].Spec.Seed ||
 			a[i].ChipIdentifier != b[i].ChipIdentifier {
 			t.Fatal("fleet must be deterministic")
+		}
+	}
+}
+
+// oracleModules is the fleet construction Modules replaced: one Sprintf ID
+// and one dram.NewSpec per Table-2 module, appended in table order.
+func oracleModules(cfg Config) []Entry {
+	var out []Entry
+	idx := 0
+	for _, row := range table2() {
+		for i := 0; i < row.modules; i++ {
+			id := fmt.Sprintf("%s-%s-%d", row.profile.Name, row.dieRev, idx)
+			spec := dram.NewSpec(id, row.profile, cfg.Seed+uint64(idx)*0x9e37)
+			spec.Chips = row.chips
+			spec.Columns = cfg.Columns
+			spec.DensityGbit = row.densityGb
+			spec.DieRev = row.dieRev
+			spec.FreqMTps = row.freq
+			out = append(out, Entry{
+				Spec:             spec,
+				ModuleVendor:     row.vendor,
+				ModuleIdentifier: row.moduleID,
+				ChipIdentifier:   row.chipID,
+				MfrDate:          row.mfrDate,
+			})
+			idx++
+		}
+	}
+	return out
+}
+
+// oracleRepresentative keeps the first oracle module per (profile, die
+// revision, subarray rows).
+func oracleRepresentative(cfg Config) []Entry {
+	seen := make(map[string]bool)
+	var out []Entry
+	for _, e := range oracleModules(cfg) {
+		key := e.Spec.Profile.Name + "/" + e.Spec.DieRev + "/" +
+			fmt.Sprint(e.Spec.Profile.Decoder.Rows)
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		out = append(out, e)
+	}
+	return out
+}
+
+// oracleSamsung builds the §9 control modules one NewSpec at a time.
+func oracleSamsung(cfg Config) []Entry {
+	out := make([]Entry, 0, 8)
+	for i := 0; i < 8; i++ {
+		id := fmt.Sprintf("S-ctl-%d", i)
+		spec := dram.NewSpec(id, dram.ProfileS, cfg.Seed+0xabcd+uint64(i)*0x9e37)
+		spec.Columns = cfg.Columns
+		out = append(out, Entry{
+			Spec:             spec,
+			ModuleVendor:     "Samsung",
+			ModuleIdentifier: "control",
+			ChipIdentifier:   "control",
+			MfrDate:          "Unknown",
+		})
+	}
+	return out
+}
+
+// TestFleetMatchesOracle checks the once-built module templates against
+// the per-call construction for several (Columns, Seed) configurations,
+// entry by entry and field by field, and that every call hands out a
+// fresh slice: mutating one call's entries never reaches the next call.
+func TestFleetMatchesOracle(t *testing.T) {
+	for _, cfg := range []Config{
+		DefaultConfig(),
+		{Columns: 64, Seed: 1},
+		{Columns: 512, Seed: 0xffffffffffffff00}, // seed offsets wrap
+		{Columns: 8192, Seed: 0},
+	} {
+		for _, c := range []struct {
+			name      string
+			got, want func(Config) []Entry
+		}{
+			{"Modules", Modules, oracleModules},
+			{"Representative", Representative, oracleRepresentative},
+			{"SamsungModules", SamsungModules, oracleSamsung},
+		} {
+			got, want := c.got(cfg), c.want(cfg)
+			if len(got) != len(want) {
+				t.Fatalf("%s %+v: %d entries, want %d", c.name, cfg, len(got), len(want))
+			}
+			for i := range want {
+				gv, wv := reflect.ValueOf(got[i]), reflect.ValueOf(want[i])
+				for f := 0; f < gv.NumField(); f++ {
+					if !reflect.DeepEqual(gv.Field(f).Interface(), wv.Field(f).Interface()) {
+						t.Errorf("%s %+v entry %d: %s = %+v, want %+v", c.name, cfg, i,
+							gv.Type().Field(f).Name, gv.Field(f).Interface(), wv.Field(f).Interface())
+					}
+				}
+			}
+
+			for i := range got {
+				got[i].Spec.ID += "-mutated"
+				got[i].Spec.Seed++
+				got[i].Spec.Columns++
+				got[i].ModuleVendor = "mutated"
+			}
+			if again := c.got(cfg); !reflect.DeepEqual(again, want) {
+				t.Errorf("%s %+v: mutating a returned entry leaked into the next call", c.name, cfg)
+			}
 		}
 	}
 }

@@ -205,7 +205,7 @@ func applyAxes(g Grid, spec string) (Grid, error) {
 
 // Resolve validates the options and builds the run configuration.
 func (o Options) Resolve() (Config, error) {
-	cfg := DefaultConfig()
+	var cfg Config
 
 	switch o.Op {
 	case "", "activation":
@@ -231,6 +231,7 @@ func (o Options) Resolve() (Config, error) {
 	default:
 		return Config{}, fmt.Errorf("scenario: unknown modules %q; valid: representative, full", o.Modules)
 	}
+	cfg = cfg.withDefaults()
 
 	grid, err := presetGrid(o.Grid)
 	if err != nil {

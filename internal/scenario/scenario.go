@@ -411,43 +411,33 @@ type Config struct {
 }
 
 // DefaultConfig returns the standard reduced-scale scenario configuration.
-func DefaultConfig() Config {
-	fc := fleet.DefaultConfig()
-	fc.Columns = 512
-	return Config{
-		Fleet:             fleet.Representative(fc),
-		Params:            analog.DefaultParams(),
-		Trials:            4,
-		GroupsPerSubarray: 4,
-		SubarraysPerBank:  1,
-		Banks:             2,
-		Seed:              0xd5a,
-	}
-}
+func DefaultConfig() Config { return Config{}.withDefaults() }
 
-// withDefaults resolves zero-value fields.
+// withDefaults resolves zero-value fields, building the default fleet only
+// when none is given.
 func (cfg Config) withDefaults() Config {
-	def := DefaultConfig()
 	if len(cfg.Fleet) == 0 {
-		cfg.Fleet = def.Fleet
+		fc := fleet.DefaultConfig()
+		fc.Columns = 512
+		cfg.Fleet = fleet.Representative(fc)
 	}
 	if cfg.Params == (analog.Params{}) {
-		cfg.Params = def.Params
+		cfg.Params = analog.DefaultParams()
 	}
 	if cfg.Trials == 0 {
-		cfg.Trials = def.Trials
+		cfg.Trials = 4
 	}
 	if cfg.GroupsPerSubarray == 0 {
-		cfg.GroupsPerSubarray = def.GroupsPerSubarray
+		cfg.GroupsPerSubarray = 4
 	}
 	if cfg.SubarraysPerBank == 0 {
-		cfg.SubarraysPerBank = def.SubarraysPerBank
+		cfg.SubarraysPerBank = 1
 	}
 	if cfg.Banks == 0 {
-		cfg.Banks = def.Banks
+		cfg.Banks = 2
 	}
 	if cfg.Seed == 0 {
-		cfg.Seed = def.Seed
+		cfg.Seed = 0xd5a
 	}
 	return cfg
 }

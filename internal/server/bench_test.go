@@ -18,6 +18,14 @@ var warmHitCases = []struct{ kind, body string }{
 	{"campaign", `{"workload":"bitmap-scan","top":5,"cols":64}`},
 }
 
+// warmHit serves one blocking raw request for kind through the whole
+// handler chain onto an httptest recorder.
+func warmHit(h http.Handler, kind, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/"+kind+"?raw=1", strings.NewReader(body)))
+	return rec
+}
+
 // BenchmarkServerWarmHit times one warm-cache hit per family through the
 // whole handler chain — middleware, mux, family route, decode, normalize,
 // key, cache probe and the raw response write — on an httptest recorder,
@@ -30,21 +38,44 @@ func BenchmarkServerWarmHit(b *testing.B) {
 	h := s.Handler()
 	for _, c := range warmHitCases {
 		b.Run(c.kind, func(b *testing.B) {
-			hit := func() *httptest.ResponseRecorder {
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/"+c.kind+"?raw=1", strings.NewReader(c.body)))
-				return rec
-			}
-			if rec := hit(); rec.Code != http.StatusOK {
+			if rec := warmHit(h, c.kind, c.body); rec.Code != http.StatusOK {
 				b.Fatalf("warm-up %s: %d %s", c.kind, rec.Code, rec.Body)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if rec := hit(); rec.Header().Get("X-Simra-Cached") != "true" {
+				if rec := warmHit(h, c.kind, c.body); rec.Header().Get("X-Simra-Cached") != "true" {
 					b.Fatalf("%s request %d missed the cache: %d %s", c.kind, i, rec.Code, rec.Body)
 				}
 			}
 		})
+	}
+}
+
+// TestWarmHitAllocs pins the warm-hit cost structure without depending on
+// the host: a workload or scenario hit normalizes by resolving module
+// names and hashes a wider key, but must stay within 2x the allocations
+// of a sweep hit — it must not rebuild the Table-2 fleet or allocate per
+// key field.
+func TestWarmHitAllocs(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	h := s.Handler()
+	allocs := map[string]float64{}
+	for _, c := range warmHitCases {
+		if rec := warmHit(h, c.kind, c.body); rec.Code != http.StatusOK {
+			t.Fatalf("warm-up %s: %d %s", c.kind, rec.Code, rec.Body)
+		}
+		allocs[c.kind] = testing.AllocsPerRun(50, func() {
+			if rec := warmHit(h, c.kind, c.body); rec.Header().Get("X-Simra-Cached") != "true" {
+				t.Fatalf("%s missed the cache: %d %s", c.kind, rec.Code, rec.Body)
+			}
+		})
+	}
+	for _, kind := range []string{"workload", "scenario"} {
+		if allocs[kind] > 2*allocs["sweep"] {
+			t.Errorf("%s warm hit: %.0f allocs, want at most 2x the sweep hit's %.0f",
+				kind, allocs[kind], allocs["sweep"])
+		}
 	}
 }

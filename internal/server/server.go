@@ -64,6 +64,16 @@ import (
 // is zero.
 const DefaultCacheBytes = 64 << 20
 
+// Connection timeouts of ListenAndServe: a client gets readHeaderTimeout
+// to send its request headers and a kept-alive connection is closed after
+// idleTimeout without a request, so stalled or abandoned connections
+// cannot pin server resources. Neither bounds a body read, a computation
+// or a streamed (SSE) response.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Config parameterizes a serving instance. The zero value is usable.
 type Config struct {
 	// Addr is the listen address for ListenAndServe (default
@@ -692,7 +702,7 @@ func (s *Server) ListenAndServe(ctx context.Context, ready chan<- string) error 
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 	select {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -524,5 +526,42 @@ func TestListenAndServeGracefulShutdown(t *testing.T) {
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("shutdown returned %v; want nil", err)
+	}
+}
+
+// TestListenAndServeClosesStalledHeaders drives the real listener with a
+// client that sends half a request and then stalls: the server must close
+// the connection once readHeaderTimeout passes instead of holding it open.
+func TestListenAndServeClosesStalledHeaders(t *testing.T) {
+	s := New(Config{Addr: "127.0.0.1:0"})
+	ctx, cancel := context.WithCancel(context.Background())
+	ready := make(chan string, 1)
+	done := make(chan error, 1)
+	go func() { done <- s.ListenAndServe(ctx, ready) }()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	conn, err := net.Dial("tcp", <-ready)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/trng HTTP/1.1\r\nHost: simra\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second))
+	n, err := conn.Read(make([]byte, 1))
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open %v after a stalled header; want closed after %v",
+			time.Since(start), readHeaderTimeout)
+	}
+	if n != 0 || err == nil {
+		t.Fatalf("stalled header read %d bytes, err %v; want the connection closed", n, err)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v; want about %v", waited, readHeaderTimeout)
 	}
 }

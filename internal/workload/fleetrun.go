@@ -73,35 +73,27 @@ type FleetConfig struct {
 
 // DefaultFleetConfig returns the standard reduced-scale configuration: the
 // representative fleet (one module per die group) on 512-column slices.
-func DefaultFleetConfig() FleetConfig {
-	fc := fleet.DefaultConfig()
-	fc.Columns = 512
-	return FleetConfig{
-		Entries:   fleet.Representative(fc),
-		Params:    analog.DefaultParams(),
-		Workloads: All(),
-		MaxX:      DefaultMaxX,
-		Seed:      DefaultSeed,
-	}
-}
+func DefaultFleetConfig() FleetConfig { return FleetConfig{}.withDefaults() }
 
-// withDefaults resolves zero-value fields.
+// withDefaults resolves zero-value fields, building the default fleet
+// only when no entries are given.
 func (cfg FleetConfig) withDefaults() FleetConfig {
-	def := DefaultFleetConfig()
 	if len(cfg.Entries) == 0 {
-		cfg.Entries = def.Entries
+		fc := fleet.DefaultConfig()
+		fc.Columns = 512
+		cfg.Entries = fleet.Representative(fc)
 	}
 	if cfg.Params == (analog.Params{}) {
-		cfg.Params = def.Params
+		cfg.Params = analog.DefaultParams()
 	}
 	if len(cfg.Workloads) == 0 {
-		cfg.Workloads = def.Workloads
+		cfg.Workloads = All()
 	}
 	if cfg.MaxX == 0 {
-		cfg.MaxX = def.MaxX
+		cfg.MaxX = DefaultMaxX
 	}
 	if cfg.Seed == 0 {
-		cfg.Seed = def.Seed
+		cfg.Seed = DefaultSeed
 	}
 	return cfg
 }

@@ -33,8 +33,7 @@ type Options struct {
 
 // Resolve validates the options and builds the fleet-run configuration.
 func (o Options) Resolve() (FleetConfig, error) {
-	cfg := DefaultFleetConfig()
-
+	var cfg FleetConfig
 	fleetCfg := fleet.DefaultConfig()
 	fleetCfg.Columns = 512
 	if o.Columns > 0 {
@@ -55,7 +54,6 @@ func (o Options) Resolve() (FleetConfig, error) {
 	}
 
 	if o.Workloads != "all" && o.Workloads != "" {
-		cfg.Workloads = cfg.Workloads[:0]
 		for _, name := range strings.Split(o.Workloads, ",") {
 			w, err := Get(strings.TrimSpace(name))
 			if err != nil {
@@ -71,7 +69,7 @@ func (o Options) Resolve() (FleetConfig, error) {
 		cfg.Seed = o.Seed
 	}
 	cfg.Engine.Workers = o.Workers
-	return cfg, nil
+	return cfg.withDefaults(), nil
 }
 
 // WriteReport renders fleet-run results to w: the report table in the
