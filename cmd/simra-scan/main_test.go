@@ -111,6 +111,43 @@ func TestGridColumnarGoldenWorkerInvariant(t *testing.T) {
 	}
 }
 
+// TestFormatGoldensWorkerInvariant pins the remaining mode × format
+// pairs — grid text, envelope csv and envelope columnar — so every
+// simra-scan rendering is byte-pinned: each is bit-identical across
+// worker counts and byte-equal to its committed golden.
+func TestFormatGoldensWorkerInvariant(t *testing.T) {
+	for _, tc := range []struct {
+		golden   string
+		envelope bool
+		format   string
+	}{
+		{"grid.golden", false, "text"},
+		{"envelope.csv.golden", true, "csv"},
+		{"envelope.colenc.golden", true, "columnar"},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			render := func(workers int) string {
+				o := envelopeOpts(workers)
+				if !tc.envelope {
+					o.envelope = ""
+					o.grid = "timing"
+				}
+				o.format = tc.format
+				var buf bytes.Buffer
+				if _, err := run(&buf, o); err != nil {
+					t.Fatal(err)
+				}
+				return buf.String()
+			}
+			out1 := render(1)
+			if out1 != render(8) {
+				t.Fatalf("%s: output differs between -workers=1 and -workers=8", tc.golden)
+			}
+			goldenfile.Check(t, "testdata", tc.golden, out1)
+		})
+	}
+}
+
 // TestFlagValidation exercises the flag surface end to end.
 func TestFlagValidation(t *testing.T) {
 	bad := func(mut func(*options), want string) {

@@ -45,6 +45,26 @@ func TestGoldenOutputWorkerInvariant(t *testing.T) {
 	goldenfile.Check(t, "testdata", "simra-work.golden", out1)
 }
 
+// TestGoldenCSVWorkerInvariant pins the csv rendering of the same
+// fleet-wide run: bit-identical across worker counts and byte-equal to
+// the committed golden.
+func TestGoldenCSVWorkerInvariant(t *testing.T) {
+	render := func(workers int) string {
+		opts := goldenOpts(workers)
+		opts.format = "csv"
+		var buf bytes.Buffer
+		if err := run(&buf, opts); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	out1 := render(1)
+	if out1 != render(8) {
+		t.Fatal("simra-work csv output differs between -workers=1 and -workers=8")
+	}
+	goldenfile.Check(t, "testdata", "simra-work.csv.golden", out1)
+}
+
 // TestWorkloadSelection exercises the -workload and -format flags.
 func TestWorkloadSelection(t *testing.T) {
 	opts := goldenOpts(0)
