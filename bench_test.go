@@ -6,10 +6,13 @@
 package simra_test
 
 import (
+	"context"
+	"io"
 	"runtime"
 	"testing"
 
 	simra "repro"
+	"repro/internal/charexp"
 )
 
 // benchConfig returns the reduced-scale harness configuration shared by
@@ -396,4 +399,54 @@ func BenchmarkCharSweepOp(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(bytes)/float64(b.N), "csv-bytes/op")
+}
+
+// BenchmarkWriteReport times the render-and-encode layer on its own: one
+// report written per family and format to io.Discard, from results built
+// once before the timer starts — the Fig. 3 sweep table, the simra-work
+// fleet run, the simra-scan timing grid and the simra-campaign search
+// behind the committed goldens.
+func BenchmarkWriteReport(b *testing.B) {
+	ctx := context.Background()
+	must := func(err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	fig3, err := benchRunner(b).Figure3()
+	must(err)
+	sweep := fig3.Table()
+	wcfg, err := simra.ResolveWorkloads(simra.WorkloadOptions{Modules: "all", Columns: 256})
+	must(err)
+	work, err := simra.RunWorkloads(ctx, wcfg)
+	must(err)
+	scfg, err := simra.ResolveScenario(simra.ScenarioOptions{Grid: "timing", Columns: 128, Groups: 2, Banks: 1, Trials: 2})
+	must(err)
+	scan, err := simra.RunScenarios(ctx, scfg)
+	must(err)
+	ccfg, err := simra.ResolveCampaign(simra.CampaignOptions{Top: 34, Columns: 128})
+	must(err)
+	camp, err := simra.RunCampaign(ctx, ccfg)
+	must(err)
+	families := []struct {
+		name  string
+		write func(w io.Writer, format string) error
+	}{
+		{"sweep", func(w io.Writer, format string) error { return charexp.Write(w, sweep, format) }},
+		{"workload", func(w io.Writer, format string) error { return simra.WriteWorkloadReport(w, work, format) }},
+		{"scenario", func(w io.Writer, format string) error { return simra.WriteScenarioReport(w, scan, format) }},
+		{"campaign", func(w io.Writer, format string) error { return simra.WriteCampaignReport(w, camp, format) }},
+	}
+	for _, f := range families {
+		for _, format := range []string{"text", "csv", "columnar"} {
+			b.Run(f.name+"/"+format, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := f.write(io.Discard, format); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

@@ -37,7 +37,7 @@ func RunCampaign(ctx context.Context, cfg Campaign) (*CampaignResult, error) {
 func ResolveCampaign(o CampaignOptions) (Campaign, error) { return o.Resolve() }
 
 // WriteCampaignReport renders a campaign result to w in the given format
-// ("text", "csv" or "columnar"): the byte-exact output contract shared by
+// (text, csv or columnar): the byte-exact output contract shared by
 // simra-campaign and the serving layer.
 func WriteCampaignReport(w io.Writer, r *CampaignResult, format string) error {
 	return campaign.WriteReport(w, r, format)

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	simra "repro"
+	"repro/internal/charexp"
 )
 
 // options carries the parsed flags.
@@ -49,7 +50,7 @@ func main() {
 	flag.IntVar(&opts.maxX, "maxx", 0, "majority-width cap (0 = default)")
 	flag.IntVar(&opts.cols, "cols", 0, "simulated columns (SIMD lanes) per subarray (0 = 512)")
 	flag.Uint64Var(&opts.seed, "seed", 0, "experiment seed (0 = default)")
-	flag.StringVar(&opts.format, "format", "text", "output format: text, csv, or columnar")
+	flag.StringVar(&opts.format, "format", charexp.FormatText, "output format: text, csv, or columnar")
 	flag.Parse()
 
 	start := time.Now()
@@ -66,8 +67,8 @@ func main() {
 // w are the same contract simra-serve serves on /v1/campaign. All output
 // on w is deterministic; statistics and timing go to stderr in main.
 func run(w io.Writer, opts options) (simra.EngineStats, error) {
-	if opts.format != "text" && opts.format != "csv" && opts.format != "columnar" {
-		return simra.EngineStats{}, fmt.Errorf("unknown -format %q; valid: text, csv, columnar", opts.format)
+	if err := charexp.CheckFormat(opts.format); err != nil {
+		return simra.EngineStats{}, err
 	}
 	cfg, err := simra.ResolveCampaign(simra.CampaignOptions{
 		Workload:  opts.workload,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/charexp"
 	"repro/internal/colenc"
 	"repro/internal/goldenfile"
 )
@@ -60,7 +61,7 @@ func TestCampaignCSVGolden(t *testing.T) {
 // TestCampaignColumnarGoldenWorkerInvariant pins the columnar stream for
 // the same search the csv golden covers: bit-identical across worker
 // counts, byte-equal to the committed golden, and decodable back to the
-// exact csv-golden rows.
+// exact csv and text goldens.
 func TestCampaignColumnarGoldenWorkerInvariant(t *testing.T) {
 	o := campaignOpts(1)
 	o.format = "columnar"
@@ -75,16 +76,18 @@ func TestCampaignColumnarGoldenWorkerInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := campaign.ColumnarStrings(tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	csvGolden, err := os.ReadFile("testdata/campaign.csv.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.CSV() != string(csvGolden) {
-		t.Fatal("decoded columnar table drifted from the csv golden")
+	for format, golden := range map[string]string{"csv": "campaign.csv.golden", "text": "campaign.golden"} {
+		var b strings.Builder
+		if err := charexp.Write(&b, campaign.TypedReport(tab), format); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile("testdata/" + golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != string(want) {
+			t.Fatalf("decoded columnar table printed as %s drifted from %s", format, golden)
+		}
 	}
 }
 

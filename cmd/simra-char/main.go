@@ -18,6 +18,7 @@ import (
 	"time"
 
 	simra "repro"
+	"repro/internal/charexp"
 )
 
 func main() {
@@ -30,7 +31,7 @@ func main() {
 		cols    = flag.Int("cols", 0, "simulated columns per subarray (0 = default)")
 		seed    = flag.Uint64("seed", 0, "experiment seed (0 = default)")
 		sets    = flag.Int("sets", 200, "Monte-Carlo samples per Fig. 15 cell")
-		format  = flag.String("format", "text", "output format: text, csv, or columnar")
+		format  = flag.String("format", charexp.FormatText, "output format: text, csv, or columnar")
 		workers = flag.Int("workers", 0, "parallel sweep shards (0 = GOMAXPROCS, 1 = sequential; results are identical)")
 	)
 	flag.Parse()
@@ -78,8 +79,8 @@ func run(w io.Writer, fig string, full bool, trials, groups, banks, cols int, se
 		cfg.Seed = seed
 	}
 	cfg.Engine = simra.EngineConfig{Workers: workers}
-	if format != "text" && format != "csv" && format != "columnar" {
-		return fmt.Errorf("unknown format %q; valid: text, csv, columnar", format)
+	if err := charexp.CheckFormat(format); err != nil {
+		return err
 	}
 
 	// The fleet is only instantiated when a figure actually simulates:
@@ -98,14 +99,9 @@ func run(w io.Writer, fig string, full bool, trials, groups, banks, cols int, se
 		return runner, nil
 	}
 	render := func(t simra.ExperimentTable) (string, error) {
-		switch format {
-		case "csv":
-			return t.CSV(), nil
-		case "columnar":
-			return t.Columnar()
-		default:
-			return t.Render(), nil
-		}
+		var b strings.Builder
+		err := charexp.Write(&b, t, format)
+		return b.String(), err
 	}
 
 	matched := false
@@ -139,7 +135,7 @@ func run(w io.Writer, fig string, full bool, trials, groups, banks, cols int, se
 				return err
 			}
 		}
-		if format == "columnar" {
+		if format == charexp.FormatColumnar {
 			// The columnar stream is binary and self-delimiting: no
 			// trailing newline, so the bytes match the server's and the
 			// committed *.colenc.golden exactly.
@@ -149,7 +145,7 @@ func run(w io.Writer, fig string, full bool, trials, groups, banks, cols int, se
 		} else if _, err := fmt.Fprintln(w, out); err != nil {
 			return err
 		}
-		if needsSimulation(id) && format == "text" {
+		if needsSimulation(id) && format == charexp.FormatText {
 			fmt.Fprintf(w, "(figure %s: %s)\n\n", id, time.Since(start).Round(time.Millisecond))
 		}
 	}
@@ -157,7 +153,7 @@ func run(w io.Writer, fig string, full bool, trials, groups, banks, cols int, se
 		return fmt.Errorf("unknown figure %q; valid: all, %s",
 			fig, strings.Join(simra.ExperimentFigureIDs(), ", "))
 	}
-	if runner != nil && format == "text" {
+	if runner != nil && format == charexp.FormatText {
 		fmt.Fprintf(w, "(engine: %s)\n", runner.Stats())
 	}
 	return nil

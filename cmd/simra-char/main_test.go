@@ -100,7 +100,11 @@ func TestGoldenFigure3Columnar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := charexp.ColumnarStrings(tab).CSV() + "\n"; got != readGolden(t, "fig3.csv.golden") {
+	var b strings.Builder
+	if err := charexp.Write(&b, charexp.TypedReport{Table: tab, Cell: (*colenc.Column).CellString}, "csv"); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String() + "\n"; got != readGolden(t, "fig3.csv.golden") {
 		t.Fatal("decoded columnar rows drifted from the csv golden")
 	}
 }

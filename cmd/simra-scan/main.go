@@ -28,6 +28,7 @@ import (
 	"time"
 
 	simra "repro"
+	"repro/internal/charexp"
 )
 
 // options carries the parsed flags.
@@ -64,7 +65,7 @@ func main() {
 	flag.IntVar(&opts.cols, "cols", 0, "simulated columns per subarray (0 = default)")
 	flag.Uint64Var(&opts.seed, "seed", 0, "experiment seed (0 = default)")
 	flag.IntVar(&opts.workers, "workers", 0, "parallel shards (0 = GOMAXPROCS, 1 = sequential; results are identical)")
-	flag.StringVar(&opts.format, "format", "text", "output format: text, csv, or columnar")
+	flag.StringVar(&opts.format, "format", charexp.FormatText, "output format: text, csv, or columnar")
 	flag.Parse()
 
 	start := time.Now()
@@ -81,8 +82,8 @@ func main() {
 // w are the same contract simra-serve serves on /v1/scenario. All output
 // on w is deterministic; statistics and timing go to stderr in main.
 func run(w io.Writer, opts options) (simra.EngineStats, error) {
-	if opts.format != "text" && opts.format != "csv" && opts.format != "columnar" {
-		return simra.EngineStats{}, fmt.Errorf("unknown -format %q; valid: text, csv, columnar", opts.format)
+	if err := charexp.CheckFormat(opts.format); err != nil {
+		return simra.EngineStats{}, err
 	}
 	cfg, err := simra.ResolveScenario(simra.ScenarioOptions{
 		Op:       opts.op,

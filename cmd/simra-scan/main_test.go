@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/charexp"
 	"repro/internal/colenc"
 	"repro/internal/goldenfile"
 	"repro/internal/scenario"
@@ -75,7 +76,7 @@ func TestGridGoldenWorkerInvariant(t *testing.T) {
 // TestGridColumnarGoldenWorkerInvariant pins the columnar stream for the
 // same grid scan the csv golden covers: bit-identical across worker
 // counts, byte-equal to the committed golden, and decodable back to the
-// exact csv-golden rows.
+// exact csv and text goldens.
 func TestGridColumnarGoldenWorkerInvariant(t *testing.T) {
 	render := func(workers int) string {
 		o := envelopeOpts(workers)
@@ -98,16 +99,25 @@ func TestGridColumnarGoldenWorkerInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := scenario.ColumnarStrings(tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	csvGolden, err := os.ReadFile("testdata/grid.csv.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.CSV() != string(csvGolden) {
-		t.Fatal("decoded columnar table drifted from the csv golden")
+	decodedMatchesGoldens(t, tab, "grid.csv.golden", "grid.golden")
+}
+
+// decodedMatchesGoldens prints a decoded columnar stream as csv and text
+// and requires the committed goldens of those formats.
+func decodedMatchesGoldens(t *testing.T, tab *colenc.Table, csvGolden, textGolden string) {
+	t.Helper()
+	for format, golden := range map[string]string{"csv": csvGolden, "text": textGolden} {
+		var b strings.Builder
+		if err := charexp.Write(&b, scenario.TypedReport(tab), format); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile("testdata/" + golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != string(want) {
+			t.Fatalf("decoded columnar table printed as %s drifted from %s", format, golden)
+		}
 	}
 }
 
@@ -144,6 +154,13 @@ func TestFormatGoldensWorkerInvariant(t *testing.T) {
 				t.Fatalf("%s: output differs between -workers=1 and -workers=8", tc.golden)
 			}
 			goldenfile.Check(t, "testdata", tc.golden, out1)
+			if tc.format == "columnar" {
+				tab, err := colenc.Decode([]byte(out1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				decodedMatchesGoldens(t, tab, "envelope.csv.golden", "envelope.golden")
+			}
 		})
 	}
 }

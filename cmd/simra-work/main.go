@@ -23,6 +23,7 @@ import (
 	"time"
 
 	simra "repro"
+	"repro/internal/charexp"
 )
 
 // options carries the parsed flags.
@@ -47,7 +48,7 @@ func main() {
 	flag.IntVar(&opts.maxX, "maxx", 0, "majority-width cap (0 = default)")
 	flag.IntVar(&opts.cols, "cols", 512, "simulated columns (SIMD lanes) per subarray")
 	flag.Uint64Var(&opts.seed, "seed", 0, "experiment seed (0 = default)")
-	flag.StringVar(&opts.format, "format", "text", "output format: text, csv, or columnar")
+	flag.StringVar(&opts.format, "format", charexp.FormatText, "output format: text, csv, or columnar")
 	flag.Parse()
 
 	start := time.Now()
@@ -63,8 +64,8 @@ func main() {
 // output bytes are the same contract simra-serve serves. All output on w
 // is deterministic; timing goes to stderr in main.
 func run(w io.Writer, opts options) error {
-	if opts.format != "text" && opts.format != "csv" && opts.format != "columnar" {
-		return fmt.Errorf("unknown -format %q; valid: text, csv, columnar", opts.format)
+	if err := charexp.CheckFormat(opts.format); err != nil {
+		return err
 	}
 	cfg, err := simra.ResolveWorkloads(simra.WorkloadOptions{
 		Workloads: opts.workload,

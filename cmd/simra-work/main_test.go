@@ -2,11 +2,11 @@ package main
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/charexp"
 	"repro/internal/colenc"
 	"repro/internal/goldenfile"
 	"repro/internal/workload"
@@ -103,7 +103,7 @@ func TestWorkloadSelection(t *testing.T) {
 // TestGoldenColumnarWorkerInvariant pins the columnar stream for the
 // same fleet-wide run the text golden covers: bit-identical across
 // worker counts, byte-equal to the committed golden, and decodable back
-// to the exact text-golden table.
+// to the exact text and csv goldens.
 func TestGoldenColumnarWorkerInvariant(t *testing.T) {
 	render := func(workers int) string {
 		opts := goldenOpts(workers)
@@ -124,17 +124,17 @@ func TestGoldenColumnarWorkerInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := workload.ColumnarStrings(tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, err := os.ReadFile("testdata/simra-work.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebuilt := rt.Render() + fmt.Sprintf("\n%s results (%s viable, %s bit-exact vs software reference)\n",
-		tab.MetaValue("results"), tab.MetaValue("viable"), tab.MetaValue("matched"))
-	if rebuilt != string(text) {
-		t.Fatal("decoded columnar table drifted from the text golden")
+	for format, golden := range map[string]string{"csv": "simra-work.csv.golden", "text": "simra-work.golden"} {
+		var b strings.Builder
+		if err := charexp.Write(&b, workload.TypedReport(tab), format); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile("testdata/" + golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != string(want) {
+			t.Fatalf("decoded columnar table printed as %s drifted from %s", format, golden)
+		}
 	}
 }

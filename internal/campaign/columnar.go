@@ -8,18 +8,22 @@ import (
 	"repro/internal/colenc"
 )
 
-// Columnar builds the typed columnar table for a campaign result: the
-// same ranked rows, in the same order, as Table() — but with raw values
-// (unrounded throughput, power and score) instead of rendered cells.
-// Group columns carry the mix counts under the group labels; the meta
-// block carries the search's shape, so a columnar payload is as
-// self-describing as the text report.
+// fixedCols counts the columns around the group columns: rank before
+// them; modules, viable, tput-mbps, power-w and score after.
+const fixedCols = 6
+
+// Columnar builds the campaign result's row model: one row per ranked
+// candidate, in rank order, with raw values (unrounded throughput, power
+// and score). Group columns carry the mix counts under the group labels;
+// the meta carries the table identity and the search's shape, so a
+// columnar payload is as self-describing as the text report.
 func (r *Result) Columnar() *colenc.Table {
-	tab := r.Table()
 	t := &colenc.Table{
-		Name: tab.ID,
+		Name: "campaign",
 		Meta: [][2]string{
-			{"id", tab.ID}, {"title", tab.Title},
+			{"id", "campaign"},
+			{"title", fmt.Sprintf("fleet-design campaign: reliable throughput per watt (workload %s, fleet size %d)",
+				r.Workload, r.FleetSize)},
 			{"workload", r.Workload},
 			{"fleet_size", strconv.Itoa(r.FleetSize)},
 			{"total", strconv.Itoa(r.Total)},
@@ -54,40 +58,27 @@ func (r *Result) Columnar() *colenc.Table {
 	return t
 }
 
-// ColumnarStrings is the reverse formatter: it re-renders a campaign
-// columnar table into the exact charexp.Table the text/CSV paths print,
-// re-applying the report's format verbs ("%.2f" throughput and score,
-// "%.4f" power). It is the metamorphic bridge the invariance suite uses
-// to assert text-rows ≡ columnar-rows.
-func ColumnarStrings(t *colenc.Table) (charexp.Table, error) {
-	out := charexp.Table{
-		ID:      t.MetaValue("id"),
-		Title:   t.MetaValue("title"),
-		Columns: make([]string, len(t.Cols)),
+// TypedReport pairs a campaign table, built by Columnar or decoded from
+// a columnar stream, with the report's format verbs ("%.2f" throughput
+// and score, "%.4f" power) and its summary footer.
+func TypedReport(t *colenc.Table) charexp.TypedReport {
+	return charexp.TypedReport{Table: t, Cell: cell, Footer: footer}
+}
+
+func cell(c *colenc.Column, row int) string {
+	switch c.Field.Name {
+	case "tput-mbps", "score":
+		return fmt.Sprintf("%.2f", c.Float64s[row])
+	case "power-w":
+		return fmt.Sprintf("%.4f", c.Float64s[row])
 	}
-	for i := range t.Cols {
-		out.Columns[i] = t.Cols[i].Field.Name
-	}
-	n := t.NumRows()
-	for ri := 0; ri < n; ri++ {
-		row := make([]string, len(t.Cols))
-		for ci := range t.Cols {
-			c := &t.Cols[ci]
-			switch c.Field.Type {
-			case colenc.TypeInt64:
-				row[ci] = strconv.FormatInt(c.Int64s[ri], 10)
-			case colenc.TypeFloat64:
-				verb := "%.2f"
-				if c.Field.Name == "power-w" {
-					verb = "%.4f"
-				}
-				row[ci] = fmt.Sprintf(verb, c.Float64s[ri])
-			default:
-				return charexp.Table{}, fmt.Errorf(
-					"campaign: column %q: unexpected type %v", c.Field.Name, c.Field.Type)
-			}
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
+	return c.CellString(row)
+}
+
+// footer is the text summary line; the group count is the table's
+// column count less the fixed columns.
+func footer(t *colenc.Table) string {
+	m := t.MetaValue
+	return fmt.Sprintf("top %s of %s candidate mixes (workload %s, fleet size %s over %d module groups)",
+		m("shown"), m("total"), m("workload"), m("fleet_size"), len(t.Cols)-fixedCols)
 }

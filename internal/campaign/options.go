@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/charexp"
-	"repro/internal/colenc"
 	"repro/internal/workload"
 )
 
@@ -82,62 +81,10 @@ func (o Options) Resolve() (Config, error) {
 	return cfg, nil
 }
 
-// Table renders the campaign result as a charexp-style table: one row per
-// ranked candidate, one column per die group carrying the mix's count.
-// Every cell is deterministic; the golden tests pin the rendering byte
-// for byte.
-func (r *Result) Table() charexp.Table {
-	t := charexp.Table{
-		ID: "campaign",
-		Title: fmt.Sprintf("fleet-design campaign: reliable throughput per watt (workload %s, fleet size %d)",
-			r.Workload, r.FleetSize),
-	}
-	t.Columns = []string{"rank"}
-	for _, g := range r.Groups {
-		t.Columns = append(t.Columns, g.Label)
-	}
-	t.Columns = append(t.Columns, "modules", "viable", "tput-mbps", "power-w", "score")
-	for _, c := range r.Candidates {
-		row := []string{strconv.Itoa(c.Rank)}
-		for _, n := range c.Counts {
-			row = append(row, strconv.Itoa(n))
-		}
-		row = append(row,
-			strconv.Itoa(len(c.Modules)),
-			strconv.Itoa(c.Viable),
-			fmt.Sprintf("%.2f", c.ThroughputMbps),
-			fmt.Sprintf("%.4f", c.PowerW),
-			fmt.Sprintf("%.2f", c.Score),
-		)
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
-
-// WriteReport renders a campaign result to w in the given format ("text",
-// "csv" or "columnar"), plus — text only — the search summary line. This
-// is the byte-exact output contract of cmd/simra-campaign and the serving
-// layer's campaign responses.
+// WriteReport renders a campaign result to w in the given format: the
+// ranked table, plus — text only — the search summary line; or the
+// columnar stream. This is the byte-exact output contract of
+// cmd/simra-campaign and the serving layer's campaign responses.
 func WriteReport(w io.Writer, r *Result, format string) error {
-	switch format {
-	case "columnar":
-		enc, err := colenc.Encode(r.Columnar(), 0)
-		if err != nil {
-			return err
-		}
-		_, err = w.Write(enc)
-		return err
-	case "csv":
-		_, err := io.WriteString(w, r.Table().CSV())
-		return err
-	case "text":
-		if _, err := io.WriteString(w, r.Table().Render()); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "\ntop %d of %d candidate mixes (workload %s, fleet size %d over %d module groups)\n",
-			len(r.Candidates), r.Total, r.Workload, r.FleetSize, len(r.Groups))
-		return err
-	default:
-		return fmt.Errorf("campaign: unknown format %q; valid: text, csv, columnar", format)
-	}
+	return charexp.Write(w, TypedReport(r.Columnar()), format)
 }

@@ -9,6 +9,12 @@ import (
 	"repro/internal/fleet"
 )
 
+// decodedSweep prints a decoded sweep stream's cells the way the text
+// and csv tables do.
+func decodedSweep(dec *colenc.Table) Table {
+	return TypedReport{Table: dec, Cell: (*colenc.Column).CellString}.Strings()
+}
+
 // TestColumnarRoundTrip pins the sweep tables' columnar path: RunFigure's
 // "columnar" format must decode back into the exact table the text/CSV
 // formats render — the string cells survive colenc's round-trip-safe
@@ -29,7 +35,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := ColumnarStrings(dec)
+	got := decodedSweep(dec)
 	want := TablePopulation(r.cfg.Fleet)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("columnar round trip diverged:\n got %+v\nwant %+v", got, want)
@@ -53,7 +59,7 @@ func TestColumnarTablePopulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ColumnarStrings(dec); !reflect.DeepEqual(got, tab) {
+	if got := decodedSweep(dec); !reflect.DeepEqual(got, tab) {
 		t.Fatalf("population table did not round trip:\n got %+v\nwant %+v", got, tab)
 	}
 }

@@ -2,6 +2,7 @@ package charexp
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/decoder"
 )
@@ -17,27 +18,22 @@ func FigureIDs() []string {
 }
 
 // RunFigure executes one figure or table by id and renders it in the
-// given format ("text" for the aligned table, "csv" for plotting). sets
-// bounds the Fig. 15 Monte-Carlo sampling (0 = 200). The rendering is the
-// single source of truth shared by cmd/simra-char and the serving layer
-// (internal/server), so a served sweep response is byte-identical to the
-// CLI's table output.
+// given format (text for the aligned table, csv for plotting, columnar
+// for the typed stream). sets bounds the Fig. 15 Monte-Carlo sampling
+// (0 = 200). The rendering is the single source of truth shared by
+// cmd/simra-char and the serving layer (internal/server), so a served
+// sweep response is byte-identical to the CLI's table output.
 func (r *Runner) RunFigure(id string, sets int, format string) (string, error) {
-	if format != "text" && format != "csv" && format != "columnar" {
-		return "", fmt.Errorf("charexp: unknown format %q; valid: text, csv, columnar", format)
+	if err := CheckFormat(format); err != nil {
+		return "", err
 	}
 	if sets <= 0 {
 		sets = 200
 	}
 	render := func(t Table) (string, error) {
-		switch format {
-		case "csv":
-			return t.CSV(), nil
-		case "columnar":
-			return t.Columnar()
-		default:
-			return t.Render(), nil
-		}
+		var b strings.Builder
+		err := Write(&b, t, format)
+		return b.String(), err
 	}
 	switch id {
 	case "table1":

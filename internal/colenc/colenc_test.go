@@ -2,6 +2,7 @@ package colenc
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -216,11 +217,14 @@ func TestPage(t *testing.T) {
 	if !reflect.DeepEqual(got, want.Cols) {
 		t.Fatal("concatenated pages diverged from the full table")
 	}
-	if _, _, err := Page(enc, 3, 10); err == nil {
-		t.Fatal("out-of-range page accepted")
+	for _, b := range []int{3, -1} {
+		if _, _, err := Page(enc, b, 10); !errors.Is(err, ErrBatchRange) {
+			t.Fatalf("page %d: error %v; want ErrBatchRange", b, err)
+		}
 	}
-	if _, _, err := Page(enc, -1, 10); err == nil {
-		t.Fatal("negative page accepted")
+	// A stream that fails to decode is not a range error.
+	if _, _, err := Page(enc[:len(enc)-1], 0, 10); err == nil || errors.Is(err, ErrBatchRange) {
+		t.Fatalf("truncated stream: error %v; want a decode error", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package colenc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -277,10 +278,15 @@ type PageInfo struct {
 	Rows  int
 }
 
+// ErrBatchRange is wrapped by Page's error for a page index outside the
+// stream: the caller asked for a page that does not exist, as opposed to
+// a stream that fails to decode.
+var ErrBatchRange = errors.New("out of range")
+
 // Page re-frames one page of a full columnar stream as a standalone
 // stream: rows [batch*batchRows, (batch+1)*batchRows) with the original
-// schema and metadata. batchRows <= 0 selects DefaultBatchRows. The page
-// index must be in range.
+// schema and metadata. batchRows <= 0 selects DefaultBatchRows. An index
+// outside the stream fails with an error wrapping ErrBatchRange.
 func Page(data []byte, batch, batchRows int) ([]byte, PageInfo, error) {
 	if batchRows <= 0 {
 		batchRows = DefaultBatchRows
@@ -295,7 +301,7 @@ func Page(data []byte, batch, batchRows int) ([]byte, PageInfo, error) {
 		count = 1
 	}
 	if batch < 0 || batch >= count {
-		return nil, PageInfo{}, fmt.Errorf("colenc: batch %d out of range; valid: 0 .. %d", batch, count-1)
+		return nil, PageInfo{}, fmt.Errorf("colenc: batch %d %w; valid: 0 .. %d", batch, ErrBatchRange, count-1)
 	}
 	lo := batch * batchRows
 	hi := lo + batchRows

@@ -81,24 +81,35 @@ func inferColumn(name string, cells []string, valid []bool) Column {
 // Strings renders the table back into string cells: the inverse of
 // FromStrings for tables it produced (ints via FormatInt, floats via
 // FormatFloat 'g' -1, nulls as NullCell). Typed tables built directly by
-// the result families also render losslessly; their report formatting is
-// applied by the family's own reverse formatter instead.
+// the result families also render losslessly here; their text and csv
+// reports print through the family's cell formatter instead
+// (charexp.TypedReport).
 func (t *Table) Strings() (columns []string, rows [][]string) {
-	columns = make([]string, len(t.Cols))
+	return t.StringsFunc((*Column).CellString)
+}
+
+// StringsFunc renders the table into string cells through cell, which
+// formats row i of one column.
+func (t *Table) StringsFunc(cell func(c *Column, i int) string) (columns []string, rows [][]string) {
+	nc := len(t.Cols)
+	columns = make([]string, nc)
 	for i := range t.Cols {
 		columns[i] = t.Cols[i].Field.Name
 	}
-	n := t.NumRows()
-	rows = make([][]string, n)
-	for ri := 0; ri < n; ri++ {
-		row := make([]string, len(t.Cols))
+	rows = make([][]string, t.NumRows())
+	cells := make([]string, len(rows)*nc)
+	for ri := range rows {
+		row := cells[ri*nc : (ri+1)*nc : (ri+1)*nc]
 		for ci := range t.Cols {
-			row[ci] = t.Cols[ci].CellString(ri)
+			row[ci] = cell(&t.Cols[ci], ri)
 		}
 		rows[ri] = row
 	}
 	return columns, rows
 }
+
+// Null reports whether row i is a null slot.
+func (c *Column) Null(i int) bool { return !c.valid(i) }
 
 // CellString renders row i of the column as the text tables would print
 // it (NullCell for null slots).

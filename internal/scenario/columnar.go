@@ -26,17 +26,21 @@ var axisColumn = map[string]string{
 	"disturb": "disturb", "retention": "retention",
 }
 
-// Columnar builds the typed columnar table for a scenario result: the
-// same rows, in the same deterministic merge order, as Table() — but
-// with raw values (success rates in [0, 1], unformatted axis floats)
-// instead of rendered cells. Nulls encode the text tables' sentinels:
-// the x column on non-MAJ ops ("-") and, in envelope mode, the bisected
-// axis column ("*").
+// Columnar builds the scenario result's row model: one row per grid
+// point or envelope cell, in the deterministic merge order, with raw
+// values (success rates in [0, 1], unformatted axis floats). Nulls encode
+// the text tables' sentinels: the x column on non-MAJ ops ("-") and, in
+// envelope mode, the bisected axis column ("*"). The meta carries the
+// table identity and the counts the text footer prints.
 func (r *Result) Columnar() *colenc.Table {
-	tab := r.Table()
+	id, title := "Scan", fmt.Sprintf("%v operating-envelope scan", r.Op)
+	if r.Axis != "" {
+		id = "Envelope"
+		title = fmt.Sprintf("%v adaptive envelope: %s boundary at target %s", r.Op, r.Axis, pct(r.Target))
+	}
 	t := &colenc.Table{
-		Name: tab.ID,
-		Meta: [][2]string{{metaID, tab.ID}, {metaTitle, tab.Title}, {metaOp, r.Op.String()}},
+		Name: id,
+		Meta: [][2]string{{metaID, id}, {metaTitle, title}, {metaOp, r.Op.String()}},
 	}
 	if r.Axis != "" {
 		t.Meta = append(t.Meta,
@@ -62,7 +66,7 @@ func (r *Result) Columnar() *colenc.Table {
 	if r.Axis != "" {
 		module := str("module")
 		mfr := str("mfr")
-		cols := pointColumnsTyped(r.Op, r.Axis, ex)
+		cols := newPointCols(r.Op, r.Axis, ex)
 		lo, hi := f64("lo"), f64("hi")
 		rateLo, rateHi := f64("rate@lo"), f64("rate@hi")
 		boundary := f64("boundary")
@@ -70,7 +74,7 @@ func (r *Result) Columnar() *colenc.Table {
 		for _, c := range r.Cells {
 			module.Strings = append(module.Strings, c.Module)
 			mfr.Strings = append(mfr.Strings, c.Mfr)
-			cols.push(r.Op, c.Base, r.Axis)
+			cols.push(c.Base)
 			lo.Float64s = append(lo.Float64s, c.Lo)
 			hi.Float64s = append(hi.Float64s, c.Hi)
 			rateLo.Float64s = append(rateLo.Float64s, c.RateLo)
@@ -83,14 +87,14 @@ func (r *Result) Columnar() *colenc.Table {
 		return t
 	}
 
-	cols := pointColumnsTyped(r.Op, "", ex)
+	cols := newPointCols(r.Op, "", ex)
 	groups := i64("groups")
 	summary := []colenc.Column{
 		f64("mean"), f64("min"), f64("q1"),
 		f64("median"), f64("q3"), f64("max"),
 	}
 	for _, pr := range r.Points {
-		cols.push(r.Op, pr.Point, "")
+		cols.push(pr.Point)
 		groups.Int64s = append(groups.Int64s, int64(pr.Pooled.N))
 		for i, v := range []float64{pr.Pooled.Mean, pr.Pooled.Min, pr.Pooled.Q1,
 			pr.Pooled.Median, pr.Pooled.Q3, pr.Pooled.Max} {
@@ -113,25 +117,22 @@ func str(name string) colenc.Column {
 }
 
 // pointCols accumulates the shared axis columns of a point row: the eight
-// fixed ones plus any gated extras (disturb, retention, mitigation).
+// fixed ones plus any gated extras (disturb, retention, mitigation),
+// matching the text table's headers. The nullable columns — x on non-MAJ
+// ops, and the skipped (bisected envelope) axis — are null in every row.
 type pointCols struct {
 	cols []colenc.Column // n, x, pattern, t1, t2, temp, vpp, aging, extras...
-	skip string
 	ex   axisExtras
 }
 
-// pointColumnsTyped builds the typed axis columns matching the text
-// table's headers. The x column is nullable unless the op is MAJ; the
-// skipped (envelope) axis column is nullable.
-func pointColumnsTyped(op core.OpKind, skip string, ex axisExtras) *pointCols {
-	p := &pointCols{skip: skip, ex: ex}
-	x := i64("x")
-	x.Field.Nullable = op != core.OpMAJ
+func newPointCols(op core.OpKind, skip string, ex axisExtras) *pointCols {
+	p := &pointCols{ex: ex}
 	p.cols = []colenc.Column{
-		i64("n"), x, str("pattern"),
+		i64("n"), i64("x"), str("pattern"),
 		f64("t1(ns)"), f64("t2(ns)"),
 		f64("temp(C)"), f64("vpp(V)"), f64("aging(y)"),
 	}
+	p.cols[1].Field.Nullable = op != core.OpMAJ
 	if ex.disturb {
 		p.cols = append(p.cols, f64("disturb"))
 	}
@@ -141,26 +142,20 @@ func pointColumnsTyped(op core.OpKind, skip string, ex axisExtras) *pointCols {
 	if ex.mit {
 		p.cols = append(p.cols, str("mitigation"))
 	}
-	if col := axisColumn[skip]; col != "" {
-		for i := range p.cols {
-			if p.cols[i].Field.Name == col {
-				p.cols[i].Field.Nullable = true
-			}
+	for i := range p.cols {
+		if p.cols[i].Field.Name == axisColumn[skip] {
+			p.cols[i].Field.Nullable = true
 		}
 	}
 	return p
 }
 
 // push appends one point's axis cells.
-func (p *pointCols) push(op core.OpKind, pt Point, skip string) {
+func (p *pointCols) push(pt Point) {
 	c := p.cols
 	c[0].Int64s = append(c[0].Int64s, int64(pt.N))
 	c[1].Int64s = append(c[1].Int64s, int64(pt.X))
-	if c[1].Field.Nullable {
-		c[1].Valid = append(c[1].Valid, op == core.OpMAJ)
-	}
 	c[2].Strings = append(c[2].Strings, pt.Pattern.String())
-	skipCol := axisColumn[skip]
 	vals := []float64{pt.T1, pt.T2, pt.TempC, pt.VPP, pt.Aging}
 	if p.ex.disturb {
 		vals = append(vals, pt.Disturb)
@@ -169,81 +164,51 @@ func (p *pointCols) push(op core.OpKind, pt Point, skip string) {
 		vals = append(vals, pt.Retention)
 	}
 	for i, v := range vals {
-		col := &c[3+i]
-		col.Float64s = append(col.Float64s, v)
-		if col.Field.Nullable {
-			col.Valid = append(col.Valid, col.Field.Name != skipCol)
-		}
+		c[3+i].Float64s = append(c[3+i].Float64s, v)
 	}
 	if p.ex.mit {
-		mc := &c[len(c)-1]
-		mc.Strings = append(mc.Strings, pt.Mit.String())
+		c[len(c)-1].Strings = append(c[len(c)-1].Strings, pt.Mit.String())
+	}
+	for i := range c {
+		if c[i].Field.Nullable {
+			c[i].Valid = append(c[i].Valid, false)
+		}
 	}
 }
 
-// ColumnarStrings is the reverse formatter: it re-renders a scenario
-// columnar table into the exact charexp.Table the text/CSV paths print,
-// re-applying the report's format verbs (pct for rates, 'g' floats for
-// axes, "%.3f" for boundaries, "-"/"*" for the null sentinels). It is
-// the metamorphic bridge the invariance suite uses to assert
-// text-rows ≡ columnar-rows.
-func ColumnarStrings(t *colenc.Table) (charexp.Table, error) {
-	out := charexp.Table{
-		ID:      t.MetaValue(metaID),
-		Title:   t.MetaValue(metaTitle),
-		Columns: make([]string, len(t.Cols)),
-	}
+// TypedReport pairs a scenario table, built by Columnar or decoded from
+// a columnar stream, with the report's format verbs (percent rates,
+// "%.3f" boundaries, 'g' axis floats, "-" for nulls and "*" for the
+// bisected envelope axis) and its summary footer.
+func TypedReport(t *colenc.Table) charexp.TypedReport {
 	axisCol := axisColumn[t.MetaValue(metaAxis)]
-	for i := range t.Cols {
-		out.Columns[i] = t.Cols[i].Field.Name
-	}
-	n := t.NumRows()
-	for ri := 0; ri < n; ri++ {
-		row := make([]string, len(t.Cols))
-		for ci := range t.Cols {
-			c := &t.Cols[ci]
-			cell, err := scenarioCell(c, ri, axisCol)
-			if err != nil {
-				return charexp.Table{}, err
+	return charexp.TypedReport{Table: t, Footer: footer, Cell: func(c *colenc.Column, row int) string {
+		if c.Null(row) {
+			if c.Field.Name == axisCol {
+				return "*"
 			}
-			row[ci] = cell
+			return colenc.NullCell
 		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
+		switch c.Field.Name {
+		case "mean", "min", "q1", "median", "q3", "max", "rate@lo", "rate@hi":
+			return pct(c.Float64s[row])
+		case "boundary":
+			return fmt.Sprintf("%.3f", c.Float64s[row])
+		}
+		return c.CellString(row)
+	}}
 }
 
-// scenarioCell renders one cell with the scenario report's format verbs.
-func scenarioCell(c *colenc.Column, ri int, axisCol string) (string, error) {
-	name := c.Field.Name
-	if !c.Field.Nullable || len(c.Valid) == 0 || c.Valid[ri] {
-		switch name {
-		case "mean", "min", "q1", "median", "q3", "max", "rate@lo", "rate@hi":
-			if c.Field.Type != colenc.TypeFloat64 {
-				return "", fmt.Errorf("scenario: column %q: want float64, got %v", name, c.Field.Type)
-			}
-			return pct(c.Float64s[ri]), nil
-		case "boundary":
-			if c.Field.Type != colenc.TypeFloat64 {
-				return "", fmt.Errorf("scenario: column %q: want float64, got %v", name, c.Field.Type)
-			}
-			return fmt.Sprintf("%.3f", c.Float64s[ri]), nil
-		}
-		switch c.Field.Type {
-		case colenc.TypeFloat64:
-			return fnum(c.Float64s[ri]), nil
-		case colenc.TypeInt64:
-			return strconv.FormatInt(c.Int64s[ri], 10), nil
-		case colenc.TypeString:
-			return c.Strings[ri], nil
-		default:
-			return "", fmt.Errorf("scenario: column %q: unexpected type %v", name, c.Field.Type)
-		}
+// footer is the text summary line: status counts for an envelope, point
+// and module-cell counts for a grid.
+func footer(t *colenc.Table) string {
+	m := t.MetaValue
+	if m(metaAxis) != "" {
+		return fmt.Sprintf("%s envelope cells: %s min-viable, %s max-viable, %s pass, %s fail",
+			m("cells"), m("min_viable"), m("max_viable"), m("pass"), m("fail"))
 	}
-	// Null sentinels: the bisected envelope axis prints "*"; everything
-	// else (the x column on non-MAJ ops) prints "-".
-	if name == axisCol {
-		return "*", nil
-	}
-	return colenc.NullCell, nil
+	return fmt.Sprintf("%s scenario points across %s module cells", m("points"), m("applicable"))
 }
+
+// pct formats a rate as a percentage.
+func pct(rate float64) string { return fmt.Sprintf("%.2f%%", rate*100) }

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"repro/internal/charexp"
-	"repro/internal/colenc"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/fleet"
@@ -293,12 +292,6 @@ func (o Options) Resolve() (Config, error) {
 	return cfg, nil
 }
 
-// fnum renders an axis value the way the tables print it.
-func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// pct formats a rate as a percentage.
-func pct(rate float64) string { return fmt.Sprintf("%.2f%%", rate*100) }
-
 // axisExtras reports which optional axis columns (disturb, retention,
 // mitigation) a result renders: only axes swept away from their neutral
 // defaults appear, so pre-mitigation reports keep their exact column set
@@ -336,127 +329,12 @@ func (r *Result) extras() axisExtras {
 	return ex
 }
 
-// columns returns the point column headers including the gated extras.
-func (ex axisExtras) columns() []string {
-	cols := append([]string{}, pointColumns...)
-	if ex.disturb {
-		cols = append(cols, "disturb")
-	}
-	if ex.retention {
-		cols = append(cols, "retention")
-	}
-	if ex.mit {
-		cols = append(cols, "mitigation")
-	}
-	return cols
-}
-
-// pointCells renders a point's axis columns; the skipped axis (envelope
-// mode's bisected one) prints "*".
-func pointCells(op core.OpKind, p Point, skip string, ex axisExtras) []string {
-	cell := func(axis string, v string) string {
-		if axis == skip {
-			return "*"
-		}
-		return v
-	}
-	x := "-"
-	if op == core.OpMAJ {
-		x = fmt.Sprint(p.X)
-	}
-	out := []string{
-		fmt.Sprint(p.N), x, p.Pattern.String(),
-		cell("t1", fnum(p.T1)), cell("t2", fnum(p.T2)),
-		cell("temp", fnum(p.TempC)), cell("vpp", fnum(p.VPP)), cell("aging", fnum(p.Aging)),
-	}
-	if ex.disturb {
-		out = append(out, cell("disturb", fnum(p.Disturb)))
-	}
-	if ex.retention {
-		out = append(out, cell("retention", fnum(p.Retention)))
-	}
-	if ex.mit {
-		out = append(out, p.Mit.String())
-	}
-	return out
-}
-
-var pointColumns = []string{"n", "x", "pattern", "t1(ns)", "t2(ns)", "temp(C)", "vpp(V)", "aging(y)"}
-
-// Table renders the result as the shared experiment table: the single
-// source of truth behind cmd/simra-scan and the serving layer's
-// /v1/scenario responses.
-func (r *Result) Table() charexp.Table {
-	ex := r.extras()
-	if r.Axis != "" {
-		t := charexp.Table{
-			ID: "Envelope",
-			Title: fmt.Sprintf("%v adaptive envelope: %s boundary at target %s",
-				r.Op, r.Axis, pct(r.Target)),
-			Columns: append(append([]string{"module", "mfr"}, ex.columns()...),
-				"lo", "hi", "rate@lo", "rate@hi", "boundary", "status"),
-		}
-		for _, c := range r.Cells {
-			row := append([]string{c.Module, c.Mfr}, pointCells(r.Op, c.Base, r.Axis, ex)...)
-			row = append(row,
-				fnum(c.Lo), fnum(c.Hi), pct(c.RateLo), pct(c.RateHi),
-				fmt.Sprintf("%.3f", c.Boundary), c.Status)
-			t.Rows = append(t.Rows, row)
-		}
-		return t
-	}
-	t := charexp.Table{
-		ID:    "Scan",
-		Title: fmt.Sprintf("%v operating-envelope scan", r.Op),
-		Columns: append(ex.columns(),
-			"groups", "mean", "min", "q1", "median", "q3", "max"),
-	}
-	for _, pr := range r.Points {
-		row := pointCells(r.Op, pr.Point, "", ex)
-		row = append(row, fmt.Sprint(pr.Pooled.N),
-			pct(pr.Pooled.Mean), pct(pr.Pooled.Min), pct(pr.Pooled.Q1),
-			pct(pr.Pooled.Median), pct(pr.Pooled.Q3), pct(pr.Pooled.Max))
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
-
-// WriteReport renders a scenario result to w in the given format ("text"
-// or "csv"): the byte-exact output contract shared by cmd/simra-scan and
-// the serving layer (engine statistics are deliberately excluded — they
-// vary with cache state, and served bytes must equal CLI stdout for every
-// cache mode and worker count).
+// WriteReport renders a scenario result to w in the given format: the
+// report table, plus — text only — the summary line; or the columnar
+// stream. This is the byte-exact output contract shared by cmd/simra-scan
+// and the serving layer (engine statistics are deliberately excluded —
+// they vary with cache state, and served bytes must equal CLI stdout for
+// every cache mode and worker count).
 func WriteReport(w io.Writer, r *Result, format string) error {
-	table := r.Table()
-	switch format {
-	case "columnar":
-		enc, err := colenc.Encode(r.Columnar(), 0)
-		if err != nil {
-			return err
-		}
-		_, err = w.Write(enc)
-		return err
-	case "csv":
-		_, err := io.WriteString(w, table.CSV())
-		return err
-	case "text":
-		if _, err := io.WriteString(w, table.Render()); err != nil {
-			return err
-		}
-		if r.Axis != "" {
-			counts := map[string]int{}
-			for _, c := range r.Cells {
-				counts[c.Status]++
-			}
-			_, err := fmt.Fprintf(w, "\n%d envelope cells: %d min-viable, %d max-viable, %d pass, %d fail\n",
-				len(r.Cells), counts[StatusMinViable], counts[StatusMaxViable],
-				counts[StatusPass], counts[StatusFail])
-			return err
-		}
-		_, err := fmt.Fprintf(w, "\n%d scenario points across %d module cells\n",
-			len(r.Points), r.applicable)
-		return err
-	default:
-		return fmt.Errorf("scenario: unknown format %q; valid: text, csv, columnar", format)
-	}
+	return charexp.Write(w, TypedReport(r.Columnar()), format)
 }

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
 
+	"repro/internal/charexp"
 	"repro/internal/colenc"
 )
 
@@ -24,7 +26,7 @@ func acceptFormat(r *http.Request, format *string) {
 	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
 		mt, _, _ := strings.Cut(strings.TrimSpace(part), ";")
 		if strings.TrimSpace(mt) == ColumnarContentType {
-			*format = "columnar"
+			*format = charexp.FormatColumnar
 			return
 		}
 	}
@@ -35,7 +37,7 @@ func acceptFormat(r *http.Request, format *string) {
 // so the two formats never collide while the per-shard engine memos stay
 // shared (neither format recomputes the other's shards).
 func keyTag(kind, format string) string {
-	if format == "columnar" {
+	if format == charexp.FormatColumnar {
 		return "serve/" + kind + "/columnar/v1"
 	}
 	return "serve/" + kind + "/v1"
@@ -84,7 +86,7 @@ func writeColumnar(w http.ResponseWriter, r *http.Request, output string, header
 		page, pi, err := colenc.Page(body, batch, batchRows)
 		if err != nil {
 			status := http.StatusInternalServerError
-			if strings.Contains(err.Error(), "out of range") {
+			if errors.Is(err, colenc.ErrBatchRange) {
 				status = http.StatusUnprocessableEntity
 			}
 			writeError(w, r, err, status)

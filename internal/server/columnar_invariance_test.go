@@ -16,11 +16,10 @@ import (
 	"repro/internal/workload"
 )
 
-// decodedCSVPath POSTs the columnar route, decodes the stream and
-// re-renders it as csv — the metamorphic half of the text-rows ≡
-// columnar-rows equivalence: whatever bytes the csv route serves, the
-// columnar stream must decode back to them.
-func decodedCSVPath(route, body string, decode func(*colenc.Table) (string, error)) invariance.Path {
+// decodedPath POSTs the columnar route, decodes the stream and prints
+// it in format through report — the same charexp.Write and family cell
+// formatter the text and csv routes print through.
+func decodedPath(route, body, format string, report func(*colenc.Table) charexp.TypedReport) invariance.Path {
 	return invariance.Path{Name: "columnar-decoded", Run: func(t *testing.T, v invariance.Variant) string {
 		t.Helper()
 		_, url := jobPathServer(t, v)
@@ -32,20 +31,40 @@ func decodedCSVPath(route, body string, decode func(*colenc.Table) (string, erro
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := decode(tab)
-		if err != nil {
+		var b strings.Builder
+		if err := charexp.Write(&b, report(tab), format); err != nil {
 			t.Fatal(err)
 		}
-		return out
+		return b.String()
 	}}
+}
+
+// checkMetamorphic is the metamorphic half of the text ≡ columnar
+// equivalence: whatever bytes the csv and text routes serve — rows, and
+// for text the footer read from the meta — the columnar stream of the
+// same request decodes and prints back to them.
+func checkMetamorphic(t *testing.T, name, route, body string, report func(*colenc.Table) charexp.TypedReport) {
+	t.Helper()
+	for _, format := range []string{"csv", "text"} {
+		invariance.CheckPaths(t, name+"-"+format, true, []invariance.Path{
+			blockingPath(route, strings.Replace(body, "columnar", format, 1)),
+			decodedPath(route, body, format, report),
+		})
+	}
+}
+
+// sweepReport prints a decoded sweep stream's cells as the sweep tables
+// do: colenc's round-trip-safe inference makes CellString the inverse.
+func sweepReport(tab *colenc.Table) charexp.TypedReport {
+	return charexp.TypedReport{Table: tab, Cell: (*colenc.Column).CellString}
 }
 
 // TestColumnarInvariance extends the metamorphic suite to the columnar
 // format: for every tabular family the direct package pipeline, the
 // blocking HTTP route and the async job tier emit one byte-identical
 // columnar stream under workers 1 and 8, with and without a shared
-// shard memo — and that stream decodes back to the exact rows the csv
-// route serves under the same variants.
+// shard memo — and that stream decodes back to the exact bytes the csv
+// and text routes serve under the same variants.
 func TestColumnarInvariance(t *testing.T) {
 	t.Run("sweep", func(t *testing.T) {
 		req := SweepRequest{Figure: "3", Trials: 1, Groups: 1, Banks: 1, Columns: 64, Format: "columnar"}
@@ -76,13 +95,7 @@ func TestColumnarInvariance(t *testing.T) {
 			cli, blockingPath("/v1/sweep", body), jobPath(`{"kind":"sweep","sweep":` + body + `}`),
 		})
 
-		csvBody := strings.Replace(body, "columnar", "csv", 1)
-		invariance.CheckPaths(t, "sweep-metamorphic", true, []invariance.Path{
-			blockingPath("/v1/sweep", csvBody),
-			decodedCSVPath("/v1/sweep", body, func(tab *colenc.Table) (string, error) {
-				return charexp.ColumnarStrings(tab).CSV(), nil
-			}),
-		})
+		checkMetamorphic(t, "sweep-metamorphic", "/v1/sweep", body, sweepReport)
 	})
 
 	t.Run("workload", func(t *testing.T) {
@@ -116,17 +129,7 @@ func TestColumnarInvariance(t *testing.T) {
 			cli, blockingPath("/v1/workload", body), jobPath(`{"kind":"workload","workload":` + body + `}`),
 		})
 
-		csvBody := strings.Replace(body, "columnar", "csv", 1)
-		invariance.CheckPaths(t, "workload-metamorphic", true, []invariance.Path{
-			blockingPath("/v1/workload", csvBody),
-			decodedCSVPath("/v1/workload", body, func(tab *colenc.Table) (string, error) {
-				rt, err := workload.ColumnarStrings(tab)
-				if err != nil {
-					return "", err
-				}
-				return rt.CSV(), nil
-			}),
-		})
+		checkMetamorphic(t, "workload-metamorphic", "/v1/workload", body, workload.TypedReport)
 	})
 
 	t.Run("mitigation-grid", func(t *testing.T) {
@@ -161,17 +164,7 @@ func TestColumnarInvariance(t *testing.T) {
 			cli, blockingPath("/v1/scenario", body), jobPath(`{"kind":"scenario","scenario":` + body + `}`),
 		})
 
-		csvBody := strings.Replace(body, "columnar", "csv", 1)
-		invariance.CheckPaths(t, "mitigation-metamorphic", true, []invariance.Path{
-			blockingPath("/v1/scenario", csvBody),
-			decodedCSVPath("/v1/scenario", body, func(tab *colenc.Table) (string, error) {
-				rt, err := scenario.ColumnarStrings(tab)
-				if err != nil {
-					return "", err
-				}
-				return rt.CSV(), nil
-			}),
-		})
+		checkMetamorphic(t, "mitigation-metamorphic", "/v1/scenario", body, scenario.TypedReport)
 	})
 
 	t.Run("campaign", func(t *testing.T) {
@@ -206,17 +199,7 @@ func TestColumnarInvariance(t *testing.T) {
 			cli, blockingPath("/v1/campaign", body), jobPath(`{"kind":"campaign","campaign":` + body + `}`),
 		})
 
-		csvBody := strings.Replace(body, "columnar", "csv", 1)
-		invariance.CheckPaths(t, "campaign-metamorphic", true, []invariance.Path{
-			blockingPath("/v1/campaign", csvBody),
-			decodedCSVPath("/v1/campaign", body, func(tab *colenc.Table) (string, error) {
-				rt, err := campaign.ColumnarStrings(tab)
-				if err != nil {
-					return "", err
-				}
-				return rt.CSV(), nil
-			}),
-		})
+		checkMetamorphic(t, "campaign-metamorphic", "/v1/campaign", body, campaign.TypedReport)
 	})
 
 	t.Run("scenario", func(t *testing.T) {
@@ -250,16 +233,6 @@ func TestColumnarInvariance(t *testing.T) {
 			cli, blockingPath("/v1/scenario", body), jobPath(`{"kind":"scenario","scenario":` + body + `}`),
 		})
 
-		csvBody := strings.Replace(body, "columnar", "csv", 1)
-		invariance.CheckPaths(t, "scenario-metamorphic", true, []invariance.Path{
-			blockingPath("/v1/scenario", csvBody),
-			decodedCSVPath("/v1/scenario", body, func(tab *colenc.Table) (string, error) {
-				rt, err := scenario.ColumnarStrings(tab)
-				if err != nil {
-					return "", err
-				}
-				return rt.CSV(), nil
-			}),
-		})
+		checkMetamorphic(t, "scenario-metamorphic", "/v1/scenario", body, scenario.TypedReport)
 	})
 }

@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/charexp"
 	"repro/internal/colenc"
 	"repro/internal/jobs"
 	"repro/internal/scenario"
@@ -93,7 +93,7 @@ func TestColumnarSweepResponse(t *testing.T) {
 	if err := json.Unmarshal([]byte(csvEnv), &csvResp); err != nil {
 		t.Fatal(err)
 	}
-	if got := charexp.ColumnarStrings(dec).CSV(); got != csvResp.Output {
+	if got := sweepReport(dec).Strings().CSV(); got != csvResp.Output {
 		t.Fatalf("columnar-decoded csv differs from the csv route:\n%s\n--- vs ---\n%s", got, csvResp.Output)
 	}
 
@@ -225,6 +225,34 @@ func TestColumnarPaging(t *testing.T) {
 		}
 		if e.Error.Message == "" || e.Error.RequestID == "" {
 			t.Fatalf("%s: incomplete error envelope %+v", tc.query, e.Error)
+		}
+	}
+}
+
+// TestWriteColumnarStatus pins the paging status mapping by error value:
+// a page outside a good stream is the caller's 422, while a stored stream
+// that fails to decode is the server's 500, paged or not.
+func TestWriteColumnarStatus(t *testing.T) {
+	good, err := colenc.Encode(&colenc.Table{Name: "t", Cols: []colenc.Column{
+		{Field: colenc.Field{Name: "n", Type: colenc.TypeInt64}, Int64s: []int64{1, 2, 3}},
+	}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := string(good[:len(good)-1])
+	for _, tc := range []struct {
+		name, output, query string
+		code                int
+	}{
+		{"page", string(good), "?batch=0&batch_rows=2", http.StatusOK},
+		{"page out of range", string(good), "?batch=2&batch_rows=2", http.StatusUnprocessableEntity},
+		{"page of a corrupt stream", corrupt, "?batch=0", http.StatusInternalServerError},
+		{"corrupt stream", corrupt, "", http.StatusInternalServerError},
+	} {
+		rec := httptest.NewRecorder()
+		writeColumnar(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/j/result"+tc.query, nil), tc.output, nil)
+		if rec.Code != tc.code {
+			t.Fatalf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.code, rec.Body)
 		}
 	}
 }
@@ -389,10 +417,7 @@ func TestColumnarScenarioSharesShardMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := scenario.ColumnarStrings(dec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := scenario.TypedReport(dec).Strings()
 	if tab.CSV() != csvResp.Output {
 		t.Fatalf("columnar-decoded csv differs from the csv route:\n%s\n--- vs ---\n%s",
 			tab.CSV(), csvResp.Output)

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/cache"
+	"repro/internal/charexp"
 	"repro/internal/colenc"
 	"repro/internal/engine"
 	"repro/internal/jobs"
@@ -181,15 +182,14 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		out, _ := j.Output()
 		columnar := strings.HasPrefix(out, colenc.Magic)
 		if want := r.URL.Query().Get("format"); want != "" {
-			if !validFormat(want) {
-				writeError(w, r, fmt.Errorf("unknown format %q; valid: text, csv, columnar", want),
-					http.StatusUnprocessableEntity)
+			if err := charexp.CheckFormat(want); err != nil {
+				writeError(w, r, err, http.StatusUnprocessableEntity)
 				return
 			}
-			if (want == "columnar") != columnar {
+			if (want == charexp.FormatColumnar) != columnar {
 				got := "text or csv"
 				if columnar {
-					got = "columnar"
+					got = charexp.FormatColumnar
 				}
 				writeError(w, r, fmt.Errorf(
 					"job %s was submitted with a %s format; resubmit with \"format\":%q to get %s output",

@@ -38,19 +38,13 @@ type SweepRequest struct {
 	Format string `json:"format,omitempty"`
 }
 
-// normalizeFormat defaults an empty render format to "text".
-func normalizeFormat(f string) string {
-	if f == "" {
-		return "text"
+// normalizeFormat defaults an empty render format to text and checks
+// it against the render formats every tabular family serves.
+func normalizeFormat(f *string) error {
+	if *f == "" {
+		*f = charexp.FormatText
 	}
-	return f
-}
-
-// validFormat accepts the three render formats every tabular family
-// serves. The message convention "valid: text, csv, columnar" feeds the
-// 422 error envelope's valid_options list.
-func validFormat(f string) bool {
-	return f == "text" || f == "csv" || f == "columnar"
+	return charexp.CheckFormat(*f)
 }
 
 // normalize fills defaults and validates the request.
@@ -58,8 +52,8 @@ func (q SweepRequest) normalize() (SweepRequest, error) {
 	if q.Figure == "" {
 		q.Figure = "3"
 	}
-	if q.Format = normalizeFormat(q.Format); !validFormat(q.Format) {
-		return q, fmt.Errorf("unknown format %q; valid: text, csv, columnar", q.Format)
+	if err := normalizeFormat(&q.Format); err != nil {
+		return q, err
 	}
 	known := q.Figure == "13" // alias of the Fig. 14 walkthrough
 	for _, id := range charexp.FigureIDs() {
@@ -146,8 +140,8 @@ func (q WorkloadRequest) normalize() (WorkloadRequest, error) {
 	if q.Modules == "" {
 		q.Modules = "representative"
 	}
-	if q.Format = normalizeFormat(q.Format); !validFormat(q.Format) {
-		return q, fmt.Errorf("unknown format %q; valid: text, csv, columnar", q.Format)
+	if err := normalizeFormat(&q.Format); err != nil {
+		return q, err
 	}
 	if _, err := q.options().Resolve(); err != nil {
 		return q, err
@@ -263,8 +257,8 @@ func (q ScenarioRequest) normalize() (ScenarioRequest, error) {
 	if q.Modules == "" {
 		q.Modules = "representative"
 	}
-	if q.Format = normalizeFormat(q.Format); !validFormat(q.Format) {
-		return q, fmt.Errorf("unknown format %q; valid: text, csv, columnar", q.Format)
+	if err := normalizeFormat(&q.Format); err != nil {
+		return q, err
 	}
 	if q.Envelope != "" && q.Target == 0 {
 		// Explicit default so {"envelope":"t2"} and
@@ -333,8 +327,8 @@ func (q CampaignRequest) normalize() (CampaignRequest, error) {
 	if q.Workload == "" {
 		q.Workload = "bitmap-scan"
 	}
-	if q.Format = normalizeFormat(q.Format); !validFormat(q.Format) {
-		return q, fmt.Errorf("unknown format %q; valid: text, csv, columnar", q.Format)
+	if err := normalizeFormat(&q.Format); err != nil {
+		return q, err
 	}
 	if _, err := q.options().Resolve(); err != nil {
 		return q, err

@@ -51,6 +51,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/campaign"
+	"repro/internal/charexp"
 	"repro/internal/cluster"
 	"repro/internal/colenc"
 	"repro/internal/core"
@@ -609,7 +610,7 @@ func (s *Server) runBatchItem(ctx context.Context, item BatchItem) Response {
 	// The columnar encoding is binary and the batch envelope is JSON:
 	// riding a JSON string would mangle the bytes, so batch items refuse
 	// it in-band and point at the dedicated endpoints.
-	if f.itemFormat(&item) == "columnar" {
+	if f.itemFormat(&item) == charexp.FormatColumnar {
 		return fail(fmt.Errorf(
 			"columnar format is not available on /v1/batch (binary output cannot ride the JSON envelope); use POST /v1/%s or a job; valid: text, csv", item.Kind))
 	}

@@ -8,33 +8,13 @@ import (
 	"repro/internal/colenc"
 )
 
-// Columnar builds the typed columnar table for a fleet report: the same
-// rows, in the same fleet × workload merge order, as Report() — but with
-// raw values (success rate in [0, 1], time in µs, energy in µJ) instead
-// of rendered cells. Non-viable (guarded) rows carry nulls in every
-// numeric column and "guarded" in the match column, mirroring the text
-// report's "-" sentinels.
+// Columnar builds the fleet report's row model: one row per (module,
+// workload) cell in the fleet × workload merge order, with raw values
+// (success rate in [0, 1], time in µs, energy in µJ). Non-viable
+// (guarded) rows carry nulls in every numeric column and "guarded" in
+// the match column. The meta carries the table identity and the counts
+// the text footer prints.
 func Columnar(results []Result) *colenc.Table {
-	tab := Report(results)
-	viable, matched := 0, 0
-	for _, r := range results {
-		if !r.Viable {
-			continue
-		}
-		viable++
-		if r.RefMatch() {
-			matched++
-		}
-	}
-	t := &colenc.Table{
-		Name: tab.ID,
-		Meta: [][2]string{
-			{"id", tab.ID}, {"title", tab.Title},
-			{"results", strconv.Itoa(len(results))},
-			{"viable", strconv.Itoa(viable)},
-			{"matched", strconv.Itoa(matched)},
-		},
-	}
 	mk := func(name string, typ colenc.Type, nullable bool) colenc.Column {
 		return colenc.Column{Field: colenc.Field{Name: name, Type: typ, Nullable: nullable}}
 	}
@@ -55,6 +35,7 @@ func Columnar(results []Result) *colenc.Table {
 		mk("energy-uj", colenc.TypeFloat64, true),
 		mk("tput-mbps", colenc.TypeFloat64, true),
 	}
+	viable, matched := 0, 0
 	for _, r := range results {
 		cols[0].Strings = append(cols[0].Strings, r.Workload)
 		cols[1].Strings = append(cols[1].Strings, r.Module)
@@ -67,8 +48,11 @@ func Columnar(results []Result) *colenc.Table {
 		}
 		match := "guarded"
 		if v {
+			viable++
 			match = "ok"
-			if !r.RefMatch() {
+			if r.RefMatch() {
+				matched++
+			} else {
 				match = "DIVERGED"
 			}
 		}
@@ -89,53 +73,42 @@ func Columnar(results []Result) *colenc.Table {
 			}
 		}
 	}
-	t.Cols = cols
-	return t
+	return &colenc.Table{
+		Name: "workloads",
+		Meta: [][2]string{
+			{"id", "workloads"},
+			{"title", "end-to-end in-DRAM workloads (bit-serial MAJX execution, reliable lanes)"},
+			{"results", strconv.Itoa(len(results))},
+			{"viable", strconv.Itoa(viable)},
+			{"matched", strconv.Itoa(matched)},
+		},
+		Cols: cols,
+	}
 }
 
-// ColumnarStrings is the reverse formatter: it re-renders a workload
-// columnar table into the exact charexp.Table the text/CSV paths print,
-// re-applying the report's format verbs ("%.2f%%" success, "%.2f" µs,
-// "%.3f" µJ, "%.2f" Mbps, "-" null sentinels). It is the metamorphic
-// bridge the invariance suite uses to assert text-rows ≡ columnar-rows.
-func ColumnarStrings(t *colenc.Table) (charexp.Table, error) {
-	out := charexp.Table{
-		ID:      t.MetaValue("id"),
-		Title:   t.MetaValue("title"),
-		Columns: make([]string, len(t.Cols)),
+// TypedReport pairs a workload table, built by Columnar or decoded from
+// a columnar stream, with the report's format verbs ("%.2f%%" success,
+// "%.2f" µs and Mbps, "%.3f" µJ, "-" for nulls) and its summary footer.
+func TypedReport(t *colenc.Table) charexp.TypedReport {
+	return charexp.TypedReport{Table: t, Cell: cell, Footer: footer}
+}
+
+func cell(c *colenc.Column, row int) string {
+	if c.Null(row) {
+		return colenc.NullCell
 	}
-	for i := range t.Cols {
-		out.Columns[i] = t.Cols[i].Field.Name
+	switch c.Field.Name {
+	case "success":
+		return fmt.Sprintf("%.2f%%", c.Float64s[row]*100)
+	case "time-us", "tput-mbps":
+		return fmt.Sprintf("%.2f", c.Float64s[row])
+	case "energy-uj":
+		return fmt.Sprintf("%.3f", c.Float64s[row])
 	}
-	n := t.NumRows()
-	for ri := 0; ri < n; ri++ {
-		row := make([]string, len(t.Cols))
-		for ci := range t.Cols {
-			c := &t.Cols[ci]
-			if c.Field.Nullable && len(c.Valid) > ri && !c.Valid[ri] {
-				row[ci] = colenc.NullCell
-				continue
-			}
-			switch c.Field.Name {
-			case "success":
-				row[ci] = fmt.Sprintf("%.2f%%", c.Float64s[ri]*100)
-			case "time-us", "tput-mbps":
-				row[ci] = fmt.Sprintf("%.2f", c.Float64s[ri])
-			case "energy-uj":
-				row[ci] = fmt.Sprintf("%.3f", c.Float64s[ri])
-			default:
-				switch c.Field.Type {
-				case colenc.TypeInt64:
-					row[ci] = strconv.FormatInt(c.Int64s[ri], 10)
-				case colenc.TypeString:
-					row[ci] = c.Strings[ri]
-				default:
-					return charexp.Table{}, fmt.Errorf(
-						"workload: column %q: unexpected type %v", c.Field.Name, c.Field.Type)
-				}
-			}
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
+	return c.CellString(row)
+}
+
+func footer(t *colenc.Table) string {
+	return fmt.Sprintf("%s results (%s viable, %s bit-exact vs software reference)",
+		t.MetaValue("results"), t.MetaValue("viable"), t.MetaValue("matched"))
 }

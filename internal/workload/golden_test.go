@@ -34,7 +34,7 @@ func TestGoldenFleetReport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Report(results).Render()
+		return report(results).Render()
 	}
 	r1 := render(1)
 	r8 := render(8)
@@ -56,7 +56,7 @@ func TestGoldenPerWorkload(t *testing.T) {
 	for _, r := range results {
 		r := r
 		t.Run(r.Workload, func(t *testing.T) {
-			row := Report([]Result{r}).CSV()
+			row := report([]Result{r}).CSV()
 			goldenfile.Check(t, "testdata", r.Workload+".golden", row)
 		})
 	}

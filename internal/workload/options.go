@@ -5,7 +5,7 @@ import (
 	"io"
 	"strings"
 
-	"repro/internal/colenc"
+	"repro/internal/charexp"
 	"repro/internal/fleet"
 )
 
@@ -72,42 +72,11 @@ func (o Options) Resolve() (FleetConfig, error) {
 	return cfg.withDefaults(), nil
 }
 
-// WriteReport renders fleet-run results to w: the report table in the
-// given format ("text" or "csv"), plus — text only — the summary line.
-// This is the byte-exact output contract of cmd/simra-work and the
-// serving layer's workload responses (asserted by the golden tests and
-// the CI e2e job).
+// WriteReport renders fleet-run results to w in the given format: the
+// report table, plus — text only — the summary line; or the columnar
+// stream. This is the byte-exact output contract of cmd/simra-work and
+// the serving layer's workload responses (asserted by the golden tests
+// and the CI e2e job).
 func WriteReport(w io.Writer, results []Result, format string) error {
-	table := Report(results)
-	switch format {
-	case "columnar":
-		enc, err := colenc.Encode(Columnar(results), 0)
-		if err != nil {
-			return err
-		}
-		_, err = w.Write(enc)
-		return err
-	case "csv":
-		_, err := io.WriteString(w, table.CSV())
-		return err
-	case "text":
-		if _, err := io.WriteString(w, table.Render()); err != nil {
-			return err
-		}
-		viable, matched := 0, 0
-		for _, r := range results {
-			if !r.Viable {
-				continue
-			}
-			viable++
-			if r.RefMatch() {
-				matched++
-			}
-		}
-		_, err := fmt.Fprintf(w, "\n%d results (%d viable, %d bit-exact vs software reference)\n",
-			len(results), viable, matched)
-		return err
-	default:
-		return fmt.Errorf("workload: unknown format %q; valid: text, csv, columnar", format)
-	}
+	return charexp.Write(w, TypedReport(Columnar(results)), format)
 }

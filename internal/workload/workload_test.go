@@ -147,7 +147,7 @@ func TestFleetWorkerInvariance(t *testing.T) {
 	if !reflect.DeepEqual(r1, r8) {
 		t.Fatal("results differ between 1 and 8 workers")
 	}
-	if Report(r1).Render() != Report(r8).Render() {
+	if report(r1).Render() != report(r8).Render() {
 		t.Fatal("rendered reports differ between 1 and 8 workers")
 	}
 }

@@ -2,8 +2,8 @@ package simraclient
 
 import (
 	"context"
-	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/charexp"
@@ -32,6 +32,14 @@ func TestE2EColumnarGoldens(t *testing.T) {
 	}
 	ctx := context.Background()
 
+	printed := func(t *testing.T, r charexp.Report, format string) string {
+		t.Helper()
+		var b strings.Builder
+		if err := charexp.Write(&b, r, format); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
 	golden := func(path string) []byte {
 		t.Helper()
 		b, err := os.ReadFile(path)
@@ -69,7 +77,7 @@ func TestE2EColumnarGoldens(t *testing.T) {
 		if res.Table == nil {
 			t.Fatal("sweep columnar result carries no table")
 		}
-		if got := charexp.ColumnarStrings(res.Table).CSV(); got != csvRes.Output {
+		if got := printed(t, charexp.TypedReport{Table: res.Table, Cell: (*Column).CellString}, "csv"); got != csvRes.Output {
 			t.Fatal("decoded sweep rows differ from the csv route")
 		}
 	})
@@ -95,14 +103,8 @@ func TestE2EColumnarGoldens(t *testing.T) {
 		}
 		// The decoded table plus its meta rebuild the exact text-golden
 		// bytes the CLI prints.
-		rt, err := workload.ColumnarStrings(res.Table)
-		if err != nil {
-			t.Fatal(err)
-		}
 		text := golden("../../cmd/simra-work/testdata/simra-work.golden")
-		rebuilt := rt.Render() + fmt.Sprintf("\n%s results (%s viable, %s bit-exact vs software reference)\n",
-			res.Table.MetaValue("results"), res.Table.MetaValue("viable"), res.Table.MetaValue("matched"))
-		if rebuilt != string(text) {
+		if printed(t, workload.TypedReport(res.Table), "text") != string(text) {
 			t.Fatal("decoded workload rows differ from the committed text golden")
 		}
 	})
@@ -126,11 +128,7 @@ func TestE2EColumnarGoldens(t *testing.T) {
 				t.Fatal("scenario columnar bytes differ between worker counts")
 			}
 		}
-		rt, err := scenario.ColumnarStrings(res.Table)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rt.CSV() != string(golden("../../cmd/simra-scan/testdata/grid.csv.golden")) {
+		if printed(t, scenario.TypedReport(res.Table), "csv") != string(golden("../../cmd/simra-scan/testdata/grid.csv.golden")) {
 			t.Fatal("decoded scenario rows differ from the committed csv golden")
 		}
 

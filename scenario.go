@@ -52,8 +52,8 @@ func RunScenarios(ctx context.Context, cfg Scenario) (*ScenarioResult, error) {
 func ResolveScenario(o ScenarioOptions) (Scenario, error) { return o.Resolve() }
 
 // WriteScenarioReport renders a scenario result to w in the given format
-// ("text" or "csv"): the byte-exact output contract shared by simra-scan
-// and the serving layer.
+// (text, csv or columnar): the byte-exact output contract shared by
+// simra-scan and the serving layer.
 func WriteScenarioReport(w io.Writer, r *ScenarioResult, format string) error {
 	return scenario.WriteReport(w, r, format)
 }

@@ -49,12 +49,12 @@ func ResolveWorkloads(o WorkloadOptions) (WorkloadConfig, error) { return o.Reso
 
 // WorkloadReport renders fleet-run results as a table (text or CSV).
 func WorkloadReport(results []WorkloadResult) ExperimentTable {
-	return workload.Report(results)
+	return workload.TypedReport(workload.Columnar(results)).Strings()
 }
 
 // WriteWorkloadReport renders fleet-run results to w in the given format
-// ("text" or "csv"): the byte-exact output contract shared by simra-work
-// and the serving layer.
+// (text, csv or columnar): the byte-exact output contract shared by
+// simra-work and the serving layer.
 func WriteWorkloadReport(w io.Writer, results []WorkloadResult, format string) error {
 	return workload.WriteReport(w, results, format)
 }
