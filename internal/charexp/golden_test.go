@@ -45,3 +45,32 @@ func TestGoldenFigure3Sweep(t *testing.T) {
 	}
 	goldenfile.Check(t, "testdata", "figure3.golden", r1)
 }
+
+// TestGoldenGridFigures pins the text rendering of every grid figure at
+// smallConfig: the id, title, header and every row. csv and columnar are
+// built from the same strings, so the text bytes pin them too. Each
+// figure must render the same bytes at 1 and 8 workers.
+func TestGoldenGridFigures(t *testing.T) {
+	for _, id := range gridFigureIDs {
+		t.Run("fig"+id, func(t *testing.T) {
+			render := func(workers int) string {
+				cfg := smallConfig()
+				cfg.Engine.Workers = workers
+				r, err := NewRunner(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := r.RunFigure(id, 0, FormatText)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			r1 := render(1)
+			if r8 := render(8); r1 != r8 {
+				t.Fatalf("figure %s text differs between 1 and 8 workers", id)
+			}
+			goldenfile.Check(t, "testdata", "grid_fig"+id+".golden", r1)
+		})
+	}
+}
