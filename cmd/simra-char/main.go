@@ -45,7 +45,7 @@ func main() {
 // needsSimulation reports whether a figure id executes sweeps (and so
 // deserves a timing line), as opposed to the static tables.
 func needsSimulation(id string) bool {
-	return id != "table1" && id != "13" && id != "14"
+	return id != "table1" && id != "14"
 }
 
 // run renders the selected figures to w through the shared
@@ -82,6 +82,14 @@ func run(w io.Writer, fig string, full bool, trials, groups, banks, cols int, se
 	if err := charexp.CheckFormat(format); err != nil {
 		return err
 	}
+	if fig != "all" {
+		id, err := charexp.CheckFigure(fig)
+		if err != nil {
+			return fmt.Errorf("unknown figure %q; valid: all, %s",
+				fig, strings.Join(simra.ExperimentFigureIDs(), ", "))
+		}
+		fig = id
+	}
 
 	// The fleet is only instantiated when a figure actually simulates:
 	// the static tables (table1, the decoder walkthrough) render from the
@@ -104,12 +112,10 @@ func run(w io.Writer, fig string, full bool, trials, groups, banks, cols int, se
 		return b.String(), err
 	}
 
-	matched := false
 	for _, id := range simra.ExperimentFigureIDs() {
-		if fig != "all" && fig != id && !(fig == "13" && id == "14") {
+		if fig != "all" && fig != id {
 			continue
 		}
-		matched = true
 		var out string
 		start := time.Now()
 		switch id {
@@ -148,10 +154,6 @@ func run(w io.Writer, fig string, full bool, trials, groups, banks, cols int, se
 		if needsSimulation(id) && format == charexp.FormatText {
 			fmt.Fprintf(w, "(figure %s: %s)\n\n", id, time.Since(start).Round(time.Millisecond))
 		}
-	}
-	if !matched {
-		return fmt.Errorf("unknown figure %q; valid: all, %s",
-			fig, strings.Join(simra.ExperimentFigureIDs(), ", "))
 	}
 	if runner != nil && format == charexp.FormatText {
 		fmt.Fprintf(w, "(engine: %s)\n", runner.Stats())

@@ -16,7 +16,6 @@ import (
 	"repro/internal/dram"
 	"repro/internal/engine"
 	"repro/internal/fleet"
-	"repro/internal/stats"
 )
 
 // Config scopes a characterization run.
@@ -290,13 +289,6 @@ func (t Table) CSV() string {
 
 // pct formats a rate as a percentage.
 func pct(rate float64) string { return fmt.Sprintf("%.2f%%", rate*100) }
-
-// summaryCells renders a stats summary as distribution columns.
-func summaryCells(s stats.Summary) []string {
-	return []string{
-		pct(s.Mean), pct(s.Min), pct(s.Q1), pct(s.Median), pct(s.Q3), pct(s.Max),
-	}
-}
 
 var summaryColumns = []string{"mean", "min", "q1", "median", "q3", "max"}
 

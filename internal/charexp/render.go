@@ -2,19 +2,35 @@ package charexp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/decoder"
 )
 
-// FigureIDs lists the ids RunFigure accepts, in the print order
-// cmd/simra-char uses for -fig all. "table1" and "14" need no simulation;
-// the rest execute sweeps on the runner's engine.
-func FigureIDs() []string {
-	return []string{
-		"table1", "14", "3", "4a", "4b", "5", "6", "7", "8", "9", "10",
-		"11", "12a", "12b", "15", "modules", "16", "17",
+// figureIDs lists the ids RunFigure accepts, in the print order
+// cmd/simra-char uses for -fig all. "table1" and "14" need no
+// simulation; the rest execute sweeps on the runner's engine.
+var figureIDs = []string{
+	"table1", "14", "3", "4a", "4b", "5", "6", "7", "8", "9", "10",
+	"11", "12a", "12b", "15", "modules", "16", "17",
+}
+
+// FigureIDs returns the ids RunFigure accepts, in print order.
+func FigureIDs() []string { return slices.Clone(figureIDs) }
+
+// CheckFigure returns the figure RunFigure runs for id: id itself, or
+// "14" for "13", since Figs. 13 and 14 are one decoder walkthrough. An
+// id outside FigureIDs is an error whose message ends in the "valid: …"
+// list that the serving layer's 422 envelope parses into valid_options.
+func CheckFigure(id string) (string, error) {
+	if id == "13" {
+		return "14", nil
 	}
+	if slices.Contains(figureIDs, id) {
+		return id, nil
+	}
+	return "", fmt.Errorf("unknown figure %q; valid: %s", id, strings.Join(figureIDs, ", "))
 }
 
 // RunFigure executes one figure or table by id and renders it in the
@@ -27,49 +43,50 @@ func (r *Runner) RunFigure(id string, sets int, format string) (string, error) {
 	if err := CheckFormat(format); err != nil {
 		return "", err
 	}
+	fig, err := CheckFigure(id)
+	if err != nil {
+		return "", fmt.Errorf("charexp: %w", err)
+	}
 	if sets <= 0 {
 		sets = 200
 	}
-	render := func(t Table) (string, error) {
-		var b strings.Builder
-		err := Write(&b, t, format)
-		return b.String(), err
-	}
-	switch id {
-	case "table1":
-		return render(TablePopulation(r.cfg.Fleet))
-	case "13", "14":
-		tab, err := DecoderWalkthrough(decoder.Hynix512())
-		if err != nil {
-			return "", err
-		}
-		return render(tab)
-	}
-	runners := map[string]func() (interface{ Table() Table }, error){
-		"3":       func() (interface{ Table() Table }, error) { return r.Figure3() },
-		"4a":      func() (interface{ Table() Table }, error) { return r.Figure4a() },
-		"4b":      func() (interface{ Table() Table }, error) { return r.Figure4b() },
-		"5":       func() (interface{ Table() Table }, error) { return r.Figure5() },
-		"6":       func() (interface{ Table() Table }, error) { return r.Figure6() },
-		"7":       func() (interface{ Table() Table }, error) { return r.Figure7() },
-		"8":       func() (interface{ Table() Table }, error) { return r.Figure8() },
-		"9":       func() (interface{ Table() Table }, error) { return r.Figure9() },
-		"10":      func() (interface{ Table() Table }, error) { return r.Figure10() },
-		"11":      func() (interface{ Table() Table }, error) { return r.Figure11() },
-		"12a":     func() (interface{ Table() Table }, error) { return r.Figure12a() },
-		"12b":     func() (interface{ Table() Table }, error) { return r.Figure12b() },
-		"15":      func() (interface{ Table() Table }, error) { return r.Figure15(sets) },
-		"modules": func() (interface{ Table() Table }, error) { return r.PerModule() },
-		"16":      func() (interface{ Table() Table }, error) { return r.Figure16() },
-		"17":      func() (interface{ Table() Table }, error) { return r.Figure17() },
-	}
-	run, ok := runners[id]
-	if !ok {
-		return "", fmt.Errorf("charexp: unknown figure %q", id)
-	}
-	res, err := run()
+	t, err := r.figureTable(fig, sets)
 	if err != nil {
 		return "", fmt.Errorf("charexp: figure %s: %w", id, err)
 	}
-	return render(res.Table())
+	var b strings.Builder
+	err = Write(&b, t, format)
+	return b.String(), err
+}
+
+// figureTable runs the figure a CheckFigure id names: a grid figure
+// through its declaration, the others by name.
+func (r *Runner) figureTable(id string, sets int) (Table, error) {
+	if f := gridFigureFor(id); f != nil {
+		return tableOf(r.runGrid(f))
+	}
+	switch id {
+	case "table1":
+		return TablePopulation(r.cfg.Fleet), nil
+	case "14":
+		return DecoderWalkthrough(decoder.Hynix512())
+	case "5":
+		return tableOf(r.Figure5())
+	case "15":
+		return tableOf(r.Figure15(sets))
+	case "modules":
+		return tableOf(r.PerModule())
+	case "16":
+		return tableOf(r.Figure16())
+	default: // "17", the one id CheckFigure leaves
+		return tableOf(r.Figure17())
+	}
+}
+
+// tableOf renders a figure result, or passes its error on.
+func tableOf[R interface{ Table() Table }](res R, err error) (Table, error) {
+	if err != nil {
+		return Table{}, err
+	}
+	return res.Table(), nil
 }

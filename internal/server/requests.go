@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/campaign"
@@ -55,16 +54,8 @@ func (q SweepRequest) normalize() (SweepRequest, error) {
 	if err := normalizeFormat(&q.Format); err != nil {
 		return q, err
 	}
-	known := q.Figure == "13" // alias of the Fig. 14 walkthrough
-	for _, id := range charexp.FigureIDs() {
-		if q.Figure == id {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return q, fmt.Errorf("unknown figure %q; valid: %s",
-			q.Figure, strings.Join(charexp.FigureIDs(), ", "))
+	if _, err := charexp.CheckFigure(q.Figure); err != nil {
+		return q, err
 	}
 	if q.Sets <= 0 {
 		q.Sets = 200
