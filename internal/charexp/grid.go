@@ -224,7 +224,7 @@ func (g Grid) Table() Table {
 	label(f.t2s != nil, "t2(ns)")
 	label(f.patterns != nil, "pattern")
 	label(f.levels != nil, f.env)
-	label(true, f.op.rowsCol)
+	t.Columns = append(t.Columns, f.op.rowsCol)
 	if f.meanOnly {
 		t.Columns = append(t.Columns, "mean")
 	} else {

@@ -67,17 +67,21 @@ var gridLookups = []struct {
 	}, false},
 }
 
-// TestGridLookups checks every grid figure's Cell or Mean lookup against
-// the figure's own cells: each cell's coordinates find exactly that
-// cell's summary (its mean, for a Mean lookup), and a row count outside
-// the grid finds nothing.
+// TestGridLookups checks that the declarations, the goldens' id list and
+// this lookup table name the same figures, then checks every grid
+// figure's Cell or Mean lookup against the figure's own cells: each
+// cell's coordinates find exactly that cell's summary (its mean, for a
+// Mean lookup), and a row count outside the grid finds nothing.
 func TestGridLookups(t *testing.T) {
-	var ids []string
+	var ids, declared []string
 	for _, g := range gridLookups {
 		ids = append(ids, g.id)
 	}
-	if !slices.Equal(ids, gridFigureIDs) {
-		t.Fatalf("lookup table covers %v, want %v", ids, gridFigureIDs)
+	for _, f := range gridFigures {
+		declared = append(declared, f.id)
+	}
+	if !slices.Equal(ids, gridFigureIDs) || !slices.Equal(declared, gridFigureIDs) {
+		t.Fatalf("lookup table covers %v and declarations %v, want %v", ids, declared, gridFigureIDs)
 	}
 	r := smallRunner(t)
 	for _, g := range gridLookups {
