@@ -19,10 +19,10 @@ type (
 	CampaignResult = campaign.Result
 	// CampaignCandidate is one ranked candidate mix.
 	CampaignCandidate = campaign.Candidate
-	// CampaignOptions mirrors the cmd/simra-campaign CLI flag surface;
-	// resolve it with ResolveCampaign. The serving layer (/v1/campaign)
-	// accepts the same parameters, so CLI and served responses are
-	// byte-identical.
+	// CampaignOptions is the one declaration of the campaign family's
+	// parameters: its tags name the cmd/simra-campaign flags and the
+	// serving layer's /v1/campaign fields, so CLI and served responses
+	// are byte-identical. Resolve it with ResolveCampaign.
 	CampaignOptions = campaign.Options
 )
 

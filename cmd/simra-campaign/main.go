@@ -25,36 +25,23 @@ import (
 
 	simra "repro"
 	"repro/internal/charexp"
+	"repro/internal/cli"
 )
 
-// options carries the parsed flags.
-type options struct {
-	workload string
-	size     int
-	top      int
-	workers  int
-	maxX     int
-	cols     int
-	seed     uint64
-	format   string
+// flags binds simra-campaign's flag surface, the campaign family's
+// Options, to fs and returns the options that parsing fills.
+func flags(fs *flag.FlagSet) *simra.CampaignOptions {
+	opts := &simra.CampaignOptions{Workload: "bitmap-scan", Format: charexp.FormatText}
+	cli.Bind(fs, opts)
+	return opts
 }
 
 func main() {
-	var opts options
-	flag.StringVar(&opts.workload, "workload", "bitmap-scan",
-		"target workload the mix is designed for")
-	flag.IntVar(&opts.size, "size", 0, "modules per candidate mix (0 = 3)")
-	flag.IntVar(&opts.top, "top", 0, "ranked candidates to report (0 = 10)")
-	flag.IntVar(&opts.workers, "workers", 0,
-		"parallel shards (0 = GOMAXPROCS, 1 = sequential; results are identical)")
-	flag.IntVar(&opts.maxX, "maxx", 0, "majority-width cap (0 = default)")
-	flag.IntVar(&opts.cols, "cols", 0, "simulated columns (SIMD lanes) per subarray (0 = 512)")
-	flag.Uint64Var(&opts.seed, "seed", 0, "experiment seed (0 = default)")
-	flag.StringVar(&opts.format, "format", charexp.FormatText, "output format: text, csv, or columnar")
+	opts := flags(flag.CommandLine)
 	flag.Parse()
 
 	start := time.Now()
-	stats, err := run(os.Stdout, opts)
+	stats, err := run(os.Stdout, *opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simra-campaign:", err)
 		os.Exit(1)
@@ -66,19 +53,11 @@ func main() {
 // resolution/rendering path (internal/campaign.Options), so the bytes on
 // w are the same contract simra-serve serves on /v1/campaign. All output
 // on w is deterministic; statistics and timing go to stderr in main.
-func run(w io.Writer, opts options) (simra.EngineStats, error) {
-	if err := charexp.CheckFormat(opts.format); err != nil {
+func run(w io.Writer, opts simra.CampaignOptions) (simra.EngineStats, error) {
+	if err := charexp.CheckFormat(opts.Format); err != nil {
 		return simra.EngineStats{}, err
 	}
-	cfg, err := simra.ResolveCampaign(simra.CampaignOptions{
-		Workload:  opts.workload,
-		FleetSize: opts.size,
-		Top:       opts.top,
-		Workers:   opts.workers,
-		MaxX:      opts.maxX,
-		Columns:   opts.cols,
-		Seed:      opts.seed,
-	})
+	cfg, err := simra.ResolveCampaign(opts)
 	if err != nil {
 		return simra.EngineStats{}, err
 	}
@@ -86,7 +65,7 @@ func run(w io.Writer, opts options) (simra.EngineStats, error) {
 	if err != nil {
 		return simra.EngineStats{}, err
 	}
-	if err := simra.WriteCampaignReport(w, res, opts.format); err != nil {
+	if err := simra.WriteCampaignReport(w, res, opts.Format); err != nil {
 		return simra.EngineStats{}, err
 	}
 	return res.Stats, nil

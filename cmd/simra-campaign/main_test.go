@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"strings"
 	"testing"
@@ -16,17 +17,17 @@ import (
 // goldens: the default bitmap-scan search at 128 columns with every
 // candidate ranked (the same invocation the CI e2e job drives through
 // the job tier).
-func campaignOpts(workers int) options {
-	return options{
-		workload: "bitmap-scan",
-		top:      34,
-		workers:  workers,
-		cols:     128,
-		format:   "text",
+func campaignOpts(workers int) campaign.Options {
+	return campaign.Options{
+		Workload: "bitmap-scan",
+		Top:      34,
+		Workers:  workers,
+		Columns:  128,
+		Format:   "text",
 	}
 }
 
-func render(t *testing.T, opts options) string {
+func render(t *testing.T, opts campaign.Options) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := run(&buf, opts); err != nil {
@@ -49,9 +50,9 @@ func TestCampaignGoldenWorkerInvariant(t *testing.T) {
 // TestCampaignCSVGolden pins the CSV rendering of the same search.
 func TestCampaignCSVGolden(t *testing.T) {
 	o := campaignOpts(1)
-	o.format = "csv"
+	o.Format = "csv"
 	out1 := render(t, o)
-	o.workers = 8
+	o.Workers = 8
 	if out1 != render(t, o) {
 		t.Fatal("simra-campaign csv output differs between -workers=1 and -workers=8")
 	}
@@ -64,9 +65,9 @@ func TestCampaignCSVGolden(t *testing.T) {
 // exact csv and text goldens.
 func TestCampaignColumnarGoldenWorkerInvariant(t *testing.T) {
 	o := campaignOpts(1)
-	o.format = "columnar"
+	o.Format = "columnar"
 	out1 := render(t, o)
-	o.workers = 8
+	o.Workers = 8
 	if out1 != render(t, o) {
 		t.Fatal("simra-campaign columnar stream differs between -workers=1 and -workers=8")
 	}
@@ -93,7 +94,7 @@ func TestCampaignColumnarGoldenWorkerInvariant(t *testing.T) {
 
 // TestFlagValidation exercises the flag surface end to end.
 func TestFlagValidation(t *testing.T) {
-	bad := func(mut func(*options), want string) {
+	bad := func(mut func(*campaign.Options), want string) {
 		t.Helper()
 		o := campaignOpts(0)
 		mut(&o)
@@ -102,18 +103,18 @@ func TestFlagValidation(t *testing.T) {
 			t.Fatalf("error %v, want substring %q", err, want)
 		}
 	}
-	bad(func(o *options) { o.format = "json" }, "valid: text, csv, columnar")
-	bad(func(o *options) { o.workload = "quantum-sort" }, "unknown workload")
-	bad(func(o *options) { o.size = 9 }, "fleet size 9 out of range")
-	bad(func(o *options) { o.top = -1 }, "must be >= 0")
+	bad(func(o *campaign.Options) { o.Format = "json" }, "valid: text, csv, columnar")
+	bad(func(o *campaign.Options) { o.Workload = "quantum-sort" }, "unknown workload")
+	bad(func(o *campaign.Options) { o.FleetSize = 9 }, "fleet size 9 out of range")
+	bad(func(o *campaign.Options) { o.Top = -1 }, "must be >= 0")
 }
 
 // TestCampaignModes smoke-runs the non-default knobs.
 func TestCampaignModes(t *testing.T) {
 	o := campaignOpts(0)
-	o.workload = "image-filter"
-	o.size = 2
-	o.top = 3
+	o.Workload = "image-filter"
+	o.FleetSize = 2
+	o.Top = 3
 	out := render(t, o)
 	if !strings.Contains(out, "workload image-filter, fleet size 2") {
 		t.Fatalf("campaign header missing search shape:\n%s", out)
@@ -121,4 +122,15 @@ func TestCampaignModes(t *testing.T) {
 	if !strings.Contains(out, "top 3 of") {
 		t.Fatalf("campaign footer missing top truncation:\n%s", out)
 	}
+}
+
+// TestFlagsGolden pins the -h flag surface bound from campaign.Options:
+// every flag name, type, usage and default, byte for byte.
+func TestFlagsGolden(t *testing.T) {
+	fs := flag.NewFlagSet("simra-campaign", flag.ContinueOnError)
+	flags(fs)
+	var b strings.Builder
+	fs.SetOutput(&b)
+	fs.PrintDefaults()
+	goldenfile.Check(t, "testdata", "flags.golden", b.String())
 }

@@ -19,24 +19,22 @@ import (
 
 	simra "repro"
 	"repro/internal/charexp"
+	"repro/internal/cli"
 )
 
+// flags binds simra-char's flag surface, the sweep family's Options, to
+// fs and returns the options that parsing fills.
+func flags(fs *flag.FlagSet) *charexp.Options {
+	opts := &charexp.Options{Figure: "all", Sets: 200, Format: charexp.FormatText}
+	cli.Bind(fs, opts)
+	return opts
+}
+
 func main() {
-	var (
-		fig     = flag.String("fig", "all", "figure to reproduce: all, table1, modules, 3, 4a, 4b, 5, 6, 7, 8, 9, 10, 11, 12a, 12b, 14, 15, 16, 17")
-		full    = flag.Bool("full", false, "use the full 18-module fleet of Table 1/2 (slow)")
-		trials  = flag.Int("trials", 0, "trials per row group (0 = default)")
-		groups  = flag.Int("groups", 0, "row groups per subarray (0 = default)")
-		banks   = flag.Int("banks", 0, "banks sampled per module (0 = default)")
-		cols    = flag.Int("cols", 0, "simulated columns per subarray (0 = default)")
-		seed    = flag.Uint64("seed", 0, "experiment seed (0 = default)")
-		sets    = flag.Int("sets", 200, "Monte-Carlo samples per Fig. 15 cell")
-		format  = flag.String("format", charexp.FormatText, "output format: text, csv, or columnar")
-		workers = flag.Int("workers", 0, "parallel sweep shards (0 = GOMAXPROCS, 1 = sequential; results are identical)")
-	)
+	opts := flags(flag.CommandLine)
 	flag.Parse()
 
-	if err := run(os.Stdout, *fig, *full, *trials, *groups, *banks, *cols, *seed, *sets, *format, *workers); err != nil {
+	if err := run(os.Stdout, *opts); err != nil {
 		fmt.Fprintln(os.Stderr, "simra-char:", err)
 		os.Exit(1)
 	}
@@ -53,35 +51,12 @@ func needsSimulation(id string) bool {
 // serving layer uses — so for a fixed configuration the table bytes here
 // and in a simra-serve response are identical. Timing lines are printed
 // only in text format; CSV output is fully deterministic.
-func run(w io.Writer, fig string, full bool, trials, groups, banks, cols int, seed uint64, sets int, format string, workers int) error {
-	cfg := simra.DefaultExperimentConfig()
-	fleetCfg := simra.DefaultFleetConfig()
-	if cols > 0 {
-		fleetCfg.Columns = cols
-	} else {
-		fleetCfg.Columns = 512
-	}
-	if full {
-		cfg.Fleet = simra.FleetModules(fleetCfg)
-	} else {
-		cfg.Fleet = simra.FleetRepresentative(fleetCfg)
-	}
-	if trials > 0 {
-		cfg.Trials = trials
-	}
-	if groups > 0 {
-		cfg.GroupsPerSubarray = groups
-	}
-	if banks > 0 {
-		cfg.Banks = banks
-	}
-	if seed != 0 {
-		cfg.Seed = seed
-	}
-	cfg.Engine = simra.EngineConfig{Workers: workers}
-	if err := charexp.CheckFormat(format); err != nil {
+func run(w io.Writer, opts charexp.Options) error {
+	cfg := opts.Config()
+	if err := charexp.CheckFormat(opts.Format); err != nil {
 		return err
 	}
+	fig := opts.Figure
 	if fig != "all" {
 		id, err := charexp.CheckFigure(fig)
 		if err != nil {
@@ -108,7 +83,7 @@ func run(w io.Writer, fig string, full bool, trials, groups, banks, cols int, se
 	}
 	render := func(t simra.ExperimentTable) (string, error) {
 		var b strings.Builder
-		err := charexp.Write(&b, t, format)
+		err := charexp.Write(&b, t, opts.Format)
 		return b.String(), err
 	}
 
@@ -137,11 +112,11 @@ func run(w io.Writer, fig string, full bool, trials, groups, banks, cols int, se
 			if err != nil {
 				return err
 			}
-			if out, err = r.RunFigure(id, sets, format); err != nil {
+			if out, err = r.RunFigure(id, opts.Sets, opts.Format); err != nil {
 				return err
 			}
 		}
-		if format == charexp.FormatColumnar {
+		if opts.Format == charexp.FormatColumnar {
 			// The columnar stream is binary and self-delimiting: no
 			// trailing newline, so the bytes match the server's and the
 			// committed *.colenc.golden exactly.
@@ -151,11 +126,11 @@ func run(w io.Writer, fig string, full bool, trials, groups, banks, cols int, se
 		} else if _, err := fmt.Fprintln(w, out); err != nil {
 			return err
 		}
-		if needsSimulation(id) && format == charexp.FormatText {
+		if needsSimulation(id) && opts.Format == charexp.FormatText {
 			fmt.Fprintf(w, "(figure %s: %s)\n\n", id, time.Since(start).Round(time.Millisecond))
 		}
 	}
-	if runner != nil && format == charexp.FormatText {
+	if runner != nil && opts.Format == charexp.FormatText {
 		fmt.Fprintf(w, "(engine: %s)\n", runner.Stats())
 	}
 	return nil

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"strings"
 	"testing"
@@ -11,13 +12,18 @@ import (
 	"repro/internal/goldenfile"
 )
 
+// figOpts is the CLI's default configuration for one figure.
+func figOpts(fig, format string, workers int) charexp.Options {
+	return charexp.Options{Figure: fig, Sets: 200, Format: format, Workers: workers}
+}
+
 // TestGoldenFigure3CSV pins the CLI's CSV output for the Fig. 3 sweep at
 // the default configuration: the exact bytes the CI e2e job asserts after
 // building the binary. CSV mode carries no timing lines, so the output is
 // fully deterministic.
 func TestGoldenFigure3CSV(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "3", false, 0, 0, 0, 0, 0, 200, "csv", 0); err != nil {
+	if err := run(&buf, figOpts("3", "csv", 0)); err != nil {
 		t.Fatal(err)
 	}
 	goldenfile.Check(t, "testdata", "fig3.csv.golden", buf.String())
@@ -28,7 +34,7 @@ func TestGoldenFigure3CSV(t *testing.T) {
 func TestFigure3CSVWorkerInvariant(t *testing.T) {
 	render := func(workers int) string {
 		var buf bytes.Buffer
-		if err := run(&buf, "3", false, 0, 0, 0, 0, 0, 200, "csv", workers); err != nil {
+		if err := run(&buf, figOpts("3", "csv", workers)); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -44,7 +50,7 @@ func TestFigure3CSVWorkerInvariant(t *testing.T) {
 func TestGoldenFigure15CSV(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		var buf bytes.Buffer
-		if err := run(&buf, "15", false, 0, 0, 0, 0, 0, 200, "csv", workers); err != nil {
+		if err := run(&buf, figOpts("15", "csv", workers)); err != nil {
 			t.Fatal(err)
 		}
 		goldenfile.Check(t, "testdata", "fig15.csv.golden", buf.String())
@@ -57,7 +63,7 @@ func TestGoldenFigure15CSV(t *testing.T) {
 func TestStaticTables(t *testing.T) {
 	for _, fig := range []string{"table1", "14", "13"} {
 		var buf bytes.Buffer
-		if err := run(&buf, fig, false, 0, 0, 0, 0, 0, 200, "text", 0); err != nil {
+		if err := run(&buf, figOpts(fig, "text", 0)); err != nil {
 			t.Fatalf("fig %s: %v", fig, err)
 		}
 		out := buf.String()
@@ -71,10 +77,10 @@ func TestStaticTables(t *testing.T) {
 }
 
 func TestUnknownFigure(t *testing.T) {
-	if err := run(&bytes.Buffer{}, "nope", false, 0, 0, 0, 0, 0, 200, "text", 0); err == nil {
+	if err := run(&bytes.Buffer{}, figOpts("nope", "text", 0)); err == nil {
 		t.Fatal("unknown figure accepted")
 	}
-	if err := run(&bytes.Buffer{}, "3", false, 0, 0, 0, 0, 0, 200, "yaml", 0); err == nil {
+	if err := run(&bytes.Buffer{}, figOpts("3", "yaml", 0)); err == nil {
 		t.Fatal("unknown format accepted")
 	}
 }
@@ -85,7 +91,7 @@ func TestUnknownFigure(t *testing.T) {
 func TestGoldenFigure3Columnar(t *testing.T) {
 	render := func(workers int) string {
 		var buf bytes.Buffer
-		if err := run(&buf, "3", false, 0, 0, 0, 0, 0, 200, "columnar", workers); err != nil {
+		if err := run(&buf, figOpts("3", "columnar", workers)); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -117,4 +123,15 @@ func readGolden(t *testing.T, name string) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestFlagsGolden pins the -h flag surface bound from charexp.Options:
+// every flag name, type, usage and default, byte for byte.
+func TestFlagsGolden(t *testing.T) {
+	fs := flag.NewFlagSet("simra-char", flag.ContinueOnError)
+	flags(fs)
+	var b strings.Builder
+	fs.SetOutput(&b)
+	fs.PrintDefaults()
+	goldenfile.Check(t, "testdata", "flags.golden", b.String())
 }

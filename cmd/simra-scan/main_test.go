@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"strings"
 	"testing"
@@ -15,18 +16,18 @@ import (
 // envelopeOpts is the fixed CLI configuration behind the committed
 // envelope golden: the per-module minimum-viable-t2 search on a reduced
 // sampling budget (the same invocation the CI e2e job drives).
-func envelopeOpts(workers int) options {
-	return options{
-		op:       "activation",
-		grid:     "nominal",
-		envelope: "t2",
-		modules:  "representative",
-		workers:  workers,
-		cols:     128,
-		groups:   2,
-		banks:    1,
-		trials:   2,
-		format:   "text",
+func envelopeOpts(workers int) scenario.Options {
+	return scenario.Options{
+		Op:       "activation",
+		Grid:     "nominal",
+		Envelope: "t2",
+		Modules:  "representative",
+		Workers:  workers,
+		Columns:  128,
+		Groups:   2,
+		Banks:    1,
+		Trials:   2,
+		Format:   "text",
 	}
 }
 
@@ -51,11 +52,11 @@ func TestEnvelopeGoldenWorkerInvariant(t *testing.T) {
 
 // TestGridGoldenWorkerInvariant pins the grid-scan surface the same way.
 func TestGridGoldenWorkerInvariant(t *testing.T) {
-	opts := func(workers int) options {
+	opts := func(workers int) scenario.Options {
 		o := envelopeOpts(workers)
-		o.envelope = ""
-		o.grid = "timing"
-		o.format = "csv"
+		o.Envelope = ""
+		o.Grid = "timing"
+		o.Format = "csv"
 		return o
 	}
 	render := func(workers int) string {
@@ -80,9 +81,9 @@ func TestGridGoldenWorkerInvariant(t *testing.T) {
 func TestGridColumnarGoldenWorkerInvariant(t *testing.T) {
 	render := func(workers int) string {
 		o := envelopeOpts(workers)
-		o.envelope = ""
-		o.grid = "timing"
-		o.format = "columnar"
+		o.Envelope = ""
+		o.Grid = "timing"
+		o.Format = "columnar"
 		var buf bytes.Buffer
 		if _, err := run(&buf, o); err != nil {
 			t.Fatal(err)
@@ -139,10 +140,10 @@ func TestFormatGoldensWorkerInvariant(t *testing.T) {
 			render := func(workers int) string {
 				o := envelopeOpts(workers)
 				if !tc.envelope {
-					o.envelope = ""
-					o.grid = "timing"
+					o.Envelope = ""
+					o.Grid = "timing"
 				}
-				o.format = tc.format
+				o.Format = tc.format
 				var buf bytes.Buffer
 				if _, err := run(&buf, o); err != nil {
 					t.Fatal(err)
@@ -167,7 +168,7 @@ func TestFormatGoldensWorkerInvariant(t *testing.T) {
 
 // TestFlagValidation exercises the flag surface end to end.
 func TestFlagValidation(t *testing.T) {
-	bad := func(mut func(*options), want string) {
+	bad := func(mut func(*scenario.Options), want string) {
 		t.Helper()
 		o := envelopeOpts(0)
 		mut(&o)
@@ -176,22 +177,22 @@ func TestFlagValidation(t *testing.T) {
 			t.Fatalf("error %v, want substring %q", err, want)
 		}
 	}
-	bad(func(o *options) { o.format = "json" }, "valid: text, csv")
-	bad(func(o *options) { o.op = "refresh" }, "valid: activation, maj, copy")
-	bad(func(o *options) { o.envelope = "pattern" }, "unknown envelope axis")
-	bad(func(o *options) { o.envelope = ""; o.grid = "galactic" }, "unknown grid")
-	bad(func(o *options) { o.envelope = ""; o.axes = "t9=1" }, "unknown axis")
-	bad(func(o *options) { o.modules = "samsung" }, "valid: representative, full")
+	bad(func(o *scenario.Options) { o.Format = "json" }, "valid: text, csv")
+	bad(func(o *scenario.Options) { o.Op = "refresh" }, "valid: activation, maj, copy")
+	bad(func(o *scenario.Options) { o.Envelope = "pattern" }, "unknown envelope axis")
+	bad(func(o *scenario.Options) { o.Envelope = ""; o.Grid = "galactic" }, "unknown grid")
+	bad(func(o *scenario.Options) { o.Envelope = ""; o.Axes = "t9=1" }, "unknown axis")
+	bad(func(o *scenario.Options) { o.Modules = "samsung" }, "valid: representative, full")
 }
 
 // TestScanModes smoke-runs the remaining mode combinations.
 func TestScanModes(t *testing.T) {
 	// MAJ grid over patterns.
 	o := envelopeOpts(0)
-	o.envelope = ""
-	o.op = "maj"
-	o.x = 3
-	o.grid = "pattern"
+	o.Envelope = ""
+	o.Op = "maj"
+	o.X = 3
+	o.Grid = "pattern"
 	var buf bytes.Buffer
 	if _, err := run(&buf, o); err != nil {
 		t.Fatal(err)
@@ -201,8 +202,8 @@ func TestScanModes(t *testing.T) {
 	}
 	// Aging envelope.
 	o = envelopeOpts(0)
-	o.envelope = "aging"
-	o.target = 0.5
+	o.Envelope = "aging"
+	o.Target = 0.5
 	buf.Reset()
 	if _, err := run(&buf, o); err != nil {
 		t.Fatal(err)
@@ -210,4 +211,15 @@ func TestScanModes(t *testing.T) {
 	if !strings.Contains(buf.String(), "aging boundary") {
 		t.Fatalf("aging envelope output malformed:\n%s", buf.String())
 	}
+}
+
+// TestFlagsGolden pins the -h flag surface bound from scenario.Options:
+// every flag name, type, usage and default, byte for byte.
+func TestFlagsGolden(t *testing.T) {
+	fs := flag.NewFlagSet("simra-scan", flag.ContinueOnError)
+	flags(fs)
+	var b strings.Builder
+	fs.SetOutput(&b)
+	fs.PrintDefaults()
+	goldenfile.Check(t, "testdata", "flags.golden", b.String())
 }

@@ -15,19 +15,23 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/trng"
 )
 
+// flags binds simra-trng's flag surface — the TRNG family's Options and
+// the CLI-only -raw — to fs and returns what parsing fills.
+func flags(fs *flag.FlagSet) (*trng.Options, *bool) {
+	opts := &trng.Options{Bytes: 32, Seed: 0x7e57, Rows: 32}
+	cli.Bind(fs, opts)
+	return opts, fs.Bool("raw", false, "write raw bytes to stdout instead of hex")
+}
+
 func main() {
-	var (
-		nBytes = flag.Int("bytes", 32, "number of random bytes to emit")
-		raw    = flag.Bool("raw", false, "write raw bytes to stdout instead of hex")
-		seed   = flag.Uint64("seed", 0x7e57, "module process-variation seed")
-		rows   = flag.Int("rows", 32, "activation group size (2-32, power of two)")
-	)
+	opts, raw := flags(flag.CommandLine)
 	flag.Parse()
 
-	if err := run(os.Stdout, *nBytes, *raw, *seed, *rows); err != nil {
+	if err := run(os.Stdout, *opts, *raw); err != nil {
 		fmt.Fprintln(os.Stderr, "simra-trng:", err)
 		os.Exit(1)
 	}
@@ -36,8 +40,8 @@ func main() {
 // run emits the bytes through the shared generation loop (trng.Generate),
 // the same path the serving layer's TRNG endpoint uses. Output on w is
 // deterministic for a given (seed, rows) pair.
-func run(w io.Writer, nBytes int, raw bool, seed uint64, rows int) error {
-	out, err := trng.Generate(trng.Options{Bytes: nBytes, Seed: seed, Rows: rows})
+func run(w io.Writer, opts trng.Options, raw bool) error {
+	out, err := trng.Generate(opts)
 	if err != nil {
 		return err
 	}

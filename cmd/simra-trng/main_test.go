@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"strings"
 	"testing"
 
 	"repro/internal/goldenfile"
+	"repro/internal/trng"
 )
 
 // TestGoldenHexDump pins the CLI's hex output for a fixed seed: the same
@@ -12,7 +15,7 @@ import (
 // stream the serving layer returns for an identical TRNG request.
 func TestGoldenHexDump(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, 64, false, 2024, 32); err != nil {
+	if err := run(&buf, trng.Options{Bytes: 64, Seed: 2024, Rows: 32}, false); err != nil {
 		t.Fatal(err)
 	}
 	goldenfile.Check(t, "testdata", "simra-trng.golden", buf.String())
@@ -21,14 +24,14 @@ func TestGoldenHexDump(t *testing.T) {
 // TestRawMatchesHex asserts -raw emits the same underlying byte stream.
 func TestRawMatchesHex(t *testing.T) {
 	var raw bytes.Buffer
-	if err := run(&raw, 16, true, 7, 16); err != nil {
+	if err := run(&raw, trng.Options{Bytes: 16, Seed: 7, Rows: 16}, true); err != nil {
 		t.Fatal(err)
 	}
 	if raw.Len() != 16 {
 		t.Fatalf("raw output is %d bytes; want 16", raw.Len())
 	}
 	var again bytes.Buffer
-	if err := run(&again, 16, true, 7, 16); err != nil {
+	if err := run(&again, trng.Options{Bytes: 16, Seed: 7, Rows: 16}, true); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(raw.Bytes(), again.Bytes()) {
@@ -37,10 +40,21 @@ func TestRawMatchesHex(t *testing.T) {
 }
 
 func TestInvalidOptions(t *testing.T) {
-	if err := run(&bytes.Buffer{}, -1, false, 1, 32); err == nil {
+	if err := run(&bytes.Buffer{}, trng.Options{Bytes: -1, Seed: 1, Rows: 32}, false); err == nil {
 		t.Fatal("negative byte count accepted")
 	}
-	if err := run(&bytes.Buffer{}, 8, false, 1, 3); err == nil {
+	if err := run(&bytes.Buffer{}, trng.Options{Bytes: 8, Seed: 1, Rows: 3}, false); err == nil {
 		t.Fatal("non-power-of-two group size accepted")
 	}
+}
+
+// TestFlagsGolden pins the -h flag surface bound from trng.Options plus
+// -raw: every flag name, type, usage and default, byte for byte.
+func TestFlagsGolden(t *testing.T) {
+	fs := flag.NewFlagSet("simra-trng", flag.ContinueOnError)
+	flags(fs)
+	var b strings.Builder
+	fs.SetOutput(&b)
+	fs.PrintDefaults()
+	goldenfile.Check(t, "testdata", "flags.golden", b.String())
 }

@@ -24,35 +24,23 @@ import (
 
 	simra "repro"
 	"repro/internal/charexp"
+	"repro/internal/cli"
 )
 
-// options carries the parsed flags.
-type options struct {
-	workload string
-	modules  string
-	workers  int
-	maxX     int
-	cols     int
-	seed     uint64
-	format   string
+// flags binds simra-work's flag surface, the workload family's Options,
+// to fs and returns the options that parsing fills.
+func flags(fs *flag.FlagSet) *simra.WorkloadOptions {
+	opts := &simra.WorkloadOptions{Workloads: "all", Modules: "representative", Columns: 512, Format: charexp.FormatText}
+	cli.Bind(fs, opts)
+	return opts
 }
 
 func main() {
-	var opts options
-	flag.StringVar(&opts.workload, "workload", "all",
-		"workload to run: all or a registered name (comma-separated for several)")
-	flag.StringVar(&opts.modules, "modules", "representative",
-		"module population: representative, full, samsung, or all")
-	flag.IntVar(&opts.workers, "workers", 0,
-		"parallel module shards (0 = GOMAXPROCS, 1 = sequential; results are identical)")
-	flag.IntVar(&opts.maxX, "maxx", 0, "majority-width cap (0 = default)")
-	flag.IntVar(&opts.cols, "cols", 512, "simulated columns (SIMD lanes) per subarray")
-	flag.Uint64Var(&opts.seed, "seed", 0, "experiment seed (0 = default)")
-	flag.StringVar(&opts.format, "format", charexp.FormatText, "output format: text, csv, or columnar")
+	opts := flags(flag.CommandLine)
 	flag.Parse()
 
 	start := time.Now()
-	if err := run(os.Stdout, opts); err != nil {
+	if err := run(os.Stdout, *opts); err != nil {
 		fmt.Fprintln(os.Stderr, "simra-work:", err)
 		os.Exit(1)
 	}
@@ -63,18 +51,11 @@ func main() {
 // shared resolution/rendering path (internal/workload.Options), so the
 // output bytes are the same contract simra-serve serves. All output on w
 // is deterministic; timing goes to stderr in main.
-func run(w io.Writer, opts options) error {
-	if err := charexp.CheckFormat(opts.format); err != nil {
+func run(w io.Writer, opts simra.WorkloadOptions) error {
+	if err := charexp.CheckFormat(opts.Format); err != nil {
 		return err
 	}
-	cfg, err := simra.ResolveWorkloads(simra.WorkloadOptions{
-		Workloads: opts.workload,
-		Modules:   opts.modules,
-		Workers:   opts.workers,
-		MaxX:      opts.maxX,
-		Columns:   opts.cols,
-		Seed:      opts.seed,
-	})
+	cfg, err := simra.ResolveWorkloads(opts)
 	if err != nil {
 		return err
 	}
@@ -82,5 +63,5 @@ func run(w io.Writer, opts options) error {
 	if err != nil {
 		return err
 	}
-	return simra.WriteWorkloadReport(w, results, opts.format)
+	return simra.WriteWorkloadReport(w, results, opts.Format)
 }

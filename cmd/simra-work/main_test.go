@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"strings"
 	"testing"
@@ -15,13 +16,13 @@ import (
 // goldenOpts is the fixed CLI configuration behind the committed golden:
 // all registered workloads across the representative Table-2 fleet plus
 // the Samsung controls, on 256-column slices.
-func goldenOpts(workers int) options {
-	return options{
-		workload: "all",
-		modules:  "all",
-		workers:  workers,
-		cols:     256,
-		format:   "text",
+func goldenOpts(workers int) workload.Options {
+	return workload.Options{
+		Workloads: "all",
+		Modules:   "all",
+		Workers:   workers,
+		Columns:   256,
+		Format:    "text",
 	}
 }
 
@@ -51,7 +52,7 @@ func TestGoldenOutputWorkerInvariant(t *testing.T) {
 func TestGoldenCSVWorkerInvariant(t *testing.T) {
 	render := func(workers int) string {
 		opts := goldenOpts(workers)
-		opts.format = "csv"
+		opts.Format = "csv"
 		var buf bytes.Buffer
 		if err := run(&buf, opts); err != nil {
 			t.Fatal(err)
@@ -68,10 +69,10 @@ func TestGoldenCSVWorkerInvariant(t *testing.T) {
 // TestWorkloadSelection exercises the -workload and -format flags.
 func TestWorkloadSelection(t *testing.T) {
 	opts := goldenOpts(0)
-	opts.modules = "representative"
-	opts.workload = "bitmap-scan"
-	opts.format = "csv"
-	opts.cols = 128
+	opts.Modules = "representative"
+	opts.Workloads = "bitmap-scan"
+	opts.Format = "csv"
+	opts.Columns = 128
 	var buf bytes.Buffer
 	if err := run(&buf, opts); err != nil {
 		t.Fatal(err)
@@ -84,17 +85,17 @@ func TestWorkloadSelection(t *testing.T) {
 		t.Fatalf("CSV output contains unselected workload:\n%s", out)
 	}
 
-	opts.workload = "no-such"
+	opts.Workloads = "no-such"
 	if err := run(&bytes.Buffer{}, opts); err == nil {
 		t.Fatal("unknown workload must fail")
 	}
-	opts.workload = "all"
-	opts.modules = "bogus"
+	opts.Workloads = "all"
+	opts.Modules = "bogus"
 	if err := run(&bytes.Buffer{}, opts); err == nil {
 		t.Fatal("unknown module population must fail")
 	}
-	opts.modules = "representative"
-	opts.format = "json"
+	opts.Modules = "representative"
+	opts.Format = "json"
 	if err := run(&bytes.Buffer{}, opts); err == nil {
 		t.Fatal("unknown format must fail")
 	}
@@ -107,7 +108,7 @@ func TestWorkloadSelection(t *testing.T) {
 func TestGoldenColumnarWorkerInvariant(t *testing.T) {
 	render := func(workers int) string {
 		opts := goldenOpts(workers)
-		opts.format = "columnar"
+		opts.Format = "columnar"
 		var buf bytes.Buffer
 		if err := run(&buf, opts); err != nil {
 			t.Fatal(err)
@@ -137,4 +138,15 @@ func TestGoldenColumnarWorkerInvariant(t *testing.T) {
 			t.Fatalf("decoded columnar table printed as %s drifted from %s", format, golden)
 		}
 	}
+}
+
+// TestFlagsGolden pins the -h flag surface bound from workload.Options:
+// every flag name, type, usage and default, byte for byte.
+func TestFlagsGolden(t *testing.T) {
+	fs := flag.NewFlagSet("simra-work", flag.ContinueOnError)
+	flags(fs)
+	var b strings.Builder
+	fs.SetOutput(&b)
+	fs.PrintDefaults()
+	goldenfile.Check(t, "testdata", "flags.golden", b.String())
 }

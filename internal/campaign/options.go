@@ -10,27 +10,32 @@ import (
 	"repro/internal/workload"
 )
 
-// Options mirrors the cmd/simra-campaign CLI surface and the serving
-// layer's campaign-request parameters. Resolving options to a Config here
-// — rather than in each front end — is what makes a served campaign
-// response byte-identical to the CLI's output for the same parameters.
+// Options is the one declaration of the campaign family's parameters:
+// the json tags are the serving layer's request fields, the flag and
+// usage tags are cmd/simra-campaign's flags. Resolving options to a
+// Config here — rather than in each front end — is what makes a served
+// campaign response byte-identical to the CLI's output for the same
+// parameters.
 type Options struct {
 	// Workload is the target workload's name (default "bitmap-scan").
-	Workload string
+	Workload string `json:"workload,omitempty" flag:"workload" usage:"target workload the mix is designed for"`
 	// FleetSize is the number of modules per candidate mix (0 =
 	// DefaultFleetSize; at most MaxFleetSize).
-	FleetSize int
+	FleetSize int `json:"size,omitempty" flag:"size" usage:"modules per candidate mix (0 = 3)"`
 	// Top bounds the ranked candidates in the report (0 = DefaultTop).
-	Top int
+	Top int `json:"top,omitempty" flag:"top" usage:"ranked candidates to report (0 = 10)"`
 	// Workers bounds the engine parallelism (0 = GOMAXPROCS). It never
-	// affects result bytes.
-	Workers int
+	// affects result bytes, so it is not a request field.
+	Workers int `json:"-" flag:"workers" usage:"parallel shards (0 = GOMAXPROCS, 1 = sequential; results are identical)"`
 	// MaxX caps the majority width (0 = default).
-	MaxX int
+	MaxX int `json:"maxx,omitempty" flag:"maxx" usage:"majority-width cap (0 = default)"`
 	// Columns is the simulated subarray slice width (0 = 512).
-	Columns int
+	Columns int `json:"cols,omitempty" flag:"cols" usage:"simulated columns (SIMD lanes) per subarray (0 = 512)"`
 	// Seed overrides the experiment seed (0 = default).
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty" flag:"seed" usage:"experiment seed (0 = default)"`
+	// Format is the report format: "text" (default), "csv" or "columnar".
+	// Resolve ignores it; WriteReport takes it.
+	Format string `json:"format,omitempty" flag:"format" usage:"output format: text, csv, or columnar"`
 }
 
 // workloadList renders the registered workload names for error messages

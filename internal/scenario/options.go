@@ -14,42 +14,49 @@ import (
 	"repro/internal/timing"
 )
 
-// Options mirrors the cmd/simra-scan CLI surface and the serving layer's
-// scenario-request parameters. Resolving options to a Config here — and
-// rendering through WriteReport — is what makes a served /v1/scenario
-// response byte-identical to the CLI's stdout for the same parameters.
+// Options is the one declaration of the scenario family's parameters:
+// the json tags are the serving layer's request fields, the flag and
+// usage tags are cmd/simra-scan's flags. Resolving options to a Config
+// here — and rendering through WriteReport — is what makes a served
+// /v1/scenario response byte-identical to the CLI's stdout for the same
+// parameters.
 type Options struct {
 	// Op is the operation family: "activation" (default), "maj" or "copy".
-	Op string
+	Op string `json:"op,omitempty" flag:"op" usage:"operation family: activation, maj, or copy"`
 	// Grid names a preset axis matrix: "nominal", "timing" (default),
 	// "thermal", "voltage", "pattern", "aging", "mitigation" or "full".
-	Grid string
+	Grid string `json:"grid,omitempty" flag:"grid" usage:"preset axis grid: nominal, timing, thermal, voltage, pattern, aging, or full"`
 	// Axes overrides preset axes: a ';'-separated list of
 	// "axis=v1,v2,..." entries, e.g. "t2=1.5,3;temp=50,90;pattern=random,all0"
 	// or "mitigation=none,tmr:3,ecc:2". Valid axes: t1, t2, temp, vpp,
 	// aging, disturb, retention, n, x, pattern, mitigation.
-	Axes string
+	Axes string `json:"axes,omitempty" flag:"axes" usage:"axis overrides, e.g. \"t2=1.5,3;temp=50,90;pattern=random,all0\""`
 	// Envelope switches to adaptive envelope search on the named axis
 	// ("t1", "t2", "temp", "vpp", "aging", "disturb" or "retention";
-	// "" = grid scan).
-	Envelope string
+	// "" = grid scan). Its flag usage ends in EnvelopeAxes, which the CLI
+	// appends.
+	Envelope string `json:"envelope,omitempty" flag:"envelope" usage:"adaptive envelope search on this axis"`
 	// Target is the envelope success threshold in (0, 1] (0 = 0.9).
-	Target float64
+	Target float64 `json:"target,omitempty" flag:"target" usage:"envelope success threshold in (0,1] (0 = 0.9; envelope mode only)"`
 	// Modules selects the population: "representative" (default) or "full".
-	Modules string
+	Modules string `json:"modules,omitempty" flag:"modules" usage:"module population: representative or full"`
 	// X and N fix the majority width and activation row count when the
 	// corresponding axis is not swept (0 = defaults 3 and 32).
-	X, N int
+	X int `json:"x,omitempty" flag:"x" usage:"majority width when the x axis is not swept (0 = 3; op=maj only)"`
+	N int `json:"n,omitempty" flag:"n" usage:"activated rows when the n axis is not swept (0 = 32)"`
 	// Trials, Groups, Banks, Columns and Seed override the reduced-scale
 	// defaults (0 = default).
-	Trials  int
-	Groups  int
-	Banks   int
-	Columns int
-	Seed    uint64
+	Trials  int    `json:"trials,omitempty" flag:"trials" usage:"trials per row group (0 = default)"`
+	Groups  int    `json:"groups,omitempty" flag:"groups" usage:"row groups per subarray (0 = default)"`
+	Banks   int    `json:"banks,omitempty" flag:"banks" usage:"banks sampled per module (0 = default)"`
+	Columns int    `json:"cols,omitempty" flag:"cols" usage:"simulated columns per subarray (0 = default)"`
+	Seed    uint64 `json:"seed,omitempty" flag:"seed" usage:"experiment seed (0 = default)"`
 	// Workers bounds the engine parallelism (0 = GOMAXPROCS). It never
-	// affects result bytes.
-	Workers int
+	// affects result bytes, so it is not a request field.
+	Workers int `json:"-" flag:"workers" usage:"parallel shards (0 = GOMAXPROCS, 1 = sequential; results are identical)"`
+	// Format is the report format: "text" (default), "csv" or "columnar".
+	// Resolve ignores it; WriteReport takes it.
+	Format string `json:"format,omitempty" flag:"format" usage:"output format: text, csv, or columnar"`
 }
 
 // patternsByName maps CLI/API pattern tokens onto dram patterns.

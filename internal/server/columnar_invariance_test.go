@@ -74,7 +74,7 @@ func TestColumnarInvariance(t *testing.T) {
 		}
 		cli := invariance.Path{Name: "cli", Run: func(t *testing.T, v invariance.Variant) string {
 			t.Helper()
-			cfg := q.config()
+			cfg := charexp.Options(q).Config()
 			cfg.Engine.Workers = v.Workers
 			if v.Store != nil {
 				cfg.ShardMemo = cache.NewTyped[[]core.GroupOutcome](v.Store, nil)
@@ -106,7 +106,7 @@ func TestColumnarInvariance(t *testing.T) {
 		}
 		cli := invariance.Path{Name: "cli", Run: func(t *testing.T, v invariance.Variant) string {
 			t.Helper()
-			cfg, err := q.options().Resolve()
+			cfg, err := workload.Options(q).Resolve()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func TestColumnarInvariance(t *testing.T) {
 		}
 		cli := invariance.Path{Name: "cli", Run: func(t *testing.T, v invariance.Variant) string {
 			t.Helper()
-			cfg, err := q.options().Resolve()
+			cfg, err := scenario.Options(q).Resolve()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,7 +175,7 @@ func TestColumnarInvariance(t *testing.T) {
 		}
 		cli := invariance.Path{Name: "cli", Run: func(t *testing.T, v invariance.Variant) string {
 			t.Helper()
-			cfg, err := q.options().Resolve()
+			cfg, err := campaign.Options(q).Resolve()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,7 +210,7 @@ func TestColumnarInvariance(t *testing.T) {
 		}
 		cli := invariance.Path{Name: "cli", Run: func(t *testing.T, v invariance.Variant) string {
 			t.Helper()
-			cfg, err := q.options().Resolve()
+			cfg, err := scenario.Options(q).Resolve()
 			if err != nil {
 				t.Fatal(err)
 			}

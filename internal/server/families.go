@@ -205,7 +205,7 @@ func render[R any](write func(io.Writer, R, string) error, res R, format string)
 
 // sweepExec runs the sweep pipeline for one normalized request.
 func (s *Server) sweepExec(ctx context.Context, q SweepRequest, st *engine.Stats, pool dram.ModulePool) (string, error) {
-	cfg := q.config()
+	cfg := charexp.Options(q).Config()
 	cfg.Engine.Workers = s.cfg.Workers
 	cfg.ShardMemo = s.sweepMemo
 	cfg.Dispatch = s.dispatch(ctx)
@@ -221,7 +221,7 @@ func (s *Server) sweepExec(ctx context.Context, q SweepRequest, st *engine.Stats
 
 // workloadExec runs the workload pipeline for one normalized request.
 func (s *Server) workloadExec(ctx context.Context, q WorkloadRequest, st *engine.Stats, pool dram.ModulePool) (string, error) {
-	cfg, err := q.options().Resolve()
+	cfg, err := workload.Options(q).Resolve()
 	if err != nil {
 		return "", err
 	}
@@ -241,7 +241,7 @@ func (s *Server) workloadExec(ctx context.Context, q WorkloadRequest, st *engine
 // generator runs on a private throwaway module, so the warmpool and
 // progress hooks don't apply.
 func (s *Server) trngExec(_ context.Context, q TRNGRequest, _ *engine.Stats, _ dram.ModulePool) (string, error) {
-	out, err := trng.Generate(q.options())
+	out, err := trng.Generate(trng.Options(q))
 	if err != nil {
 		return "", err
 	}
@@ -253,7 +253,7 @@ func (s *Server) trngExec(_ context.Context, q TRNGRequest, _ *engine.Stats, _ d
 // []core.GroupOutcome under distinct key families), so an envelope search
 // warms later grid scans and vice versa.
 func (s *Server) scenarioExec(ctx context.Context, q ScenarioRequest, st *engine.Stats, pool dram.ModulePool) (string, error) {
-	cfg, err := q.options().Resolve()
+	cfg, err := scenario.Options(q).Resolve()
 	if err != nil {
 		return "", err
 	}
@@ -274,7 +274,7 @@ func (s *Server) scenarioExec(ctx context.Context, q ScenarioRequest, st *engine
 // campaign warms workload requests and vice versa); phase-2 candidate
 // evaluations memoize under campaignMemo.
 func (s *Server) campaignExec(ctx context.Context, q CampaignRequest, st *engine.Stats, pool dram.ModulePool) (string, error) {
-	cfg, err := q.options().Resolve()
+	cfg, err := campaign.Options(q).Resolve()
 	if err != nil {
 		return "", err
 	}

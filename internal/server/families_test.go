@@ -200,3 +200,35 @@ func FuzzJobEnvelope(f *testing.F) {
 		}
 	})
 }
+
+// TestWorkersNotAWireField pins that the engine worker count, a field of
+// every simulating family's Options, is not a request parameter: a body
+// that sends "workers" is refused by the strict decoder on the blocking
+// route, as a batch item and as a job payload, and nothing runs.
+func TestWorkersNotAWireField(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	tested := 0
+	for _, f := range families {
+		if _, ok := f.request.FieldByName("Workers"); !ok {
+			continue
+		}
+		tested++
+		payload := `{"workers":2}`
+		for route, body := range map[string]string{
+			"/v1/" + f.kind: payload,
+			"/v1/batch":     `{"requests":[{"kind":"` + f.kind + `","` + f.kind + `":` + payload + `}]}`,
+			"/v1/jobs":      `{"kind":"` + f.kind + `","` + f.kind + `":` + payload + `}`,
+		} {
+			code, out := postJSON(t, ts.URL+route, body)
+			if code != http.StatusBadRequest || !strings.Contains(decodeEnvelope(t, out).Message, `unknown field "workers"`) {
+				t.Errorf("POST %s %s: %d %s, want 400 naming the unknown field", route, body, code, out)
+			}
+		}
+		if n := s.Executions(f.kind); n != 0 {
+			t.Errorf("%s: %d executions after refused requests", f.kind, n)
+		}
+	}
+	if tested != 4 {
+		t.Fatalf("%d families carry Workers, want 4 (sweep, workload, scenario, campaign)", tested)
+	}
+}

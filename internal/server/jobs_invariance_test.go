@@ -87,7 +87,7 @@ func TestJobBlockingCLIEquivalence(t *testing.T) {
 		}
 		cli := invariance.Path{Name: "cli", Run: func(t *testing.T, v invariance.Variant) string {
 			t.Helper()
-			cfg := q.config()
+			cfg := charexp.Options(q).Config()
 			cfg.Engine.Workers = v.Workers
 			if v.Store != nil {
 				cfg.ShardMemo = cache.NewTyped[[]core.GroupOutcome](v.Store, nil)
@@ -117,7 +117,7 @@ func TestJobBlockingCLIEquivalence(t *testing.T) {
 		}
 		cli := invariance.Path{Name: "cli", Run: func(t *testing.T, v invariance.Variant) string {
 			t.Helper()
-			cfg, err := q.options().Resolve()
+			cfg, err := workload.Options(q).Resolve()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +149,7 @@ func TestJobBlockingCLIEquivalence(t *testing.T) {
 		}
 		cli := invariance.Path{Name: "cli", Run: func(t *testing.T, v invariance.Variant) string {
 			t.Helper()
-			out, err := trng.Generate(q.options())
+			out, err := trng.Generate(trng.Options(q))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +169,7 @@ func TestJobBlockingCLIEquivalence(t *testing.T) {
 		}
 		cli := invariance.Path{Name: "cli", Run: func(t *testing.T, v invariance.Variant) string {
 			t.Helper()
-			cfg, err := q.options().Resolve()
+			cfg, err := scenario.Options(q).Resolve()
 			if err != nil {
 				t.Fatal(err)
 			}

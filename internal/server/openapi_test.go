@@ -34,11 +34,18 @@ func TestOpenAPIDocument(t *testing.T) {
 	if doc.OpenAPI == "" || doc.Info.Version != Version().APIRevision {
 		t.Fatalf("spec header: openapi=%q version=%q", doc.OpenAPI, doc.Info.Version)
 	}
+	// Every families row has its blocking route, advertising the columnar
+	// media type exactly when the row serves it; the fixed routes follow.
+	for _, f := range families {
+		op, ok := doc.Paths["/v1/"+f.kind]["post"]
+		if !ok {
+			t.Errorf("spec is missing post /v1/%s", f.kind)
+		}
+		if got := strings.Contains(string(op), ColumnarContentType); got != f.columnar {
+			t.Errorf("/v1/%s advertises the columnar media type: %v, want %v", f.kind, got, f.columnar)
+		}
+	}
 	for path, verb := range map[string]string{
-		"/v1/sweep":            "post",
-		"/v1/workload":         "post",
-		"/v1/trng":             "post",
-		"/v1/scenario":         "post",
 		"/v1/batch":            "post",
 		"/v1/jobs":             "post",
 		"/v1/jobs/{id}":        "get",
@@ -58,11 +65,8 @@ func TestOpenAPIDocument(t *testing.T) {
 			t.Errorf("fleet-internal route %s leaked into the public spec", path)
 		}
 	}
-	for _, path := range []string{"/v1/sweep", "/v1/workload", "/v1/scenario", "/v1/jobs/{id}/result"} {
-		if !strings.Contains(string(doc.Paths[path]["post"])+string(doc.Paths[path]["get"]),
-			ColumnarContentType) {
-			t.Errorf("%s does not advertise the columnar media type", path)
-		}
+	if !strings.Contains(string(doc.Paths["/v1/jobs/{id}/result"]["get"]), ColumnarContentType) {
+		t.Error("/v1/jobs/{id}/result does not advertise the columnar media type")
 	}
 
 	// The spec serves live at GET /v1/openapi.json, byte-identical.

@@ -6,36 +6,23 @@ import (
 	"repro/internal/cache"
 	"repro/internal/campaign"
 	"repro/internal/charexp"
-	"repro/internal/fleet"
 	"repro/internal/scenario"
 	"repro/internal/trng"
 	"repro/internal/workload"
 )
 
-// SweepRequest asks for one characterization figure/table, with the same
-// parameter surface as cmd/simra-char. The engine worker count is a
-// server-level setting, not a request parameter: results are
-// bit-identical for every worker count, so exposing it would only
-// fragment the cache.
-type SweepRequest struct {
-	// Figure is a charexp figure/table id ("3", "4a", …, "table1", "14",
-	// "modules"); default "3".
-	Figure string `json:"figure"`
-	// Full selects the full 18-module Table-2 fleet instead of the
-	// representative subset.
-	Full bool `json:"full,omitempty"`
-	// Trials, Groups, Banks, Columns and Seed override the reduced-scale
-	// defaults (0 = default), exactly as the CLI flags do.
-	Trials  int    `json:"trials,omitempty"`
-	Groups  int    `json:"groups,omitempty"`
-	Banks   int    `json:"banks,omitempty"`
-	Columns int    `json:"cols,omitempty"`
-	Seed    uint64 `json:"seed,omitempty"`
-	// Sets bounds the Fig. 15 Monte-Carlo sampling (0 = 200).
-	Sets int `json:"sets,omitempty"`
-	// Format is "text" (default), "csv" or "columnar".
-	Format string `json:"format,omitempty"`
-}
+// The request types are defined types over each family's Options, the
+// one declaration of its parameters: its json tags are the wire fields
+// and its flag tags the family CLI's flags. Workers is tagged json:"-"
+// and so is no wire field: results are bit-identical for every worker
+// count, so exposing it would only fragment the cache, and the engine
+// worker count is a server-level setting. normalize fills defaults and
+// validates (the 422 contract); key hashes the normalized request into
+// its whole-response cache address.
+
+// SweepRequest asks for one characterization figure/table (see
+// charexp.Options); Figure defaults to "3".
+type SweepRequest charexp.Options
 
 // normalizeFormat defaults an empty render format to text and checks
 // it against the render formats every tabular family serves.
@@ -68,35 +55,6 @@ func (q SweepRequest) normalize() (SweepRequest, error) {
 	return q, nil
 }
 
-// config builds the charexp configuration exactly as cmd/simra-char does
-// for the same parameters, so the rendered bytes match the CLI's.
-func (q SweepRequest) config() charexp.Config {
-	cfg := charexp.DefaultConfig()
-	fleetCfg := fleet.DefaultConfig()
-	fleetCfg.Columns = 512
-	if q.Columns > 0 {
-		fleetCfg.Columns = q.Columns
-	}
-	if q.Full {
-		cfg.Fleet = fleet.Modules(fleetCfg)
-	} else {
-		cfg.Fleet = fleet.Representative(fleetCfg)
-	}
-	if q.Trials > 0 {
-		cfg.Trials = q.Trials
-	}
-	if q.Groups > 0 {
-		cfg.GroupsPerSubarray = q.Groups
-	}
-	if q.Banks > 0 {
-		cfg.Banks = q.Banks
-	}
-	if q.Seed != 0 {
-		cfg.Seed = q.Seed
-	}
-	return cfg
-}
-
 // key is the normalized request's content hash: the whole-response cache
 // address.
 func (q SweepRequest) key() cache.Key {
@@ -108,20 +66,9 @@ func (q SweepRequest) key() cache.Key {
 		Sum()
 }
 
-// WorkloadRequest asks for a fleet-wide workload run, with the same
-// parameter surface as cmd/simra-work (minus -workers; see SweepRequest).
-type WorkloadRequest struct {
-	// Workloads is "all" (default) or a comma-separated list of names.
-	Workloads string `json:"workloads,omitempty"`
-	// Modules is "representative" (default), "full", "samsung" or "all".
-	Modules string `json:"modules,omitempty"`
-	// MaxX, Columns and Seed override the defaults (0 = default).
-	MaxX    int    `json:"maxx,omitempty"`
-	Columns int    `json:"cols,omitempty"`
-	Seed    uint64 `json:"seed,omitempty"`
-	// Format is "text" (default), "csv" or "columnar".
-	Format string `json:"format,omitempty"`
-}
+// WorkloadRequest asks for a fleet-wide workload run (see
+// workload.Options).
+type WorkloadRequest workload.Options
 
 // normalize fills defaults and validates the request by resolving it.
 func (q WorkloadRequest) normalize() (WorkloadRequest, error) {
@@ -134,21 +81,10 @@ func (q WorkloadRequest) normalize() (WorkloadRequest, error) {
 	if err := normalizeFormat(&q.Format); err != nil {
 		return q, err
 	}
-	if _, err := q.options().Resolve(); err != nil {
+	if _, err := workload.Options(q).Resolve(); err != nil {
 		return q, err
 	}
 	return q, nil
-}
-
-// options maps the request onto the shared CLI resolution.
-func (q WorkloadRequest) options() workload.Options {
-	return workload.Options{
-		Workloads: q.Workloads,
-		Modules:   q.Modules,
-		MaxX:      q.MaxX,
-		Columns:   q.Columns,
-		Seed:      q.Seed,
-	}
 }
 
 // key is the normalized request's content hash.
@@ -161,17 +97,9 @@ func (q WorkloadRequest) key() cache.Key {
 }
 
 // TRNGRequest asks for health-screened random bytes from the simulated
-// TRNG, with the same parameter surface as cmd/simra-trng. The response
-// is the deterministic hex dump for the requested (seed, rows) stream.
-type TRNGRequest struct {
-	// Bytes is the number of random bytes (default 32, max 1 MiB).
-	Bytes int `json:"bytes,omitempty"`
-	// Seed is the module's process-variation seed (default 0x7e57).
-	Seed uint64 `json:"seed,omitempty"`
-	// Rows is the activation group size, a power of two in [2, 32]
-	// (default 32).
-	Rows int `json:"rows,omitempty"`
-}
+// TRNG (see trng.Options). The response is the deterministic hex dump
+// for the requested (seed, rows) stream.
+type TRNGRequest trng.Options
 
 // normalize fills defaults and validates bounds.
 func (q TRNGRequest) normalize() (TRNGRequest, error) {
@@ -193,11 +121,6 @@ func (q TRNGRequest) normalize() (TRNGRequest, error) {
 	return q, nil
 }
 
-// options maps the request onto the shared generation loop.
-func (q TRNGRequest) options() trng.Options {
-	return trng.Options{Bytes: q.Bytes, Seed: q.Seed, Rows: q.Rows}
-}
-
 // key is the normalized request's content hash.
 func (q TRNGRequest) key() cache.Key {
 	return cache.NewHasher().
@@ -207,35 +130,10 @@ func (q TRNGRequest) key() cache.Key {
 }
 
 // ScenarioRequest asks for an operating-envelope scenario run — a grid
-// scan or an adaptive envelope search — with the same parameter surface
-// as cmd/simra-scan (minus -workers; see SweepRequest). The response is
-// byte-identical to the CLI's stdout for the same parameters.
-type ScenarioRequest struct {
-	// Op is the operation family: "activation" (default), "maj" or "copy".
-	Op string `json:"op,omitempty"`
-	// Grid names a preset axis matrix ("nominal", "timing" — the default —
-	// "thermal", "voltage", "pattern", "aging", "full").
-	Grid string `json:"grid,omitempty"`
-	// Axes overrides preset axes, e.g. "t2=1.5,3;temp=50,90".
-	Axes string `json:"axes,omitempty"`
-	// Envelope selects adaptive envelope search on the named axis
-	// ("" = grid scan); Target is its success threshold (0 = 0.9).
-	Envelope string  `json:"envelope,omitempty"`
-	Target   float64 `json:"target,omitempty"`
-	// Modules is "representative" (default) or "full".
-	Modules string `json:"modules,omitempty"`
-	// X, N, Trials, Groups, Banks, Columns and Seed override the defaults
-	// (0 = default), exactly as the CLI flags do.
-	X       int    `json:"x,omitempty"`
-	N       int    `json:"n,omitempty"`
-	Trials  int    `json:"trials,omitempty"`
-	Groups  int    `json:"groups,omitempty"`
-	Banks   int    `json:"banks,omitempty"`
-	Columns int    `json:"cols,omitempty"`
-	Seed    uint64 `json:"seed,omitempty"`
-	// Format is "text" (default), "csv" or "columnar".
-	Format string `json:"format,omitempty"`
-}
+// scan or an adaptive envelope search (see scenario.Options). The
+// response is byte-identical to cmd/simra-scan's stdout for the same
+// parameters.
+type ScenarioRequest scenario.Options
 
 // normalize fills defaults and validates the request by resolving it.
 func (q ScenarioRequest) normalize() (ScenarioRequest, error) {
@@ -256,29 +154,10 @@ func (q ScenarioRequest) normalize() (ScenarioRequest, error) {
 		// {"envelope":"t2","target":0.9} share one cache entry.
 		q.Target = 0.9
 	}
-	if _, err := q.options().Resolve(); err != nil {
+	if _, err := scenario.Options(q).Resolve(); err != nil {
 		return q, err
 	}
 	return q, nil
-}
-
-// options maps the request onto the shared CLI resolution.
-func (q ScenarioRequest) options() scenario.Options {
-	return scenario.Options{
-		Op:       q.Op,
-		Grid:     q.Grid,
-		Axes:     q.Axes,
-		Envelope: q.Envelope,
-		Target:   q.Target,
-		Modules:  q.Modules,
-		X:        q.X,
-		N:        q.N,
-		Trials:   q.Trials,
-		Groups:   q.Groups,
-		Banks:    q.Banks,
-		Columns:  q.Columns,
-		Seed:     q.Seed,
-	}
 }
 
 // key is the normalized request's content hash.
@@ -295,23 +174,9 @@ func (q ScenarioRequest) key() cache.Key {
 
 // CampaignRequest asks for a fleet-design campaign — the ranked search
 // over Table-2 module mixes for the best reliable throughput per watt on
-// a target workload — with the same parameter surface as
-// cmd/simra-campaign (minus -workers; see SweepRequest). The response is
-// byte-identical to the CLI's stdout for the same parameters.
-type CampaignRequest struct {
-	// Workload is the target workload's name (default "bitmap-scan").
-	Workload string `json:"workload,omitempty"`
-	// FleetSize is the number of modules per candidate mix (0 = 3, max 6).
-	FleetSize int `json:"size,omitempty"`
-	// Top bounds the ranked candidates in the report (0 = 10).
-	Top int `json:"top,omitempty"`
-	// MaxX, Columns and Seed override the defaults (0 = default).
-	MaxX    int    `json:"maxx,omitempty"`
-	Columns int    `json:"cols,omitempty"`
-	Seed    uint64 `json:"seed,omitempty"`
-	// Format is "text" (default), "csv" or "columnar".
-	Format string `json:"format,omitempty"`
-}
+// a target workload (see campaign.Options). The response is
+// byte-identical to cmd/simra-campaign's stdout for the same parameters.
+type CampaignRequest campaign.Options
 
 // normalize fills defaults and validates the request by resolving it.
 func (q CampaignRequest) normalize() (CampaignRequest, error) {
@@ -321,22 +186,10 @@ func (q CampaignRequest) normalize() (CampaignRequest, error) {
 	if err := normalizeFormat(&q.Format); err != nil {
 		return q, err
 	}
-	if _, err := q.options().Resolve(); err != nil {
+	if _, err := campaign.Options(q).Resolve(); err != nil {
 		return q, err
 	}
 	return q, nil
-}
-
-// options maps the request onto the shared CLI resolution.
-func (q CampaignRequest) options() campaign.Options {
-	return campaign.Options{
-		Workload:  q.Workload,
-		FleetSize: q.FleetSize,
-		Top:       q.Top,
-		MaxX:      q.MaxX,
-		Columns:   q.Columns,
-		Seed:      q.Seed,
-	}
 }
 
 // key is the normalized request's content hash.

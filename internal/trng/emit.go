@@ -44,17 +44,19 @@ func Emit(g *Generator, n int) ([]byte, error) {
 	return out[:n], nil
 }
 
-// Options mirrors the cmd/simra-trng CLI surface and the serving layer's
-// TRNG-request parameters. Every value is taken literally — defaults live
-// in the CLI flags and the serving layer's request normalization, so an
-// explicit zero seed means seed zero, not "pick one for me".
+// Options is the one declaration of the TRNG family's parameters: the
+// json tags are the serving layer's request fields, the flag and usage
+// tags are cmd/simra-trng's flags. Every value is taken literally —
+// defaults live in the CLI's pre-filled flags and the serving layer's
+// request normalization, so an explicit zero seed means seed zero, not
+// "pick one for me".
 type Options struct {
 	// Bytes is the number of random bytes to emit, in (0, 1 MiB].
-	Bytes int
+	Bytes int `json:"bytes,omitempty" flag:"bytes" usage:"number of random bytes to emit"`
 	// Seed is the simulated module's process-variation seed.
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty" flag:"seed" usage:"module process-variation seed"`
 	// Rows is the activation group size, a power of two in [2, 32].
-	Rows int
+	Rows int `json:"rows,omitempty" flag:"rows" usage:"activation group size (2-32, power of two)"`
 }
 
 // Generate builds the simulated SK Hynix module behind the TRNG and emits

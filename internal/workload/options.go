@@ -9,26 +9,31 @@ import (
 	"repro/internal/fleet"
 )
 
-// Options mirrors the cmd/simra-work CLI surface and the serving layer's
-// workload-request parameters. Resolving options to a FleetConfig here —
-// rather than in each front end — is what makes a served workload
-// response byte-identical to the CLI's output for the same parameters.
+// Options is the one declaration of the workload family's parameters:
+// the json tags are the serving layer's request fields, the flag and
+// usage tags are cmd/simra-work's flags. Resolving options to a
+// FleetConfig here — rather than in each front end — is what makes a
+// served workload response byte-identical to the CLI's output for the
+// same parameters.
 type Options struct {
 	// Workloads selects what runs: "all" (or empty) for every registered
 	// workload, else a comma-separated list of names.
-	Workloads string
+	Workloads string `json:"workloads,omitempty" flag:"workload" usage:"workload to run: all or a registered name (comma-separated for several)"`
 	// Modules is the population: "representative" (default), "full",
 	// "samsung" or "all".
-	Modules string
+	Modules string `json:"modules,omitempty" flag:"modules" usage:"module population: representative, full, samsung, or all"`
 	// Workers bounds the engine parallelism (0 = GOMAXPROCS). It never
-	// affects result bytes.
-	Workers int
+	// affects result bytes, so it is not a request field.
+	Workers int `json:"-" flag:"workers" usage:"parallel module shards (0 = GOMAXPROCS, 1 = sequential; results are identical)"`
 	// MaxX caps the majority width (0 = default).
-	MaxX int
+	MaxX int `json:"maxx,omitempty" flag:"maxx" usage:"majority-width cap (0 = default)"`
 	// Columns is the simulated subarray slice width (0 = 512).
-	Columns int
+	Columns int `json:"cols,omitempty" flag:"cols" usage:"simulated columns (SIMD lanes) per subarray"`
 	// Seed overrides the experiment seed (0 = default).
-	Seed uint64
+	Seed uint64 `json:"seed,omitempty" flag:"seed" usage:"experiment seed (0 = default)"`
+	// Format is the report format: "text" (default), "csv" or "columnar".
+	// Resolve ignores it; WriteReport takes it.
+	Format string `json:"format,omitempty" flag:"format" usage:"output format: text, csv, or columnar"`
 }
 
 // Resolve validates the options and builds the fleet-run configuration.

@@ -29,9 +29,10 @@ type (
 	// EnvelopeCell is one module's envelope-search outcome: the
 	// machine-readable reliability cliff.
 	EnvelopeCell = scenario.EnvelopeCell
-	// ScenarioOptions mirrors the cmd/simra-scan CLI flag surface; resolve
-	// it with ResolveScenario. The serving layer (/v1/scenario) accepts
-	// the same parameters, so CLI and served responses are byte-identical.
+	// ScenarioOptions is the one declaration of the scenario family's
+	// parameters: its tags name the cmd/simra-scan flags and the serving
+	// layer's /v1/scenario fields, so CLI and served responses are
+	// byte-identical. Resolve it with ResolveScenario.
 	ScenarioOptions = scenario.Options
 )
 

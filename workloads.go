@@ -20,9 +20,10 @@ type (
 	WorkloadResult = workload.Result
 	// WorkloadConfig scopes a fleet-wide workload run.
 	WorkloadConfig = workload.FleetConfig
-	// WorkloadOptions mirrors the simra-work CLI flag surface; resolve it
-	// with ResolveWorkloads. The serving layer (simra-serve) accepts the
-	// same parameters, so CLI and served responses are byte-identical.
+	// WorkloadOptions is the one declaration of the workload family's
+	// parameters: its tags name the simra-work flags and the serving
+	// layer's /v1/workload fields, so CLI and served responses are
+	// byte-identical. Resolve it with ResolveWorkloads.
 	WorkloadOptions = workload.Options
 )
 
