@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -134,4 +135,19 @@ func TestFlagsGolden(t *testing.T) {
 	fs.SetOutput(&b)
 	fs.PrintDefaults()
 	goldenfile.Check(t, "testdata", "flags.golden", b.String())
+}
+
+// TestFigUsageListsEveryFigure holds the -fig usage, a literal in the
+// charexp.Options tag, to the figure set: "all" plus every FigureIDs id.
+func TestFigUsageListsEveryFigure(t *testing.T) {
+	fs := flag.NewFlagSet("simra-char", flag.ContinueOnError)
+	flags(fs)
+	_, list, _ := strings.Cut(fs.Lookup("fig").Usage, ": ")
+	got := strings.Split(list, ", ")
+	want := append([]string{"all"}, charexp.FigureIDs()...)
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("-fig usage lists %v, want %v", got, want)
+	}
 }
