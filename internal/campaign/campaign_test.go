@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/engine"
 	"repro/internal/fleet"
 	"repro/internal/invariance"
 	"repro/internal/workload"
@@ -229,5 +230,42 @@ func TestErrors(t *testing.T) {
 	if err := WriteReport(&b, &Result{}, "yaml"); err == nil ||
 		!strings.Contains(err.Error(), "valid: text, csv, columnar") {
 		t.Fatalf("unknown format: %v", err)
+	}
+}
+
+// keyLog is a memo that records every probed key and answers each probe
+// with a hit, so a run enumerates its keys without simulating.
+type keyLog[T any] struct{ keys []engine.ShardKey }
+
+func (m *keyLog[T]) Get(k engine.ShardKey) (T, bool) {
+	m.keys = append(m.keys, k)
+	var zero T
+	return zero, true
+}
+
+func (m *keyLog[T]) Put(engine.ShardKey, T) {}
+
+// TestCandidateKeyKnownAnswer pins the first and last
+// `campaign/candidate/v1` keys — the HashModule block of every deployed
+// module plus the workload, MaxX and seed — to fixed digests, as Run
+// computes them.
+func TestCandidateKeyKnownAnswer(t *testing.T) {
+	cfg := testConfig(1)
+	log := &keyLog[Eval]{}
+	cfg.ModMemo = &keyLog[[]workload.Result]{}
+	cfg.Memo = log
+	if _, err := Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if len(log.keys) == 0 {
+		t.Fatal("campaign probed no candidate keys")
+	}
+	want := [2]string{
+		"b0017fd7557bb7e05d005ea4ba14c6bd6e01f748e59f0bd096c7ea9e43f2d509",
+		"61cfe096fe8547eff8aa33477087cdd3148a23a63ddfca4731ad43462fb68ca0",
+	}
+	got := [2]string{cache.KeyString(log.keys[0]), cache.KeyString(log.keys[len(log.keys)-1])}
+	if got != want {
+		t.Errorf("first/last candidate keys %v, want %v (%d keys)", got, want, len(log.keys))
 	}
 }

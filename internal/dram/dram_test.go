@@ -1,11 +1,13 @@
 package dram
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/analog"
+	"repro/internal/cache"
 	"repro/internal/timing"
 )
 
@@ -565,5 +567,47 @@ func TestOpenRowsLifecycle(t *testing.T) {
 	sa.Precharge()
 	if rows := sa.OpenRows(); len(rows) != 0 {
 		t.Fatal("Precharge should close all rows")
+	}
+}
+
+// TestIdentityKeyKnownAnswer pins a module's simulation-identity digest —
+// the shared HashModule block under the static-table tag — so table
+// sharing and the registries keyed by it survive refactors byte for byte.
+func TestIdentityKeyKnownAnswer(t *testing.T) {
+	spec := NewSpec("kat-module", ProfileM, 0x5eed)
+	spec.Columns = 512
+	m, err := NewModule(spec, analog.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "a1715d248ef69e947e032ae662c524d5f81c9171061c94ca22610c0d977ee967"
+	if got := cache.KeyString(m.IdentityKey()); got != want {
+		t.Errorf("identity key %s, want %s", got, want)
+	}
+}
+
+// TestIdentityKeySignedZero checks that the electrical-model block tells
+// a negative zero from a positive one: the two print differently, so
+// they must not share a key even though they compare equal.
+func TestIdentityKeySignedZero(t *testing.T) {
+	spec := NewSpec("kat-module", ProfileM, 0x5eed)
+	spec.Columns = 512
+	pos := analog.DefaultParams()
+	pos.CouplingSigma = 0
+	neg := pos
+	neg.CouplingSigma = math.Copysign(0, -1)
+	if pos != neg {
+		t.Fatal("test premise: +0 and -0 params should compare equal")
+	}
+	mp, err := NewModule(spec, pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mn, err := NewModule(spec, neg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mp.IdentityKey() == mn.IdentityKey() {
+		t.Error("params differing only in the sign of a zero share an identity key")
 	}
 }

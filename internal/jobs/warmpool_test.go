@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/analog"
+	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/timing"
 )
@@ -134,4 +135,25 @@ func TestWarmpoolDiscardsBeyondCap(t *testing.T) {
 
 func TestWarmpoolSatisfiesModulePool(t *testing.T) {
 	var _ dram.ModulePool = NewWarmpool(0)
+}
+
+// TestPoolKeyKnownAnswer pins the warmpool's module-identity key — the
+// shared HashModule block under the pool's tag — to a fixed digest, read
+// back from the idle map after a Put.
+func TestPoolKeyKnownAnswer(t *testing.T) {
+	m, err := dram.NewModule(warmSpec("wp-kat"), analog.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewWarmpool(1)
+	p.Put(m)
+	if len(p.idle) != 1 {
+		t.Fatalf("%d idle keys after one Put, want 1", len(p.idle))
+	}
+	const want = "a08ef3b77a41504b3ae419c5c3c7f5aa6a1222bda81727f724506296bac6d715"
+	for k := range p.idle {
+		if got := cache.KeyString(k); got != want {
+			t.Errorf("pool key %s, want %s", got, want)
+		}
+	}
 }

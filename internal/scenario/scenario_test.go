@@ -10,6 +10,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dram"
+	"repro/internal/engine"
 	"repro/internal/fleet"
 )
 
@@ -312,5 +313,35 @@ func TestGridTableReuse(t *testing.T) {
 	if statics1 != statics0 || cells1 != cells0 {
 		t.Fatalf("repeat scan re-derived static tables: sets %d→%d, cell rows %d→%d",
 			statics0, statics1, cells0, cells1)
+	}
+}
+
+// keyLog is a memo that records every probed key and answers each probe
+// with a hit, so a run enumerates its shard keys without simulating.
+type keyLog struct{ keys []engine.ShardKey }
+
+func (m *keyLog) Get(k engine.ShardKey) ([]core.GroupOutcome, bool) {
+	m.keys = append(m.keys, k)
+	return nil, true
+}
+
+func (m *keyLog) Put(engine.ShardKey, []core.GroupOutcome) {}
+
+// TestPointShardKeyKnownAnswer pins the first `scenario/point-shard/v1`
+// key of a grid scan — the shared HashModule block plus the point,
+// sampling bounds, trials, seed and coordinates — to a fixed digest, as
+// Run computes it. The run itself reports an error (every shard is a
+// memo hit with no groups); only the keys matter here.
+func TestPointShardKeyKnownAnswer(t *testing.T) {
+	cfg := smallConfig()
+	log := &keyLog{}
+	cfg.Memo = log
+	_, _ = Run(context.Background(), cfg)
+	if len(log.keys) == 0 {
+		t.Fatal("grid scan probed no shard keys")
+	}
+	const want = "7e6d4d4ca5a98d9025927c1ddb9e9374e6911fe0bc6230ae665be91ff2b90eb2"
+	if got := cache.KeyString(log.keys[0]); got != want {
+		t.Errorf("first point shard key %s, want %s (%d keys)", got, want, len(log.keys))
 	}
 }

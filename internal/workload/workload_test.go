@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/analog"
 	"repro/internal/bitserial"
+	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/engine"
 	"repro/internal/fleet"
@@ -307,5 +308,40 @@ func TestNamesListsAll(t *testing.T) {
 		if !strings.Contains(names, w.Name()) {
 			t.Fatalf("Names() %q missing %q", names, w.Name())
 		}
+	}
+}
+
+// keyLog is a memo that records every probed key and answers each probe
+// with a hit, so a run enumerates its shard keys without simulating.
+type keyLog struct{ keys []engine.ShardKey }
+
+func (m *keyLog) Get(k engine.ShardKey) ([]Result, bool) {
+	m.keys = append(m.keys, k)
+	return nil, true
+}
+
+func (m *keyLog) Put(engine.ShardKey, []Result) {}
+
+// TestModuleShardKeyKnownAnswer pins one `workload/module-shard/v1` key —
+// the shared HashModule block plus the workload selection, MaxX and seed —
+// to a fixed digest, as RunFleet computes it.
+func TestModuleShardKeyKnownAnswer(t *testing.T) {
+	fc := fleet.DefaultConfig()
+	fc.Columns = 512
+	log := &keyLog{}
+	cfg := FleetConfig{
+		Entries:   fleet.Representative(fc)[:1],
+		Workloads: []Workload{BitmapScan{}},
+		Memo:      log,
+	}
+	if _, err := RunFleet(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if len(log.keys) != 1 {
+		t.Fatalf("%d shard keys, want 1", len(log.keys))
+	}
+	const want = "e456878d1f9c5ca4d6fdb83bb70edfd50302e00a58d44f95a647b4345a021cca"
+	if got := cache.KeyString(log.keys[0]); got != want {
+		t.Errorf("module shard key %s, want %s", got, want)
 	}
 }
