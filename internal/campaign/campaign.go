@@ -220,10 +220,10 @@ func candidateEntries(groups []Group, counts []int) []fleet.Entry {
 // module sets of distinct mixes differ), the target workload, the
 // majority-width cap and the root seed. Worker count and cache mode are
 // deliberately absent: the evaluation is invariant to both.
-func candidateKey(entries []fleet.Entry, params analog.Params, wl string, maxX int, seed uint64) engine.ShardKey {
+func candidateKey(entries []fleet.Entry, pb dram.ParamsBlock, wl string, maxX int, seed uint64) engine.ShardKey {
 	h := cache.NewHasher().Str("campaign/candidate/v1")
 	for _, e := range entries {
-		h = e.Spec.HashModule(h, params)
+		h = e.Spec.HashModule(h, pb)
 	}
 	return h.Str(wl).Int(maxX).U64(seed).Sum()
 }
@@ -327,10 +327,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	keys := make([]engine.ShardKey, len(mixes))
 	tasks := make([]engine.Task[Eval], len(mixes))
 	wlName := cfg.Workload.Name()
+	pb := dram.FormatParams(cfg.Params)
 	for i, counts := range mixes {
 		entries := candidateEntries(groups, counts)
 		if cfg.Memo != nil {
-			keys[i] = candidateKey(entries, cfg.Params, wlName, cfg.MaxX, cfg.Seed)
+			keys[i] = candidateKey(entries, pb, wlName, cfg.MaxX, cfg.Seed)
 		}
 		tasks[i] = func(context.Context) (Eval, error) {
 			return evalCandidate(entries, byModule)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/dram"
 	"repro/internal/engine"
 	"repro/internal/fleet"
 	"repro/internal/invariance"
@@ -152,14 +153,14 @@ func TestCompositions(t *testing.T) {
 // TestCandidateKeys asserts content addressing: equal mixes hash to equal
 // shard keys, distinct mixes to distinct keys.
 func TestCandidateKeys(t *testing.T) {
-	cfg := testConfig(1)
+	pb := dram.FormatParams(testConfig(1).Params)
 	groups := ModuleGroups(fleet.DefaultConfig())
 	a := candidateKey(candidateEntries(groups, []int{3, 0, 0, 0, 0}),
-		cfg.Params, "bitmap-scan", 5, 1)
+		pb, "bitmap-scan", 5, 1)
 	b := candidateKey(candidateEntries(groups, []int{3, 0, 0, 0, 0}),
-		cfg.Params, "bitmap-scan", 5, 1)
+		pb, "bitmap-scan", 5, 1)
 	c := candidateKey(candidateEntries(groups, []int{2, 1, 0, 0, 0}),
-		cfg.Params, "bitmap-scan", 5, 1)
+		pb, "bitmap-scan", 5, 1)
 	if a != b {
 		t.Fatal("identical mixes hashed to different candidate keys")
 	}
@@ -167,7 +168,7 @@ func TestCandidateKeys(t *testing.T) {
 		t.Fatal("distinct mixes hashed to the same candidate key")
 	}
 	if d := candidateKey(candidateEntries(groups, []int{3, 0, 0, 0, 0}),
-		cfg.Params, "image-filter", 5, 1); d == a {
+		pb, "image-filter", 5, 1); d == a {
 		t.Fatal("workload name not part of the candidate key")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/analog"
 	"repro/internal/core"
@@ -97,6 +98,11 @@ type Runner struct {
 	// plan. Only the differential tests set it, to their per-cell
 	// reference loop.
 	gridRef func(cells []sweepCell) ([][]float64, error)
+	// pb is the HashModule block of cfg.Params, shared by every module
+	// and shard key the runner builds. paramsBlock formats it on first
+	// use, so a Runner made without NewRunner still keys correctly.
+	pbOnce sync.Once
+	pb     dram.ParamsBlock
 }
 
 // NewRunner instantiates the fleet of the configuration.
@@ -107,15 +113,22 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("charexp: trials must be positive")
 	}
-	mods, err := fleet.BuildFrom(cfg.Pool, cfg.Fleet, cfg.Params)
+	r := &Runner{cfg: cfg, stats: cfg.Stats, arenas: core.NewArenaPool()}
+	if r.stats == nil {
+		r.stats = new(engine.Stats)
+	}
+	mods, err := fleet.BuildFrom(cfg.Pool, cfg.Fleet, cfg.Params, r.paramsBlock())
 	if err != nil {
 		return nil, err
 	}
-	st := cfg.Stats
-	if st == nil {
-		st = new(engine.Stats)
-	}
-	return &Runner{cfg: cfg, mods: mods, stats: st, arenas: core.NewArenaPool()}, nil
+	r.mods = mods
+	return r, nil
+}
+
+// paramsBlock returns the HashModule block of the runner's params.
+func (r *Runner) paramsBlock() dram.ParamsBlock {
+	r.pbOnce.Do(func() { r.pb = dram.FormatParams(r.cfg.Params) })
+	return r.pb
 }
 
 // Modules exposes the instantiated fleet (used by the case studies).

@@ -77,7 +77,7 @@ func (r *Runner) newSweepPlan() *sweepPlan {
 // are bit-identical for every worker count, so it must not fragment the
 // cache.
 func (r *Runner) shardKey(spec dram.Spec, sc core.SweepConfig, env analog.Env, s bender.SubarraySample) cache.Key {
-	return spec.HashModule(cache.NewHasher().Str("charexp/sweep-shard/v1"), r.cfg.Params).
+	return spec.HashModule(cache.NewHasher().Str("charexp/sweep-shard/v1"), r.paramsBlock()).
 		F64(env.TempC).F64(env.VPP).F64(env.Aging).
 		F64(env.Disturb).F64(env.Retention).
 		Int(int(sc.Op)).Int(sc.X).Int(sc.N).

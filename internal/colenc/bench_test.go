@@ -42,3 +42,16 @@ func BenchmarkColencDecode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkColencFooter times reading the Fig. 3 golden stream's row and
+// batch counts, as an unpaged columnar response's headers need them.
+func BenchmarkColencFooter(b *testing.B) {
+	data := fig3Golden(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Footer(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

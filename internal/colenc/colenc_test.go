@@ -2,8 +2,11 @@ package colenc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -147,10 +150,58 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		"bad version":  append([]byte(Magic), 0xff, 0xff, 0xff, 0xff),
 		"footer rows":  flip(enc, len(enc)-10),
 		"footer count": flip(enc, len(enc)-2),
+		"footer mark":  flip(enc, len(enc)-13),
 	}
 	for name, data := range cases {
 		if _, err := Decode(data); err == nil {
 			t.Errorf("%s: decode accepted corrupt input", name)
+		}
+		if _, err := Footer(data); err == nil {
+			t.Errorf("%s: Footer accepted corrupt input", name)
+		}
+	}
+}
+
+// decodedInfo is the reference for Footer: it decodes the whole stream,
+// counts its rows, and reads the batch count from the footer Decode has
+// verified.
+func decodedInfo(data []byte) (StreamInfo, error) {
+	t, err := Decode(data)
+	if err != nil {
+		return StreamInfo{}, err
+	}
+	batches := int(binary.LittleEndian.Uint32(data[len(data)-4:]))
+	return StreamInfo{TotalRows: t.NumRows(), BatchCount: batches}, nil
+}
+
+// TestFooterGoldens checks Footer against a full decode on every request
+// family's committed columnar golden, and that it rejects each golden cut
+// short at every length.
+func TestFooterGoldens(t *testing.T) {
+	goldens, err := filepath.Glob("../../cmd/*/testdata/*.colenc.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(goldens) < 5 {
+		t.Fatalf("found %d columnar goldens, want one per family (5)", len(goldens))
+	}
+	for _, path := range goldens {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := decodedInfo(data)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if got, err := Footer(data); err != nil || got != want {
+			t.Errorf("%s: Footer = %+v, %v; decoded %+v", path, got, err, want)
+		}
+		for n := 0; n < len(data); n++ {
+			if _, err := Footer(data[:n]); err == nil {
+				t.Errorf("%s: Footer accepted the stream cut to %d of %d bytes", path, n, len(data))
+				break
+			}
 		}
 	}
 }
@@ -178,9 +229,9 @@ func TestValidate(t *testing.T) {
 func TestPage(t *testing.T) {
 	tab := sample(25)
 	enc, _ := Encode(tab, 0)
-	info, err := Info(enc)
+	info, err := Footer(enc)
 	if err != nil || info.TotalRows != 25 || info.BatchCount != 1 {
-		t.Fatalf("Info: %+v, %v", info, err)
+		t.Fatalf("Footer: %+v, %v", info, err)
 	}
 	var got []Column
 	for b := 0; ; b++ {

@@ -214,36 +214,82 @@ func Decode(data []byte) (*Table, error) {
 			t.Cols[i].Valid = []bool{}
 		}
 	}
+	if _, err := r.frames(func() int { return r.readBatch(h.fields, t.Cols) }); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// frames reads the batch sequence after the header, calling batch once
+// per record batch to consume it, then the footer, which must end the
+// stream and agree with the batches read.
+func (r *reader) frames(batch func() int) (StreamInfo, error) {
 	total, batches := 0, 0
 	for {
 		tag := r.u8()
 		if r.err != nil {
-			return nil, r.err
+			return StreamInfo{}, r.err
 		}
 		if tag == 0x00 {
 			break
 		}
 		if tag != 0x01 {
-			return nil, fmt.Errorf("colenc: unknown chunk tag 0x%02x at offset %d", tag, r.off-1)
+			return StreamInfo{}, fmt.Errorf("colenc: unknown chunk tag 0x%02x at offset %d", tag, r.off-1)
 		}
-		total += r.readBatch(h.fields, t.Cols)
+		total += batch()
 		batches++
 		if r.err != nil {
-			return nil, r.err
+			return StreamInfo{}, r.err
 		}
 	}
 	footRows, footBatches := r.u64(), r.u32()
 	if r.err != nil {
-		return nil, r.err
+		return StreamInfo{}, r.err
 	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("colenc: %d trailing bytes after footer", len(data)-r.off)
+	if r.off != len(r.b) {
+		return StreamInfo{}, fmt.Errorf("colenc: %d trailing bytes after footer", len(r.b)-r.off)
 	}
 	if footRows != uint64(total) || int(footBatches) != batches {
-		return nil, fmt.Errorf("colenc: footer (%d rows, %d batches) disagrees with stream (%d rows, %d batches)",
+		return StreamInfo{}, fmt.Errorf("colenc: footer (%d rows, %d batches) disagrees with stream (%d rows, %d batches)",
 			footRows, footBatches, total, batches)
 	}
-	return t, nil
+	return StreamInfo{TotalRows: total, BatchCount: batches}, nil
+}
+
+// skipBatch steps over one record batch without decoding a value,
+// checking only that each column's buffers fit in the stream, and
+// returns its row count.
+func (r *reader) skipBatch(fields []Field) int {
+	nrows := int(r.u32())
+	if r.err == nil && nrows > 8*(len(r.b)-r.off)+64 {
+		r.fail("batch declares %d rows for %d remaining bytes", nrows, len(r.b)-r.off)
+		return 0
+	}
+	for _, f := range fields {
+		if f.Nullable {
+			r.skipBitmap(nrows)
+		}
+		switch f.Type {
+		case TypeInt64, TypeFloat64:
+			r.take(8 * nrows)
+		case TypeString:
+			nbytes := int(r.u32())
+			r.take(4 * (nrows + 1))
+			r.take(nbytes)
+		default: // TypeBool
+			r.skipBitmap(nrows)
+		}
+	}
+	return nrows
+}
+
+// skipBitmap steps over a length-prefixed word run for n rows.
+func (r *reader) skipBitmap(n int) {
+	words := int(r.u32())
+	if r.err == nil && words != bitvec.WordsFor(n) {
+		r.fail("bitmap has %d words; want %d for %d rows", words, bitvec.WordsFor(n), n)
+	}
+	r.take(8 * words)
 }
 
 // StreamInfo summarizes a stream's chunking for pagination headers.
@@ -254,17 +300,19 @@ type StreamInfo struct {
 	BatchCount int
 }
 
-// Info returns the stream's row and batch counts (from the footer,
-// verified against the batches).
-func Info(data []byte) (StreamInfo, error) {
-	t, err := Decode(data)
-	if err != nil {
-		return StreamInfo{}, err
+// Footer returns the row and batch counts the stream's footer records,
+// for response headers. Unlike Decode it decodes no value: it walks the
+// header and the batch framing, stepping over each column buffer by its
+// length, so it rejects a truncated stream, a footer without its 0x00
+// marker, and a footer that disagrees with the batches, but not a
+// corrupt value inside a well-framed batch.
+func Footer(data []byte) (StreamInfo, error) {
+	r := &reader{b: data}
+	h := r.readHeader()
+	if r.err != nil {
+		return StreamInfo{}, r.err
 	}
-	// Re-derive the batch count from the footer: Decode already verified
-	// consistency, so reading the trailing 12 bytes is safe here.
-	batches := int(binary.LittleEndian.Uint32(data[len(data)-4:]))
-	return StreamInfo{TotalRows: t.NumRows(), BatchCount: batches}, nil
+	return r.frames(func() int { return r.skipBatch(h.fields) })
 }
 
 // PageInfo describes one served page of a columnar stream.

@@ -54,9 +54,13 @@ func FuzzColencDecode(f *testing.F) {
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		info, footErr := Footer(data)
 		tab, err := Decode(data)
 		if err != nil {
 			return
+		}
+		if footErr != nil || info.TotalRows != tab.NumRows() {
+			t.Fatalf("Footer = %+v, %v on a stream Decode accepts with %d rows", info, footErr, tab.NumRows())
 		}
 		enc, err := Encode(tab, 16)
 		if err != nil {

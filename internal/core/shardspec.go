@@ -42,7 +42,7 @@ type ShardSpec struct {
 // internal/scenario: same tester options, same sweep cell, same sample —
 // therefore bit-identical outcomes.
 func (s ShardSpec) Exec(pool dram.ModulePool) ([]GroupOutcome, error) {
-	mod, release, err := dram.PoolModule(pool, s.Spec, s.Params)
+	mod, release, err := dram.PoolModule(pool, s.Spec, s.Params, dram.FormatParams(s.Params))
 	if err != nil {
 		return nil, fmt.Errorf("core: shard module %s: %w", s.Spec.ID, err)
 	}

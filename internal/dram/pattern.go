@@ -115,14 +115,21 @@ type fillRegKey struct {
 	cols int
 }
 
-// fillRegMax bounds the registry; beyond it the map resets (fills are
-// recomputable, eviction only costs re-derivation).
+// fillRegMax bounds the registry; beyond it a stripe's map resets (fills
+// are recomputable, eviction only costs re-derivation).
 const fillRegMax = 1 << 15
 
-var fillReg = struct {
+// fillRegStripes splits the registry over independently locked maps, so
+// shards filling rows in parallel do not queue on one process-wide lock.
+// Each stripe holds at most fillRegMax/fillRegStripes rows.
+const fillRegStripes = 16
+
+type fillStripe struct {
 	sync.Mutex
 	m map[fillRegKey][]uint64
-}{m: make(map[fillRegKey][]uint64)}
+}
+
+var fillReg [fillRegStripes]fillStripe
 
 // FillRowVec materializes the pattern for one row as a packed vector.
 // Fixed byte-pair patterns and the split checkerboard are periodic, so
@@ -158,9 +165,12 @@ func (p Pattern) FillRowInto(out bitvec.Vec, seed uint64, rowOrdinal int) {
 	}
 	// Random: a distinct uniform pattern per row, shared via fillReg.
 	key := fillRegKey{seed: seed, row: rowOrdinal, cols: out.Len()}
-	fillReg.Lock()
-	cached, ok := fillReg.m[key]
-	fillReg.Unlock()
+	// Row ordinals are consecutive within a group, so neighbouring rows
+	// land on different stripes.
+	st := &fillReg[(seed+uint64(rowOrdinal))%fillRegStripes]
+	st.Lock()
+	cached, ok := st.m[key]
+	st.Unlock()
 	if ok {
 		copy(out.Words(), cached)
 		return
@@ -170,12 +180,12 @@ func (p Pattern) FillRowInto(out bitvec.Vec, seed uint64, rowOrdinal int) {
 		return rowChain.Mix(uint64(c)).Mix(0x9a7).Sum()&1 == 1
 	})
 	words := append([]uint64(nil), out.Words()...)
-	fillReg.Lock()
-	if len(fillReg.m) >= fillRegMax {
-		fillReg.m = make(map[fillRegKey][]uint64)
+	st.Lock()
+	if st.m == nil || len(st.m) >= fillRegMax/fillRegStripes {
+		st.m = make(map[fillRegKey][]uint64)
 	}
-	fillReg.m[key] = words
-	fillReg.Unlock()
+	st.m[key] = words
+	st.Unlock()
 }
 
 // FillRow materializes the pattern for one row across cols columns.

@@ -17,8 +17,9 @@ import "repro/internal/analog"
 // back. internal/jobs.Warmpool is the standard implementation.
 type ModulePool interface {
 	// Get returns an exclusively owned module for the spec, pooled or
-	// freshly built.
-	Get(spec Spec, params analog.Params) (*Module, error)
+	// freshly built. pb is FormatParams(params), resolved once by the
+	// caller's configuration.
+	Get(spec Spec, params analog.Params, pb ParamsBlock) (*Module, error)
 	// Put returns a module obtained from Get; the caller must not use it
 	// afterwards.
 	Put(m *Module)
@@ -27,16 +28,16 @@ type ModulePool interface {
 // PoolModule returns a module for the spec — from pool when non-nil,
 // freshly built otherwise — plus a release function that returns it to
 // the pool (a no-op for unpooled instances). The release function is safe
-// to call exactly once.
-func PoolModule(pool ModulePool, spec Spec, params analog.Params) (*Module, func(), error) {
+// to call exactly once. pb is FormatParams(params).
+func PoolModule(pool ModulePool, spec Spec, params analog.Params, pb ParamsBlock) (*Module, func(), error) {
 	if pool == nil {
-		m, err := NewModule(spec, params)
+		m, err := NewModuleBlock(spec, params, pb)
 		if err != nil {
 			return nil, nil, err
 		}
 		return m, func() {}, nil
 	}
-	m, err := pool.Get(spec, params)
+	m, err := pool.Get(spec, params, pb)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -101,7 +101,8 @@ func TestResetRestoresFreshState(t *testing.T) {
 func TestPoolModuleWithoutPoolBuildsFresh(t *testing.T) {
 	spec := NewSpec("pool-nil", ProfileH, 0x11)
 	spec.Columns = 256
-	m, release, err := PoolModule(nil, spec, analog.DefaultParams())
+	params := analog.DefaultParams()
+	m, release, err := PoolModule(nil, spec, params, FormatParams(params))
 	if err != nil {
 		t.Fatal(err)
 	}

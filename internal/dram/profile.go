@@ -119,14 +119,29 @@ type Spec struct {
 	Seed uint64
 }
 
+// ParamsBlock is the electrical-model part of every HashModule key: the
+// analog.Params value formatted with %v, which covers every field,
+// including any added later, and tells -0 from +0. Formatting reflects
+// over the whole struct, so callers build the block once per resolved
+// configuration with FormatParams and pass it to every key and module
+// they derive from that configuration.
+type ParamsBlock string
+
+// FormatParams returns the params' HashModule block.
+func FormatParams(params analog.Params) ParamsBlock {
+	return ParamsBlock(fmt.Sprintf("%v", params))
+}
+
 // HashModule writes the spec's simulation-relevant identity — module ID,
 // process-variation seed, geometry, behavioural profile, die revision —
-// and the electrical parameters into a canonical hasher. It is the shared
-// module block of every shard cache-key family (charexp sweep shards,
-// workload module shards, scenario point shards): one place to extend
-// when Spec, Profile or analog.Params gains a field, so no key family
-// can silently fall out of date.
-func (s Spec) HashModule(h *cache.Hasher, params analog.Params) *cache.Hasher {
+// and the electrical parameters' block into a canonical hasher. It is the
+// shared module block of every key family built on a module (charexp
+// sweep shards, workload module shards, scenario point shards, campaign
+// candidates, warmpool instances, static tables): one place to extend
+// when Spec or Profile gains a field, so no key family can silently fall
+// out of date. pb must be FormatParams of the module's params; it is
+// computed once per resolved configuration, not once per key.
+func (s Spec) HashModule(h *cache.Hasher, pb ParamsBlock) *cache.Hasher {
 	return h.
 		Str(s.ID).U64(s.Seed).Int(s.Columns).
 		Int(s.Banks).Int(s.SubarraysPerBank).
@@ -134,7 +149,7 @@ func (s Spec) HashModule(h *cache.Hasher, params analog.Params) *cache.Hasher {
 		Bool(s.Profile.FracSupported).F64(s.Profile.ViabilityBias).
 		Int(s.Profile.MaxMAJ).Bool(s.Profile.APAGuarded).
 		Str(s.DieRev).
-		Str(fmt.Sprintf("%v", params))
+		Str(string(pb))
 }
 
 // Validate reports whether the spec is usable.
@@ -179,6 +194,7 @@ type Module struct {
 	spec   Spec
 	dec    *decoder.Decoder
 	params analog.Params
+	pb     ParamsBlock
 	banks  map[int]*bank
 	// tabKey is the module's static-table identity (see saTables): two
 	// modules with equal tabKey have identical process variation, so their
@@ -192,6 +208,18 @@ type bank struct {
 
 // NewModule builds a module from a spec with the given electrical model.
 func NewModule(spec Spec, params analog.Params) (*Module, error) {
+	return NewModuleBlock(spec, params, FormatParams(params))
+}
+
+// NewModuleBlock is NewModule for callers that build several modules from
+// one configuration: pb, which must be FormatParams(params), is formatted
+// once by the caller instead of once per module. An empty pb, from a
+// configuration that was never resolved, is formatted here, so it can
+// cost time but never give two electrical models one table identity.
+func NewModuleBlock(spec Spec, params analog.Params, pb ParamsBlock) (*Module, error) {
+	if pb == "" {
+		pb = FormatParams(params)
+	}
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -206,8 +234,9 @@ func NewModule(spec Spec, params analog.Params) (*Module, error) {
 		spec:   spec,
 		dec:    dec,
 		params: params,
+		pb:     pb,
 		banks:  make(map[int]*bank),
-		tabKey: spec.HashModule(cache.NewHasher().Str("dram/subarray-tables/v1"), params).Sum(),
+		tabKey: spec.HashModule(cache.NewHasher().Str("dram/subarray-tables/v1"), pb).Sum(),
 	}, nil
 }
 
@@ -226,6 +255,9 @@ func (m *Module) Decoder() *decoder.Decoder { return m.dec }
 
 // Params returns the electrical model parameters.
 func (m *Module) Params() analog.Params { return m.params }
+
+// ParamsBlock returns the HashModule block of the module's params.
+func (m *Module) ParamsBlock() ParamsBlock { return m.pb }
 
 // RowsPerSubarray returns the subarray height.
 func (m *Module) RowsPerSubarray() int { return m.dec.Rows() }

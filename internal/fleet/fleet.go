@@ -144,22 +144,23 @@ func TotalChips(entries []Entry) int {
 
 // Build instantiates the modules of the given entries.
 func Build(entries []Entry, params analog.Params) ([]*dram.Module, error) {
-	return BuildFrom(nil, entries, params)
+	return BuildFrom(nil, entries, params, dram.FormatParams(params))
 }
 
 // BuildFrom is Build drawing instances from a module pool (nil = fresh
-// construction). On error the already-checked-out instances are returned
-// to the pool; on success the caller owns every instance and is
+// construction), with the params' block pb = dram.FormatParams(params)
+// resolved by the caller. On error the already-checked-out instances are
+// returned to the pool; on success the caller owns every instance and is
 // responsible for Put-ting them back when done.
-func BuildFrom(pool dram.ModulePool, entries []Entry, params analog.Params) ([]*dram.Module, error) {
+func BuildFrom(pool dram.ModulePool, entries []Entry, params analog.Params, pb dram.ParamsBlock) ([]*dram.Module, error) {
 	out := make([]*dram.Module, 0, len(entries))
 	for _, e := range entries {
 		var m *dram.Module
 		var err error
 		if pool != nil {
-			m, err = pool.Get(e.Spec, params)
+			m, err = pool.Get(e.Spec, params, pb)
 		} else {
-			m, err = dram.NewModule(e.Spec, params)
+			m, err = dram.NewModuleBlock(e.Spec, params, pb)
 		}
 		if err != nil {
 			Release(pool, out)

@@ -50,14 +50,14 @@ func NewWarmpool(maxPerKey int) *Warmpool {
 
 // poolKey is the module-identity hash: the shared HashModule block under
 // a pool-private tag.
-func poolKey(spec dram.Spec, params analog.Params) cache.Key {
-	return spec.HashModule(cache.NewHasher().Str("warmpool/v1"), params).Sum()
+func poolKey(spec dram.Spec, pb dram.ParamsBlock) cache.Key {
+	return spec.HashModule(cache.NewHasher().Str("warmpool/v1"), pb).Sum()
 }
 
 // Get checks out an instance for exclusive use: an idle one when
-// available, freshly built otherwise.
-func (p *Warmpool) Get(spec dram.Spec, params analog.Params) (*dram.Module, error) {
-	k := poolKey(spec, params)
+// available, freshly built otherwise. pb is dram.FormatParams(params).
+func (p *Warmpool) Get(spec dram.Spec, params analog.Params, pb dram.ParamsBlock) (*dram.Module, error) {
+	k := poolKey(spec, pb)
 	p.mu.Lock()
 	if q := p.idle[k]; len(q) > 0 {
 		m := q[len(q)-1]
@@ -68,7 +68,7 @@ func (p *Warmpool) Get(spec dram.Spec, params analog.Params) (*dram.Module, erro
 	}
 	p.misses++
 	p.mu.Unlock()
-	return dram.NewModule(spec, params)
+	return dram.NewModuleBlock(spec, params, pb)
 }
 
 // Put resets the instance's dynamic state and parks it for reuse,
@@ -78,7 +78,7 @@ func (p *Warmpool) Put(m *dram.Module) {
 		return
 	}
 	m.Reset()
-	k := poolKey(m.Spec(), m.Params())
+	k := poolKey(m.Spec(), m.ParamsBlock())
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.idle[k]) >= p.maxPerKey {

@@ -57,7 +57,7 @@ func TestWarmpoolReuseIsBitIdentical(t *testing.T) {
 	want := transcript(t, fresh)
 
 	p := NewWarmpool(2)
-	m1, err := p.Get(spec, params)
+	m1, err := p.Get(spec, params, dram.FormatParams(params))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestWarmpoolReuseIsBitIdentical(t *testing.T) {
 		}
 	}
 	p.Put(m1)
-	m2, err := p.Get(spec, params)
+	m2, err := p.Get(spec, params, dram.FormatParams(params))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,13 +90,13 @@ func TestWarmpoolReuseIsBitIdentical(t *testing.T) {
 func TestWarmpoolKeysBySpecAndParams(t *testing.T) {
 	params := analog.DefaultParams()
 	p := NewWarmpool(2)
-	a, err := p.Get(warmSpec("wp-a"), params)
+	a, err := p.Get(warmSpec("wp-a"), params, dram.FormatParams(params))
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Put(a)
 	// A different spec must not receive wp-a's instance.
-	b, err := p.Get(warmSpec("wp-b"), params)
+	b, err := p.Get(warmSpec("wp-b"), params, dram.FormatParams(params))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestWarmpoolKeysBySpecAndParams(t *testing.T) {
 	// Same spec, different electrical params: also distinct.
 	params2 := params
 	params2.VPPNominal += 0.1
-	c, err := p.Get(warmSpec("wp-a"), params2)
+	c, err := p.Get(warmSpec("wp-a"), params2, dram.FormatParams(params2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +122,8 @@ func TestWarmpoolDiscardsBeyondCap(t *testing.T) {
 	params := analog.DefaultParams()
 	spec := warmSpec("wp-cap")
 	p := NewWarmpool(1)
-	m1, _ := p.Get(spec, params)
-	m2, _ := p.Get(spec, params)
+	m1, _ := p.Get(spec, params, dram.FormatParams(params))
+	m2, _ := p.Get(spec, params, dram.FormatParams(params))
 	p.Put(m1)
 	p.Put(m2) // over the cap: discarded
 	p.Put(nil)

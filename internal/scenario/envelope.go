@@ -124,7 +124,7 @@ func (cfg Config) runEnvelope(ctx context.Context, mods []*dram.Module) (*Result
 // an inner sequential engine run over the module's (bank, subarray)
 // shards, served from the shard memo when warm.
 func (cfg Config) evalPoint(ctx context.Context, spec dram.Spec, p Point, st *engine.Stats) (float64, error) {
-	mod, release, err := dram.PoolModule(cfg.Pool, spec, cfg.Params)
+	mod, release, err := dram.PoolModule(cfg.Pool, spec, cfg.Params, cfg.pb)
 	if err != nil {
 		return 0, err
 	}
@@ -138,7 +138,7 @@ func (cfg Config) evalPoint(ctx context.Context, spec dram.Spec, p Point, st *en
 	for i, s := range samples {
 		sh := pointShard{point: p, spec: spec, sample: s}
 		if cfg.Memo != nil || cfg.Dispatch != nil {
-			sh.key = shardKey(spec, cfg.Params, cfg.Op, p,
+			sh.key = shardKey(spec, cfg.pb, cfg.Op, p,
 				cfg.Trials, cfg.SubarraysPerBank, cfg.GroupsPerSubarray, cfg.Banks,
 				cfg.Seed, s)
 			keys[i] = sh.key

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/analog"
 	"repro/internal/bender"
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -56,10 +55,10 @@ type Result struct {
 // count and the module's fleet position are deliberately absent —
 // results are invariant to both, so including them would only fragment
 // the cache.
-func shardKey(spec dram.Spec, params analog.Params, op core.OpKind, p Point,
+func shardKey(spec dram.Spec, pb dram.ParamsBlock, op core.OpKind, p Point,
 	trials, subarrays, groups, banks int, seed uint64, s bender.SubarraySample) engine.ShardKey {
 
-	return spec.HashModule(cache.NewHasher().Str("scenario/point-shard/v1"), params).
+	return spec.HashModule(cache.NewHasher().Str("scenario/point-shard/v1"), pb).
 		Int(int(op)).Int(p.X).Int(p.N).
 		F64(p.T1).F64(p.T2).Int(int(p.Pattern)).
 		F64(p.TempC).F64(p.VPP).F64(p.Aging).
@@ -90,7 +89,7 @@ type pointShard struct {
 // Config.Pool set, identical on a recycled warmpool instance too (pools
 // reset dynamic state on Put; scenario_test pins the derivation counts).
 func (cfg Config) runShard(sh pointShard, st *engine.Stats) ([]core.GroupOutcome, error) {
-	mod, release, err := dram.PoolModule(cfg.Pool, sh.spec, cfg.Params)
+	mod, release, err := dram.PoolModule(cfg.Pool, sh.spec, cfg.Params, cfg.pb)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: module %s: %w", sh.spec.ID, err)
 	}
@@ -186,12 +185,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		ctx = context.Background()
 	}
 	cfg = cfg.withDefaults()
+	cfg.pb = dram.FormatParams(cfg.Params)
 	if len(cfg.Fleet) == 0 {
 		return nil, fmt.Errorf("scenario: empty fleet")
 	}
 	// One instantiated module per entry for sampling and validation only;
 	// shard work runs on private instances.
-	mods, err := fleet.Build(cfg.Fleet, cfg.Params)
+	mods, err := fleet.BuildFrom(nil, cfg.Fleet, cfg.Params, cfg.pb)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +220,7 @@ func (cfg Config) runGrid(ctx context.Context, mods []*dram.Module) (*Result, er
 			for _, s := range cfg.samples(mod) {
 				sh := pointShard{pi: pi, mi: mi, point: p, spec: mod.Spec(), sample: s}
 				if cfg.Memo != nil || cfg.Dispatch != nil {
-					sh.key = shardKey(mod.Spec(), cfg.Params, cfg.Op, p,
+					sh.key = shardKey(mod.Spec(), cfg.pb, cfg.Op, p,
 						cfg.Trials, cfg.SubarraysPerBank, cfg.GroupsPerSubarray, cfg.Banks,
 						cfg.Seed, s)
 				}

@@ -408,6 +408,10 @@ type Config struct {
 	// freshly built modules (verified by the job-vs-blocking invariance
 	// suite).
 	Pool dram.ModulePool
+
+	// pb is the HashModule block of Params, resolved once per run by Run
+	// for every shard key and module of the run.
+	pb dram.ParamsBlock
 }
 
 // DefaultConfig returns the standard reduced-scale scenario configuration.

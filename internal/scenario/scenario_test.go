@@ -265,7 +265,7 @@ func TestShardKeySensitivity(t *testing.T) {
 	spec := cfg.Fleet[0].Spec
 	p := Point{N: 8, X: 3, T1: 3, T2: 3, TempC: 50, VPP: 2.5}
 	at := func(p Point, bank int) [32]byte {
-		return shardKey(spec, cfg.Params, core.OpManyRowActivation, p,
+		return shardKey(spec, dram.FormatParams(cfg.Params), core.OpManyRowActivation, p,
 			cfg.Trials, cfg.SubarraysPerBank, cfg.GroupsPerSubarray, cfg.Banks,
 			cfg.Seed, sampleAt(bank, 0))
 	}

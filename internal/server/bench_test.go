@@ -1,9 +1,11 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -46,6 +48,40 @@ func BenchmarkServerWarmHit(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if rec := warmHit(h, c.kind, c.body); rec.Header().Get("X-Simra-Cached") != "true" {
 					b.Fatalf("%s request %d missed the cache: %d %s", c.kind, i, rec.Code, rec.Body)
+				}
+			}
+		})
+	}
+}
+
+// coldSeed hands out request seeds that no earlier iteration, sub-benchmark
+// or -count rerun in the process has used, so every cold-miss request
+// simulates a module the process-wide dram table and fill registries have
+// never seen. Seeding from the loop index would repeat seeds on a rerun
+// and time registry hits instead of cold work.
+var coldSeed atomic.Uint64
+
+// BenchmarkServerColdMiss times one cache-missing request per family, in
+// the warmHitCases shapes at a fresh seed, through the whole handler chain
+// onto an httptest recorder: decode, normalize, key, the full simulation,
+// render and the cache insert. Every timed request must miss the cache.
+func BenchmarkServerColdMiss(b *testing.B) {
+	s := New(Config{})
+	defer s.Close()
+	h := s.Handler()
+	for _, c := range warmHitCases {
+		b.Run(c.kind, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				// A later duplicate key wins in encoding/json, so this
+				// also overrides the trng case's fixed seed.
+				body := fmt.Sprintf(`%s,"seed":%d}`, strings.TrimSuffix(c.body, "}"), 1<<32+coldSeed.Add(1))
+				rec := warmHit(h, c.kind, body)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("%s request %d: %d %s", c.kind, i, rec.Code, rec.Body)
+				}
+				if got := rec.Header().Get("X-Simra-Cached"); got != "false" {
+					b.Fatalf("%s request %d: X-Simra-Cached %q, want a miss", c.kind, i, got)
 				}
 			}
 		})

@@ -101,7 +101,7 @@ func writeColumnar(w http.ResponseWriter, r *http.Request, output string, header
 			h.Set("X-Simra-Batch-Next", strconv.Itoa(pi.Batch+1))
 		}
 	} else {
-		info, err := colenc.Info(body)
+		info, err := colenc.Footer(body)
 		if err != nil {
 			writeError(w, r, err, http.StatusInternalServerError)
 			return

@@ -72,7 +72,7 @@ func TestColumnarSweepResponse(t *testing.T) {
 	if got := resp.Header.Get("X-Simra-Cached"); got != "false" {
 		t.Fatalf("first response X-Simra-Cached = %q; want false", got)
 	}
-	info, err := colenc.Info(body)
+	info, err := colenc.Footer(body)
 	if err != nil {
 		t.Fatal(err)
 	}

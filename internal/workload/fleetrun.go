@@ -69,6 +69,10 @@ type FleetConfig struct {
 	// (the job executor's warmpool). Pooled instances are reset before
 	// reuse, so results are bit-identical to freshly built modules.
 	Pool dram.ModulePool
+
+	// pb is the HashModule block of Params, resolved once per run by
+	// RunFleet for every shard key and module of the run.
+	pb dram.ParamsBlock
 }
 
 // DefaultFleetConfig returns the standard reduced-scale configuration: the
@@ -106,7 +110,7 @@ func (cfg FleetConfig) withDefaults() FleetConfig {
 // worker count (results are worker-invariant), so cache entries are
 // shared across fleet selections.
 func shardKey(e fleet.Entry, cfg FleetConfig) engine.ShardKey {
-	h := e.Spec.HashModule(cache.NewHasher().Str("workload/module-shard/v1"), cfg.Params).
+	h := e.Spec.HashModule(cache.NewHasher().Str("workload/module-shard/v1"), cfg.pb).
 		Int(cfg.MaxX).U64(cfg.Seed)
 	for _, w := range cfg.Workloads {
 		h.Str(w.Name())
@@ -135,6 +139,7 @@ func nameSeed(name string) uint64 {
 // workload order).
 func RunFleet(ctx context.Context, cfg FleetConfig) ([]Result, error) {
 	cfg = cfg.withDefaults()
+	cfg.pb = dram.FormatParams(cfg.Params)
 	if cfg.MaxX < 3 || cfg.MaxX%2 == 0 {
 		return nil, fmt.Errorf("workload: MaxX %d must be odd and >= 3", cfg.MaxX)
 	}
@@ -209,7 +214,7 @@ func runModule(e fleet.Entry, cfg FleetConfig, shardSeed uint64) ([]Result, erro
 		}
 		return out, nil
 	}
-	mod, release, err := dram.PoolModule(cfg.Pool, e.Spec, cfg.Params)
+	mod, release, err := dram.PoolModule(cfg.Pool, e.Spec, cfg.Params, cfg.pb)
 	if err != nil {
 		return nil, fmt.Errorf("workload: module %s: %w", e.Spec.ID, err)
 	}

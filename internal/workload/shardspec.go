@@ -41,6 +41,7 @@ func (s ShardSpec) Exec(pool dram.ModulePool) ([]Result, error) {
 		}
 		ws = append(ws, w)
 	}
-	cfg := FleetConfig{Params: s.Params, Workloads: ws, MaxX: s.MaxX, Seed: s.Seed, Pool: pool}
+	cfg := FleetConfig{Params: s.Params, Workloads: ws, MaxX: s.MaxX, Seed: s.Seed, Pool: pool,
+		pb: dram.FormatParams(s.Params)}
 	return runModule(s.Entry, cfg, xrand.Hash(s.Seed, nameSeed(s.Entry.Spec.ID)))
 }
