@@ -18,12 +18,17 @@ import (
 	simra "repro"
 )
 
+// flags binds simra-decode's flag surface to fs and returns the values
+// that parsing fills.
+func flags(fs *flag.FlagSet) (geometry *string, rf, rs *int) {
+	geometry = fs.String("geometry", "hynix512", "decoder geometry: hynix512, hynix640, micron1024")
+	rf = fs.Int("rf", -1, "first activated row (RowFirst)")
+	rs = fs.Int("rs", -1, "second activated row (RowSecond)")
+	return geometry, rf, rs
+}
+
 func main() {
-	var (
-		geometry = flag.String("geometry", "hynix512", "decoder geometry: hynix512, hynix640, micron1024")
-		rf       = flag.Int("rf", -1, "first activated row (RowFirst)")
-		rs       = flag.Int("rs", -1, "second activated row (RowSecond)")
-	)
+	geometry, rf, rs := flags(flag.CommandLine)
 	flag.Parse()
 
 	if err := run(os.Stdout, *geometry, *rf, *rs); err != nil {

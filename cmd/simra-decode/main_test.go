@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"strings"
 	"testing"
 
@@ -36,4 +37,15 @@ func TestUnknownGeometry(t *testing.T) {
 	if err := run(&bytes.Buffer{}, "tlb", -1, -1); err == nil {
 		t.Fatal("unknown geometry accepted")
 	}
+}
+
+// TestFlagsGolden pins the -h flag surface: every flag name, type, usage
+// and default, byte for byte.
+func TestFlagsGolden(t *testing.T) {
+	fs := flag.NewFlagSet("simra-decode", flag.ContinueOnError)
+	flags(fs)
+	var b strings.Builder
+	fs.SetOutput(&b)
+	fs.PrintDefaults()
+	goldenfile.Check(t, "testdata", "flags.golden", b.String())
 }

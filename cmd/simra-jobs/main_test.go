@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -143,6 +144,45 @@ func TestSubmitWaitAndCancel(t *testing.T) {
 	code, _, errs = cli(t, base, "watch", id)
 	if code != 2 || !strings.Contains(errs, "canceled") {
 		t.Fatalf("watch canceled job: exit %d, %s", code, errs)
+	}
+}
+
+// TestStatusAndCancelPrintServerBody pins the JSON that status and cancel
+// print: the server's /v1/jobs/{id} body for the same call, indented by
+// two spaces, key order and all.
+func TestStatusAndCancelPrintServerBody(t *testing.T) {
+	base := testServe(t)
+	code, out, errs := cli(t, base, "submit", "-wait", "-q", "-kind", "trng", "-params", `{"bytes":16,"seed":11}`)
+	if code != 0 {
+		t.Fatalf("submit -wait: exit %d, %s", code, errs)
+	}
+	id := strings.TrimSpace(out)
+	for _, c := range []struct{ cmd, method string }{
+		{"status", http.MethodGet},
+		{"cancel", http.MethodDelete},
+	} {
+		code, out, errs := cli(t, base, c.cmd, id)
+		if code != 0 {
+			t.Fatalf("%s: exit %d, %s", c.cmd, code, errs)
+		}
+		req, _ := http.NewRequest(c.method, base+"/v1/jobs/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.Indent(&want, bytes.TrimSpace(body), "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		want.WriteByte('\n')
+		if out != want.String() {
+			t.Fatalf("%s printed\n%s\nserver body re-indented\n%s", c.cmd, out, want.String())
+		}
 	}
 }
 
