@@ -20,8 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"time"
 
 	simra "repro"
 	"repro/internal/charexp"
@@ -37,22 +35,15 @@ func flags(fs *flag.FlagSet) *simra.CampaignOptions {
 }
 
 func main() {
-	opts := flags(flag.CommandLine)
-	flag.Parse()
-
-	start := time.Now()
-	stats, err := run(os.Stdout, *opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simra-campaign:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "(engine: %s; %s)\n", stats, time.Since(start).Round(time.Millisecond))
+	cli.Main("simra-campaign", flags, func(w io.Writer, opts *simra.CampaignOptions) (fmt.Stringer, error) {
+		return run(w, *opts)
+	})
 }
 
 // run executes the campaign and writes the report through the shared
 // resolution/rendering path (internal/campaign.Options), so the bytes on
 // w are the same contract simra-serve serves on /v1/campaign. All output
-// on w is deterministic; statistics and timing go to stderr in main.
+// on w is deterministic; the driver puts statistics and timing on stderr.
 func run(w io.Writer, opts simra.CampaignOptions) (simra.EngineStats, error) {
 	if err := charexp.CheckFormat(opts.Format); err != nil {
 		return simra.EngineStats{}, err

@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"time"
 
@@ -31,13 +30,9 @@ func flags(fs *flag.FlagSet) *charexp.Options {
 }
 
 func main() {
-	opts := flags(flag.CommandLine)
-	flag.Parse()
-
-	if err := run(os.Stdout, *opts); err != nil {
-		fmt.Fprintln(os.Stderr, "simra-char:", err)
-		os.Exit(1)
-	}
+	cli.Main("simra-char", flags, func(w io.Writer, opts *charexp.Options) (fmt.Stringer, error) {
+		return nil, run(w, *opts)
+	})
 }
 
 // needsSimulation reports whether a figure id executes sweeps (and so

@@ -13,28 +13,30 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	simra "repro"
+	"repro/internal/cli"
 )
 
-// flags binds simra-decode's flag surface to fs and returns the values
+// options is simra-decode's flag surface.
+type options struct {
+	Geometry  string `flag:"geometry" usage:"decoder geometry: hynix512, hynix640, micron1024"`
+	RowFirst  int    `flag:"rf" usage:"first activated row (RowFirst)"`
+	RowSecond int    `flag:"rs" usage:"second activated row (RowSecond)"`
+}
+
+// flags binds simra-decode's flag surface to fs and returns the options
 // that parsing fills.
-func flags(fs *flag.FlagSet) (geometry *string, rf, rs *int) {
-	geometry = fs.String("geometry", "hynix512", "decoder geometry: hynix512, hynix640, micron1024")
-	rf = fs.Int("rf", -1, "first activated row (RowFirst)")
-	rs = fs.Int("rs", -1, "second activated row (RowSecond)")
-	return geometry, rf, rs
+func flags(fs *flag.FlagSet) *options {
+	opts := &options{Geometry: "hynix512", RowFirst: -1, RowSecond: -1}
+	cli.Bind(fs, opts)
+	return opts
 }
 
 func main() {
-	geometry, rf, rs := flags(flag.CommandLine)
-	flag.Parse()
-
-	if err := run(os.Stdout, *geometry, *rf, *rs); err != nil {
-		fmt.Fprintln(os.Stderr, "simra-decode:", err)
-		os.Exit(1)
-	}
+	cli.Main("simra-decode", flags, func(w io.Writer, opts *options) (fmt.Stringer, error) {
+		return nil, run(w, opts.Geometry, opts.RowFirst, opts.RowSecond)
+	})
 }
 
 // run writes the activation analysis to w; all output is deterministic

@@ -2,7 +2,9 @@
 // tier: submit expensive runs (characterization sweeps, fleet workloads,
 // TRNG draws, scenario scans and envelope searches) as jobs, stream their
 // per-shard progress over SSE, fetch byte-identical results, cancel, and
-// verify completion webhooks (DESIGN.md §11).
+// verify completion webhooks (DESIGN.md §11). Every call goes through
+// the Go SDK, pkg/simraclient, so its errors print in the SDK's APIError
+// form and its 429/503 answers are retried.
 //
 // Usage:
 //
@@ -28,8 +30,8 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
+	"context"
 	"crypto/hmac"
 	"encoding/json"
 	"flag"
@@ -38,11 +40,11 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/jobs"
+	"repro/pkg/simraclient"
 )
 
 func main() {
@@ -73,23 +75,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(rest) == 0 {
 		return usage(stderr)
 	}
-	c := &client{base: strings.TrimRight(*server, "/"), token: *token, http: &http.Client{}}
+	c := simraclient.New(*server, simraclient.WithToken(*token))
+	ctx := context.Background()
 	cmd, rest := rest[0], rest[1:]
 	switch cmd {
 	case "submit":
-		return cmdSubmit(c, rest, stdout, stderr)
+		return cmdSubmit(ctx, c, rest, stdout, stderr)
 	case "status":
-		return cmdStatus(c, rest, stdout, stderr)
+		return cmdStatus(ctx, c, rest, stdout, stderr)
 	case "watch":
-		return cmdWatch(c, rest, stdout, stderr)
+		return cmdWatch(ctx, c, rest, stdout, stderr)
 	case "result":
-		return cmdResult(c, rest, stdout, stderr)
+		return cmdResult(ctx, c, rest, stdout, stderr)
 	case "cancel":
-		return cmdCancel(c, rest, stdout, stderr)
+		return cmdCancel(ctx, c, rest, stdout, stderr)
 	case "version":
-		return cmdServerJSON(c, "/v1/version", stdout, stderr)
+		v, err := c.Version(ctx)
+		return printJSON(stdout, stderr, v, err)
 	case "health":
-		return cmdServerJSON(c, "/healthz", stdout, stderr)
+		h, err := c.Health(ctx)
+		return printJSON(stdout, stderr, h, err)
 	case "sink":
 		return cmdSink(rest, stdout, stderr)
 	default:
@@ -98,52 +103,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 }
 
-// client talks to one simra-serve instance.
-type client struct {
-	base  string
-	token string
-	http  *http.Client
-}
-
-// authorize attaches the bearer token, when configured.
-func (c *client) authorize(req *http.Request) {
-	if c.token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.token)
-	}
-}
-
-// getJSON decodes a JSON endpoint, reporting non-2xx bodies as errors.
-func (c *client) getJSON(method, path string, body []byte, v any) error {
-	req, err := http.NewRequest(method, c.base+path, bytes.NewReader(body))
+// printJSON prints v as indented JSON, or the error that fetching it
+// returned.
+func printJSON(stdout, stderr io.Writer, v any, err error) int {
 	if err != nil {
-		return err
+		return fail(stderr, err)
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	c.authorize(req)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		return fmt.Errorf("%s %s: %s: %s", method, path, resp.Status, strings.TrimSpace(string(data)))
-	}
-	return json.Unmarshal(data, v)
+	enc := json.NewEncoder(stdout)
+	enc.SetIndent("", "  ")
+	enc.Encode(v)
+	return 0
 }
 
 // exitState maps a terminal job state onto the watch/submit -wait exit
 // code contract: 0 succeeded, 1 failed, 2 canceled.
-func exitState(st jobs.Status, stderr io.Writer) int {
+func exitState(st simraclient.JobStatus, stderr io.Writer) int {
 	switch st.State {
-	case jobs.StateSucceeded:
+	case string(jobs.StateSucceeded):
 		return 0
-	case jobs.StateCanceled:
+	case string(jobs.StateCanceled):
 		fmt.Fprintf(stderr, "simra-jobs: job %s canceled\n", st.ID)
 		return 2
 	default:
@@ -152,19 +130,29 @@ func exitState(st jobs.Status, stderr io.Writer) int {
 	}
 }
 
-// printStatus renders a status to stdout: the full JSON document, or the
-// bare job ID in quiet mode.
-func printStatus(stdout io.Writer, st jobs.Status, quiet bool) {
-	if quiet {
-		fmt.Fprintln(stdout, st.ID)
-		return
+// jobRequest turns -kind K -params P into the job envelope
+// {"kind":K, K:P}, decoded strictly into the SDK's request types: a kind
+// or a parameter that they do not declare is an error here, before any
+// request is sent.
+func jobRequest(kind, params string) (simraclient.JobRequest, error) {
+	var q simraclient.JobRequest
+	var inner json.RawMessage
+	if err := json.Unmarshal([]byte(params), &inner); err != nil {
+		return q, fmt.Errorf("-params is not valid JSON: %w", err)
 	}
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
-	enc.Encode(st)
+	body, err := json.Marshal(map[string]any{"kind": kind, kind: inner})
+	if err != nil {
+		return q, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&q); err != nil {
+		return q, fmt.Errorf("-kind %s -params: %w", kind, err)
+	}
+	return q, nil
 }
 
-func cmdSubmit(c *client, args []string, stdout, stderr io.Writer) int {
+func cmdSubmit(ctx context.Context, c *simraclient.Client, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("submit", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	kind := fs.String("kind", "", "request family: sweep, workload, trng, scenario or campaign")
@@ -179,50 +167,40 @@ func cmdSubmit(c *client, args []string, stdout, stderr io.Writer) int {
 	if *kind == "" {
 		return fail(stderr, fmt.Errorf("submit needs -kind"))
 	}
-	var inner json.RawMessage
-	if err := json.Unmarshal([]byte(*params), &inner); err != nil {
-		return fail(stderr, fmt.Errorf("-params is not valid JSON: %w", err))
-	}
-	body := map[string]any{"kind": *kind, *kind: inner}
-	if *webhookURL != "" {
-		body["webhook"] = jobs.WebhookSpec{URL: *webhookURL, Secret: *webhookSecret}
-	}
-	payload, err := json.Marshal(body)
+	q, err := jobRequest(*kind, *params)
 	if err != nil {
 		return fail(stderr, err)
 	}
-	var st jobs.Status
-	if err := c.getJSON(http.MethodPost, "/v1/jobs", payload, &st); err != nil {
+	if *webhookURL != "" {
+		q.Webhook = &simraclient.JobWebhook{URL: *webhookURL, Secret: *webhookSecret}
+	}
+	st, err := c.SubmitJob(ctx, q)
+	if err != nil {
 		return fail(stderr, err)
+	}
+	if *wait && !st.Terminal() {
+		if st, err = c.WatchJob(ctx, st.ID, nil); err != nil {
+			return fail(stderr, err)
+		}
+	}
+	if *quiet {
+		fmt.Fprintln(stdout, st.ID)
+	} else {
+		printJSON(stdout, stderr, st, nil)
 	}
 	if !*wait {
-		printStatus(stdout, st, *quiet)
 		return 0
 	}
-	st, err = c.waitTerminal(st.ID)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	printStatus(stdout, st, *quiet)
 	return exitState(st, stderr)
 }
 
-// waitTerminal polls the status endpoint until the job settles.
-func (c *client) waitTerminal(id string) (jobs.Status, error) {
-	for {
-		var st jobs.Status
-		if err := c.getJSON(http.MethodGet, "/v1/jobs/"+id, nil, &st); err != nil {
-			return st, err
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		time.Sleep(100 * time.Millisecond)
+// jobIDArg parses a subcommand's flags and extracts its single
+// positional job-id argument; ok is false after a usage error.
+func jobIDArg(fs *flag.FlagSet, args []string, stderr io.Writer) (id string, ok bool) {
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		return "", false
 	}
-}
-
-// jobIDArg extracts the single positional job-id argument.
-func jobIDArg(fs *flag.FlagSet, stderr io.Writer) (string, bool) {
 	if fs.NArg() != 1 {
 		fmt.Fprintln(stderr, "simra-jobs: expected exactly one <job-id> argument")
 		return "", false
@@ -230,170 +208,74 @@ func jobIDArg(fs *flag.FlagSet, stderr io.Writer) (string, bool) {
 	return fs.Arg(0), true
 }
 
-func cmdStatus(c *client, args []string, stdout, stderr io.Writer) int {
+func cmdStatus(ctx context.Context, c *simraclient.Client, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("status", flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	quiet := fs.Bool("q", false, "print only the job state")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	id, ok := jobIDArg(fs, stderr)
+	id, ok := jobIDArg(fs, args, stderr)
 	if !ok {
 		return 2
 	}
-	var st jobs.Status
-	if err := c.getJSON(http.MethodGet, "/v1/jobs/"+id, nil, &st); err != nil {
+	st, err := c.Job(ctx, id)
+	if err != nil {
 		return fail(stderr, err)
 	}
 	if *quiet {
 		fmt.Fprintln(stdout, st.State)
 		return 0
 	}
-	printStatus(stdout, st, false)
-	return 0
+	return printJSON(stdout, stderr, st, nil)
 }
 
-func cmdCancel(c *client, args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("cancel", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	id, ok := jobIDArg(fs, stderr)
+func cmdCancel(ctx context.Context, c *simraclient.Client, args []string, stdout, stderr io.Writer) int {
+	id, ok := jobIDArg(flag.NewFlagSet("cancel", flag.ContinueOnError), args, stderr)
 	if !ok {
 		return 2
 	}
-	var st jobs.Status
-	if err := c.getJSON(http.MethodDelete, "/v1/jobs/"+id, nil, &st); err != nil {
-		return fail(stderr, err)
-	}
-	printStatus(stdout, st, false)
-	return 0
+	st, err := c.CancelJob(ctx, id)
+	return printJSON(stdout, stderr, st, err)
 }
 
-func cmdResult(c *client, args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("result", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	id, ok := jobIDArg(fs, stderr)
+// cmdResult writes a succeeded job's result bytes to stdout: the rendered
+// text or csv, or the raw columnar stream.
+func cmdResult(ctx context.Context, c *simraclient.Client, args []string, stdout, stderr io.Writer) int {
+	id, ok := jobIDArg(flag.NewFlagSet("result", flag.ContinueOnError), args, stderr)
 	if !ok {
 		return 2
 	}
-	req, err := http.NewRequest(http.MethodGet, c.base+"/v1/jobs/"+id+"/result", nil)
+	res, err := c.JobResult(ctx, id)
 	if err != nil {
 		return fail(stderr, err)
 	}
-	c.authorize(req)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return fail(stderr, err)
+	if res.Table != nil {
+		stdout.Write(res.Columnar)
+	} else {
+		io.WriteString(stdout, res.Output)
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fail(stderr, fmt.Errorf("result %s: %s: %s", id, resp.Status, strings.TrimSpace(string(data))))
-	}
-	stdout.Write(data)
 	return 0
 }
 
-// cmdWatch streams the job's SSE feed, printing one line per event, and
-// exits by the terminal state carried in the "done" event.
-func cmdWatch(c *client, args []string, stdout, stderr io.Writer) int {
+// cmdWatch follows the job's SSE feed, printing one id/event/data line
+// per event after -last-event-id, and exits by the job's terminal state.
+func cmdWatch(ctx context.Context, c *simraclient.Client, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("watch", flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	lastID := fs.Int64("last-event-id", 0, "resume the stream after this event ID")
 	quiet := fs.Bool("q", false, "print only the terminal state")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	id, ok := jobIDArg(fs, stderr)
+	id, ok := jobIDArg(fs, args, stderr)
 	if !ok {
 		return 2
 	}
-	req, err := http.NewRequest(http.MethodGet, c.base+"/v1/jobs/"+id+"/events", nil)
+	st, err := c.WatchJob(ctx, id, func(ev simraclient.JobEvent) {
+		if !*quiet && ev.ID > *lastID {
+			fmt.Fprintf(stdout, "%d\t%s\t%s\n", ev.ID, ev.Type, ev.Data)
+		}
+	})
 	if err != nil {
 		return fail(stderr, err)
-	}
-	if *lastID > 0 {
-		req.Header.Set("Last-Event-ID", fmt.Sprint(*lastID))
-	}
-	c.authorize(req)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(resp.Body)
-		return fail(stderr, fmt.Errorf("events %s: %s: %s", id, resp.Status, strings.TrimSpace(string(data))))
-	}
-	final, err := streamEvents(resp.Body, stdout, *quiet)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	if final == "" {
-		return fail(stderr, fmt.Errorf("stream ended before the job finished"))
 	}
 	if *quiet {
-		fmt.Fprintln(stdout, final)
+		fmt.Fprintln(stdout, st.State)
 	}
-	return exitState(jobs.Status{ID: id, State: jobs.State(final)}, stderr)
-}
-
-// streamEvents consumes one SSE stream, echoing events and returning the
-// terminal state from the "done" event ("" when the stream ended early).
-func streamEvents(r io.Reader, stdout io.Writer, quiet bool) (string, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 16<<20)
-	var id, event, data string
-	final := ""
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "id: "):
-			id = line[len("id: "):]
-		case strings.HasPrefix(line, "event: "):
-			event = line[len("event: "):]
-		case strings.HasPrefix(line, "data: "):
-			data = line[len("data: "):]
-		case line == "":
-			if event == "" && data == "" {
-				continue
-			}
-			if !quiet {
-				fmt.Fprintf(stdout, "%s\t%s\t%s\n", id, event, data)
-			}
-			if event == "done" {
-				var done struct {
-					State string `json:"state"`
-				}
-				if err := json.Unmarshal([]byte(data), &done); err == nil {
-					final = done.State
-				}
-			}
-			id, event, data = "", "", ""
-		}
-	}
-	return final, sc.Err()
-}
-
-// cmdServerJSON pretty-prints one GET endpoint's JSON document — the
-// version and health subcommands.
-func cmdServerJSON(c *client, path string, stdout, stderr io.Writer) int {
-	var doc map[string]any
-	if err := c.getJSON(http.MethodGet, path, nil, &doc); err != nil {
-		return fail(stderr, err)
-	}
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
-	enc.Encode(doc)
-	return 0
+	return exitState(st, stderr)
 }
 
 // The sink's connection timeouts: a sender gets sinkReadHeaderTimeout to

@@ -23,9 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
-	"time"
 
 	simra "repro"
 	"repro/internal/charexp"
@@ -42,22 +40,15 @@ func flags(fs *flag.FlagSet) *simra.ScenarioOptions {
 }
 
 func main() {
-	opts := flags(flag.CommandLine)
-	flag.Parse()
-
-	start := time.Now()
-	stats, err := run(os.Stdout, *opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simra-scan:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "(engine: %s; %s)\n", stats, time.Since(start).Round(time.Millisecond))
+	cli.Main("simra-scan", flags, func(w io.Writer, opts *simra.ScenarioOptions) (fmt.Stringer, error) {
+		return run(w, *opts)
+	})
 }
 
 // run executes the scenario and writes the report through the shared
 // resolution/rendering path (internal/scenario.Options), so the bytes on
 // w are the same contract simra-serve serves on /v1/scenario. All output
-// on w is deterministic; statistics and timing go to stderr in main.
+// on w is deterministic; the driver puts statistics and timing on stderr.
 func run(w io.Writer, opts simra.ScenarioOptions) (simra.EngineStats, error) {
 	if err := charexp.CheckFormat(opts.Format); err != nil {
 		return simra.EngineStats{}, err

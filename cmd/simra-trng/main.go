@@ -13,28 +13,31 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/cli"
 	"repro/internal/trng"
 )
 
-// flags binds simra-trng's flag surface — the TRNG family's Options and
-// the CLI-only -raw — to fs and returns what parsing fills.
-func flags(fs *flag.FlagSet) (*trng.Options, *bool) {
-	opts := &trng.Options{Bytes: 32, Seed: 0x7e57, Rows: 32}
+// options is simra-trng's flag surface: the TRNG family's Options and
+// the CLI-only -raw.
+type options struct {
+	trng.Options
+	Raw bool `flag:"raw" usage:"write raw bytes to stdout instead of hex"`
+}
+
+// flags binds simra-trng's flag surface to fs and returns the options
+// that parsing fills.
+func flags(fs *flag.FlagSet) *options {
+	opts := &options{Options: trng.Options{Bytes: 32, Seed: 0x7e57, Rows: 32}}
+	cli.Bind(fs, &opts.Options)
 	cli.Bind(fs, opts)
-	return opts, fs.Bool("raw", false, "write raw bytes to stdout instead of hex")
+	return opts
 }
 
 func main() {
-	opts, raw := flags(flag.CommandLine)
-	flag.Parse()
-
-	if err := run(os.Stdout, *opts, *raw); err != nil {
-		fmt.Fprintln(os.Stderr, "simra-trng:", err)
-		os.Exit(1)
-	}
+	cli.Main("simra-trng", flags, func(w io.Writer, opts *options) (fmt.Stringer, error) {
+		return nil, run(w, opts.Options, opts.Raw)
+	})
 }
 
 // run emits the bytes through the shared generation loop (trng.Generate),

@@ -19,8 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"time"
 
 	simra "repro"
 	"repro/internal/charexp"
@@ -36,21 +34,15 @@ func flags(fs *flag.FlagSet) *simra.WorkloadOptions {
 }
 
 func main() {
-	opts := flags(flag.CommandLine)
-	flag.Parse()
-
-	start := time.Now()
-	if err := run(os.Stdout, *opts); err != nil {
-		fmt.Fprintln(os.Stderr, "simra-work:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "(%s)\n", time.Since(start).Round(time.Millisecond))
+	cli.Main("simra-work", flags, func(w io.Writer, opts *simra.WorkloadOptions) (fmt.Stringer, error) {
+		return nil, run(w, *opts)
+	})
 }
 
 // run executes the selected workloads and writes the report through the
 // shared resolution/rendering path (internal/workload.Options), so the
 // output bytes are the same contract simra-serve serves. All output on w
-// is deterministic; timing goes to stderr in main.
+// is deterministic; the driver puts timing on stderr.
 func run(w io.Writer, opts simra.WorkloadOptions) error {
 	if err := charexp.CheckFormat(opts.Format); err != nil {
 		return err

@@ -1,7 +1,11 @@
 package cli
 
 import (
+	"errors"
 	"flag"
+	"fmt"
+	"io"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -46,4 +50,39 @@ func TestBindUnsupportedKind(t *testing.T) {
 		D int32 `flag:"d"`
 	}
 	Bind(flag.NewFlagSet("t", flag.ContinueOnError), &opts)
+}
+
+// fakeStats stands in for the engine statistics a run reports.
+type fakeStats string
+
+func (s fakeStats) String() string { return string(s) }
+
+// TestDrive runs the driver over a one-flag command: flags parse into the
+// options, stdout carries only the run's output, and stderr gets the
+// error line or the one trailer, with the engine stats when reported.
+func TestDrive(t *testing.T) {
+	flags := func(fs *flag.FlagSet) *string { return fs.String("say", "hi", "what to print") }
+	for _, c := range []struct {
+		args             []string
+		stats            fmt.Stringer
+		err              error
+		code             int
+		stdout, stderrRE string
+	}{
+		{[]string{"-say", "yo"}, nil, nil, 0, "yo\n", `^\([\d.]+m?s\)\n$`},
+		{nil, fakeStats("3 runs"), nil, 0, "hi\n", `^\(engine: 3 runs; [\d.]+m?s\)\n$`},
+		{nil, fakeStats("3 runs"), errors.New("boom"), 1, "hi\n", `^cmd: boom\n$`},
+		{[]string{"-nope"}, nil, nil, 2, "", `flag provided but not defined: -nope`},
+	} {
+		fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
+		var stdout, stderr strings.Builder
+		fs.SetOutput(&stderr)
+		code := drive(fs, c.args, &stdout, &stderr, "cmd", flags, func(w io.Writer, say *string) (fmt.Stringer, error) {
+			fmt.Fprintln(w, *say)
+			return c.stats, c.err
+		})
+		if code != c.code || stdout.String() != c.stdout || !regexp.MustCompile(c.stderrRE).MatchString(stderr.String()) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q", c.args, code, stdout.String(), stderr.String())
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -274,5 +275,49 @@ func TestVersionAndSpec(t *testing.T) {
 	spec, err := c.OpenAPI(context.Background())
 	if err != nil || !strings.Contains(string(spec), "\"/v1/sweep\"") {
 		t.Fatalf("openapi: %v", err)
+	}
+}
+
+// TestWatchJobUnknownIDFailsAtOnce checks that WatchJob does not retry a
+// status that retrying cannot fix: an unknown job's 404 comes back as the
+// server's not_found envelope after exactly one request.
+func TestWatchJobUnknownIDFailsAtOnce(t *testing.T) {
+	s := server.New(server.Config{})
+	var hits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		s.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	_, err := New(ts.URL).WatchJob(context.Background(), "trng-nope", nil)
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Code != "not_found" {
+		t.Fatalf("watch of an unknown job: %v", err)
+	}
+	if hits.Load() != 1 {
+		t.Fatalf("%d requests, want 1", hits.Load())
+	}
+}
+
+// TestWatchJobReadsWholeErrorBody sends an error envelope in two flushed
+// pieces: WatchJob must read past the first piece and decode the whole
+// envelope, not fall back to the http_<status> code.
+func TestWatchJobReadsWholeErrorBody(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusNotFound)
+		io.WriteString(w, `{"error":{"code":"not_found",`)
+		w.(http.Flusher).Flush()
+		time.Sleep(20 * time.Millisecond)
+		io.WriteString(w, `"message":"no such job"}}`)
+	}))
+	defer ts.Close()
+	_, err := New(ts.URL, WithRetries(0)).WatchJob(context.Background(), "x", nil)
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Code != "not_found" || apiErr.Message != "no such job" {
+		t.Fatalf("split error body decoded as %v", err)
 	}
 }

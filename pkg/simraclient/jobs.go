@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -20,6 +21,7 @@ type JobRequest struct {
 	Workload *WorkloadRequest `json:"workload,omitempty"`
 	TRNG     *TRNGRequest     `json:"trng,omitempty"`
 	Scenario *ScenarioRequest `json:"scenario,omitempty"`
+	Campaign *CampaignRequest `json:"campaign,omitempty"`
 	// Webhook, when set, receives the signed terminal job status.
 	Webhook *JobWebhook `json:"webhook,omitempty"`
 }
@@ -147,7 +149,8 @@ func (c *Client) JobResult(ctx context.Context, id string) (*Result, error) {
 // /v1/jobs/{id}/events) until the job is terminal, invoking onEvent (if
 // non-nil) for every frame and returning the final status. Dropped
 // connections resume from the last seen event via Last-Event-ID, with
-// the client's retry budget.
+// the client's retry budget; an error status other than 429/503 (an
+// unknown job's 404, say) returns at once as *APIError.
 func (c *Client) WatchJob(ctx context.Context, id string, onEvent func(JobEvent)) (JobStatus, error) {
 	var lastID int64
 	for attempt := 0; ; attempt++ {
@@ -158,6 +161,10 @@ func (c *Client) WatchJob(ctx context.Context, id string, onEvent func(JobEvent)
 		}
 		if ctx.Err() != nil {
 			return JobStatus{}, ctx.Err()
+		}
+		var apiErr *APIError
+		if errors.As(err, &apiErr) && !retryable(apiErr.Status) {
+			return JobStatus{}, err
 		}
 		if attempt >= c.retries {
 			if err == nil {
@@ -195,9 +202,8 @@ func (c *Client) watchOnce(ctx context.Context, id string, lastID *int64, onEven
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		body := make([]byte, 4096)
-		n, _ := resp.Body.Read(body)
-		return false, apiError(resp, body[:n])
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return false, apiError(resp, body)
 	}
 
 	var ev JobEvent

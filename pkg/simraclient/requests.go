@@ -82,15 +82,32 @@ type ScenarioRequest struct {
 	Format string `json:"format,omitempty"`
 }
 
+// CampaignRequest is POST /v1/campaign: a fleet-design search for the
+// module mix with the best reliable throughput per watt.
+type CampaignRequest struct {
+	// Workload is the target workload's name (default "bitmap-scan").
+	Workload string `json:"workload,omitempty"`
+	// FleetSize is the number of modules per candidate mix (0 = 3).
+	FleetSize int `json:"size,omitempty"`
+	// Top bounds the ranked candidates in the report (0 = 10).
+	Top     int    `json:"top,omitempty"`
+	MaxX    int    `json:"maxx,omitempty"`
+	Columns int    `json:"cols,omitempty"`
+	Seed    uint64 `json:"seed,omitempty"`
+	// Format is "text" (default), "csv" or "columnar".
+	Format string `json:"format,omitempty"`
+}
+
 // BatchItem is one request of a batch, discriminated by Kind ("sweep",
-// "workload", "trng" or "scenario"). The columnar format is not
-// available in batches (binary cannot ride the JSON envelope).
+// "workload", "trng", "scenario" or "campaign"). The columnar format is
+// not available in batches (binary cannot ride the JSON envelope).
 type BatchItem struct {
 	Kind     string           `json:"kind"`
 	Sweep    *SweepRequest    `json:"sweep,omitempty"`
 	Workload *WorkloadRequest `json:"workload,omitempty"`
 	TRNG     *TRNGRequest     `json:"trng,omitempty"`
 	Scenario *ScenarioRequest `json:"scenario,omitempty"`
+	Campaign *CampaignRequest `json:"campaign,omitempty"`
 }
 
 // BatchRequest is POST /v1/batch: several requests in one round trip.
@@ -106,6 +123,23 @@ type Envelope struct {
 	Output string `json:"output"`
 	// Error is set on failed batch items (siblings still execute).
 	Error string `json:"error,omitempty"`
+}
+
+// Health is the GET /healthz document: liveness, the node's cluster role
+// and, on a coordinator, each peer's probed health.
+type Health struct {
+	Status        string       `json:"status"`
+	UptimeSeconds float64      `json:"uptime_seconds"`
+	Role          string       `json:"role"`
+	Groups        int          `json:"groups"`
+	Peers         []PeerHealth `json:"peers,omitempty"`
+}
+
+// PeerHealth is one peer's probe outcome in the Health document.
+type PeerHealth struct {
+	Name    string `json:"name"`
+	Healthy bool   `json:"healthy"`
+	Error   string `json:"error,omitempty"`
 }
 
 // VersionInfo is the GET /v1/version document.
@@ -184,6 +218,11 @@ func (c *Client) TRNG(ctx context.Context, q TRNGRequest) (*Result, error) {
 // Scenario runs a grid scan or envelope search (POST /v1/scenario).
 func (c *Client) Scenario(ctx context.Context, q ScenarioRequest) (*Result, error) {
 	return c.run(ctx, "/v1/scenario", q)
+}
+
+// Campaign runs a fleet-design campaign (POST /v1/campaign).
+func (c *Client) Campaign(ctx context.Context, q CampaignRequest) (*Result, error) {
+	return c.run(ctx, "/v1/campaign", q)
 }
 
 func (c *Client) run(ctx context.Context, path string, q any) (*Result, error) {

@@ -149,8 +149,7 @@ func (c *Client) do(ctx context.Context, method, path string, body any, hdr map[
 			resp.Body.Close()
 			if err != nil {
 				lastErr = err
-			} else if resp.StatusCode == http.StatusTooManyRequests ||
-				resp.StatusCode == http.StatusServiceUnavailable {
+			} else if retryable(resp.StatusCode) {
 				lastErr = apiError(resp, b)
 			} else if resp.StatusCode >= 400 {
 				return resp, b, apiError(resp, b)
@@ -173,6 +172,12 @@ func (c *Client) do(ctx context.Context, method, path string, body any, hdr map[
 			return nil, nil, err
 		}
 	}
+}
+
+// retryable reports whether an error status is worth retrying: the
+// server's load-shedding answers, 429 and 503.
+func retryable(status int) bool {
+	return status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable
 }
 
 // retryAfter parses a response's Retry-After header (delay seconds).
@@ -224,6 +229,16 @@ func (c *Client) Version(ctx context.Context) (VersionInfo, error) {
 		return v, err
 	}
 	return v, json.Unmarshal(body, &v)
+}
+
+// Health fetches GET /healthz.
+func (c *Client) Health(ctx context.Context) (Health, error) {
+	var h Health
+	_, body, err := c.do(ctx, http.MethodGet, "/healthz", nil, nil)
+	if err != nil {
+		return h, err
+	}
+	return h, json.Unmarshal(body, &h)
 }
 
 // OpenAPI fetches the server's machine-readable API description
