@@ -279,11 +279,13 @@ func cmdWatch(ctx context.Context, c *simraclient.Client, args []string, stdout,
 }
 
 // The sink's connection timeouts: a sender gets sinkReadHeaderTimeout to
-// send its headers, and an idle kept-alive connection is closed after
-// sinkIdleTimeout.
+// send its headers, an idle kept-alive connection is closed after
+// sinkIdleTimeout, and on exit in-flight responses get
+// sinkShutdownTimeout to reach their senders.
 const (
 	sinkReadHeaderTimeout = 5 * time.Second
 	sinkIdleTimeout       = 2 * time.Minute
+	sinkShutdownTimeout   = 5 * time.Second
 )
 
 // cmdSink runs a local webhook receiver: it verifies each delivery's
@@ -303,7 +305,14 @@ func cmdSink(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 	fmt.Fprintf(stderr, "simra-jobs: sink listening on %s\n", ln.Addr())
+	// The first exit code decides; later deliveries never block on it.
 	done := make(chan int, 1)
+	finish := func(code int) {
+		select {
+		case done <- code:
+		default:
+		}
+	}
 	var mu sync.Mutex
 	var served int
 	mux := http.NewServeMux()
@@ -320,7 +329,7 @@ func cmdSink(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "simra-jobs: sink: BAD SIGNATURE %q on job %s\n",
 					got, r.Header.Get("X-Simra-Job"))
 				http.Error(w, "bad signature", http.StatusUnauthorized)
-				done <- 1
+				finish(1)
 				return
 			}
 		}
@@ -330,15 +339,16 @@ func cmdSink(args []string, stdout, stderr io.Writer) int {
 		hit := *n > 0 && served >= *n
 		mu.Unlock()
 		if hit {
-			select {
-			case done <- 0:
-			default:
-			}
+			finish(0)
 		}
 	})
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: sinkReadHeaderTimeout, IdleTimeout: sinkIdleTimeout}
 	go srv.Serve(ln)
 	code := <-done
-	srv.Close()
+	// Shutdown lets the handler that decided the exit finish its
+	// response before the connection closes.
+	ctx, cancel := context.WithTimeout(context.Background(), sinkShutdownTimeout)
+	defer cancel()
+	srv.Shutdown(ctx)
 	return code
 }

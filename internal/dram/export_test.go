@@ -15,11 +15,3 @@ func SetTableBudget(budget int64) (restore func()) {
 		tableRegBudget = old
 	}
 }
-
-// TableRegistry reports how many table sets the registry holds and the
-// row bytes charged to them.
-func TableRegistry() (sets int, bytes int64) {
-	tableReg.Lock()
-	defer tableReg.Unlock()
-	return len(tableReg.m), tableReg.bytes
-}

@@ -38,8 +38,8 @@ func checkJitWindow(t *testing.T, sa *Subarray, row, first int, got []float64) {
 // exactly eight per draw the set came to hold.
 func jitCharge(tab *saTables) (held int, charged int64) {
 	tab.mu.Lock()
-	for _, r := range tab.jitRows {
-		held += len(r)
+	for i := range tab.cells {
+		held += len(tab.cells[i].jit)
 	}
 	tab.mu.Unlock()
 	tableReg.Lock()
@@ -84,8 +84,8 @@ func TestJitRowWindows(t *testing.T) {
 		if charged-charged0 != int64(8*(held-held0)) {
 			t.Fatalf("window %+v: %d bytes charged for %d draws held", w, charged-charged0, held-held0)
 		}
-		if w.first == 1200 && (tab.jitStart[row] != 1200 || len(tab.jitRows[row]) != 3) {
-			t.Fatalf("first window holds trials %d+%d, want 1200+3", tab.jitStart[row], len(tab.jitRows[row]))
+		if c := &tab.cells[row]; w.first == 1200 && (c.jitStart != 1200 || len(c.jit) != 3) {
+			t.Fatalf("first window holds trials %d+%d, want 1200+3", c.jitStart, len(c.jit))
 		}
 	}
 	for i, got := range kept {

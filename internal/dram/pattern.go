@@ -2,7 +2,6 @@ package dram
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/xrand"
@@ -102,35 +101,6 @@ func (p Pattern) Bit(seed uint64, rowOrdinal, col int) bool {
 	return xrand.Hash(seed, uint64(rowOrdinal), uint64(col), 0x9a7)&1 == 1
 }
 
-// Random-fill registry: PatternRandom hashes three mixes per column, and
-// the characterization harnesses re-fill the identical rows for every
-// sweep cell (the fill is a pure function of (seed, rowOrdinal, cols) —
-// the group data seed never depends on timings or environment). Sharing
-// the packed words process-wide turns the per-cell re-fill into a
-// few-word copy, mirroring the sampling and static-table registries.
-// Cached word slices are read-only.
-type fillRegKey struct {
-	seed uint64
-	row  int
-	cols int
-}
-
-// fillRegMax bounds the registry; beyond it a stripe's map resets (fills
-// are recomputable, eviction only costs re-derivation).
-const fillRegMax = 1 << 15
-
-// fillRegStripes splits the registry over independently locked maps, so
-// shards filling rows in parallel do not queue on one process-wide lock.
-// Each stripe holds at most fillRegMax/fillRegStripes rows.
-const fillRegStripes = 16
-
-type fillStripe struct {
-	sync.Mutex
-	m map[fillRegKey][]uint64
-}
-
-var fillReg [fillRegStripes]fillStripe
-
 // FillRowVec materializes the pattern for one row as a packed vector.
 // Fixed byte-pair patterns and the split checkerboard are periodic, so
 // they fill whole 64-column words at a time; only Random hashes per
@@ -163,29 +133,11 @@ func (p Pattern) FillRowInto(out bitvec.Vec, seed uint64, rowOrdinal int) {
 		out.FillByteMSB(b)
 		return
 	}
-	// Random: a distinct uniform pattern per row, shared via fillReg.
-	key := fillRegKey{seed: seed, row: rowOrdinal, cols: out.Len()}
-	// Row ordinals are consecutive within a group, so neighbouring rows
-	// land on different stripes.
-	st := &fillReg[(seed+uint64(rowOrdinal))%fillRegStripes]
-	st.Lock()
-	cached, ok := st.m[key]
-	st.Unlock()
-	if ok {
-		copy(out.Words(), cached)
-		return
-	}
+	// Random: a distinct uniform pattern per row.
 	rowChain := xrand.Begin().Mix(seed).Mix(uint64(rowOrdinal))
 	out.FillPattern(func(c int) bool {
 		return rowChain.Mix(uint64(c)).Mix(0x9a7).Sum()&1 == 1
 	})
-	words := append([]uint64(nil), out.Words()...)
-	st.Lock()
-	if st.m == nil || len(st.m) >= fillRegMax/fillRegStripes {
-		st.m = make(map[fillRegKey][]uint64)
-	}
-	st.m[key] = words
-	st.Unlock()
 }
 
 // FillRow materializes the pattern for one row across cols columns.

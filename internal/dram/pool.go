@@ -5,7 +5,7 @@ import "repro/internal/analog"
 // ModulePool recycles pre-built module instances across runs. Module
 // construction itself is cheap, but the first touch of every subarray
 // hoists large static-draw tables (per-column thresholds, per-row latch
-// and wordline draws, lazily materialized per-cell gamma/Frac/weak tables
+// and wordline draws, lazily materialized per-cell wbase/Frac/weak tables
 // and per-group coupling rows — see newSubarray); a pooled instance keeps
 // those tables warm. Because every static table is a pure function of
 // structural coordinates and Reset restores the dynamic cell state to the

@@ -52,13 +52,17 @@ func TestRegistryBudgetBoundsFreshSeeds(t *testing.T) {
 	sets0, _ := dram.TableDerivations()
 	for seed := uint64(1); seed <= 8; seed++ {
 		sweep(t, sweepConfig(0x5eed0000+seed))
-		if _, bytes := dram.TableRegistry(); bytes > budget {
-			t.Fatalf("seed %d: registry charged %d bytes, budget %d", seed, bytes, budget)
+		if rs := dram.Registry(); rs.Bytes > budget {
+			t.Fatalf("seed %d: registry charged %d bytes, budget %d", seed, rs.Bytes, budget)
 		}
 	}
 	sets1, _ := dram.TableDerivations()
-	if held, _ := dram.TableRegistry(); int64(held) >= sets1-sets0 {
-		t.Fatalf("registry holds %d sets after deriving %d: nothing was evicted", held, sets1-sets0)
+	rs := dram.Registry()
+	if int64(rs.Sets) >= sets1-sets0 {
+		t.Fatalf("registry holds %d sets after deriving %d: nothing was evicted", rs.Sets, sets1-sets0)
+	}
+	if rs.Budget != budget || rs.Evictions == 0 {
+		t.Fatalf("registry reports budget %d and %d evictions, want %d and some", rs.Budget, rs.Evictions, budget)
 	}
 }
 

@@ -138,3 +138,32 @@ func BenchmarkShareResolve(b *testing.B) {
 		sa.ShareResolve(det, meta, plan.Sets[0], plan, opts)
 	}
 }
+
+// BenchmarkCopyFail times the copy-failure masks of one planned 32-row
+// Multi-RowCopy set: one CopyFail per destination row, as core's copy
+// kernel computes them.
+func BenchmarkCopyFail(b *testing.B) {
+	sa, rs, opts := benchGroup(b)
+	opts.Timings = timing.BestCopy()
+	plan, err := sa.PlanAPA(0, rs, 2, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if plan.Mode != ModeCopy {
+		b.Fatalf("mode %v, want copy", plan.Mode)
+	}
+	set := plan.Sets[0]
+	src, fail := bitvec.New(sa.Cols()), bitvec.New(sa.Cols())
+	if err := sa.ReadRowInto(src, plan.RF); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range set.Rows {
+			if r != plan.RF {
+				sa.CopyFail(fail, r, src, len(set.Rows), plan, opts)
+			}
+		}
+	}
+}

@@ -45,12 +45,12 @@ const chargeFrac = 0.5
 // draws from precomputed tables instead of re-hashing every trial.
 //
 // Static process-variation tables are shared across every Subarray
-// instance with the same simulation identity (see saTables); the fields
-// below memoize the shared per-cell rows locally so per-row accesses skip
-// the table lock. The hot path is also allocation-free: structural keys
-// extend a precomputed hash chain, decoder activation sets are cached,
-// and the kernels reuse per-subarray scratch (a subarray is driven by one
-// goroutine at a time; the engine shards per subarray).
+// instance with the same simulation identity (see saTables), whose
+// published per-cell rows are read without a lock. The hot path is also
+// allocation-free: structural keys extend a precomputed hash chain,
+// decoder activation sets are cached, and the kernels reuse per-subarray
+// scratch (a subarray is driven by one goroutine at a time; the engine
+// shards per subarray).
 type Subarray struct {
 	mod      *Module
 	bankIdx  int
@@ -64,13 +64,7 @@ type Subarray struct {
 	asserted []int // rows left open by the last APA (until precharge)
 	copyMode bool  // whether the last APA latched the sense amps
 
-	// Shared static tables plus local memos of their immutable rows.
-	tab           *saTables
-	gammaLocal    [][]float64
-	fracLocal     [][]float64
-	weakWRLocal   [][]float64
-	weakCopyLocal [][]float64
-	wbaseLocal    [][]float64
+	tab *saTables // shared static tables
 
 	// Decoder activation sets per (rf, rs), a pure function of the pair.
 	actCache map[uint64][]int
@@ -139,12 +133,6 @@ func newSubarray(m *Module, bankIdx, saIdx int) *Subarray {
 		keyChain: xrand.Begin().Mix(m.spec.Seed).Mix(uint64(bankIdx)).Mix(uint64(saIdx)),
 		val:      make([]uint64, rows*words),
 		frac:     make([]uint64, rows*words),
-
-		gammaLocal:    make([][]float64, rows),
-		fracLocal:     make([][]float64, rows),
-		weakWRLocal:   make([][]float64, rows),
-		weakCopyLocal: make([][]float64, rows),
-		wbaseLocal:    make([][]float64, rows),
 
 		actCache: make(map[uint64][]int),
 
@@ -215,51 +203,19 @@ func (s *Subarray) rowNorm(row int, tag uint64) float64 {
 	return xrand.NormOf(s.key3(uint64(row), 0xfffe, tag))
 }
 
-// gammaRow returns the per-cell capacitance draws of one row, memoizing
-// the shared immutable row locally so later accesses skip the table lock.
-func (s *Subarray) gammaRow(row int) []float64 {
-	if r := s.gammaLocal[row]; r != nil {
-		return r
-	}
-	r := s.tab.cellRow(s, s.tab.gammaRows, row, tagGamma, false)
-	s.gammaLocal[row] = r
-	return r
-}
+// fracRow returns one row's per-cell Frac residual draws.
+func (s *Subarray) fracRow(row int) []float64 { return s.cellRow(row, rowFrac) }
 
-func (s *Subarray) fracRow(row int) []float64 {
-	if r := s.fracLocal[row]; r != nil {
-		return r
-	}
-	r := s.tab.cellRow(s, s.tab.fracRows, row, tagFrac, false)
-	s.fracLocal[row] = r
-	return r
-}
+// wbaseRow returns one row's charge-share weight base, 1 + CellCapSigma·
+// gamma[c]: the trial-invariant factor shareDetMeta multiplies by the
+// row's drive weight.
+func (s *Subarray) wbaseRow(row int) []float64 { return s.cellRow(row, rowWbase) }
 
-func (s *Subarray) wbaseRow(row int) []float64 {
-	if r := s.wbaseLocal[row]; r != nil {
-		return r
-	}
-	r := s.tab.wbaseRow(s, row)
-	s.wbaseLocal[row] = r
-	return r
-}
-
-func (s *Subarray) weakWRRow(row int) []float64 {
-	if r := s.weakWRLocal[row]; r != nil {
-		return r
-	}
-	r := s.tab.cellRow(s, s.tab.weakWRRows, row, tagWeakWR, true)
-	s.weakWRLocal[row] = r
-	return r
-}
-
-func (s *Subarray) weakCopyRow(row int) []float64 {
-	if r := s.weakCopyLocal[row]; r != nil {
-		return r
-	}
-	r := s.tab.cellRow(s, s.tab.weakCopyRows, row, tagWeakCopy, true)
-	s.weakCopyLocal[row] = r
-	return r
+// weakRow returns one row's weak-cell uniforms of kind rowWeakWR or
+// rowWeakCopy, and the least uniform of each 64-column word.
+func (s *Subarray) weakRow(row, kind int) (u, floor []float64) {
+	r := s.cellRow(row, kind)
+	return r[:s.cols], r[s.cols:]
 }
 
 // activatedRows returns the decoder's activation set for the APA pair,
@@ -281,9 +237,17 @@ func (s *Subarray) activatedRows(rf, rs int) ([]int, error) {
 // weakMask packs a write's static weak-cell failures into dst: bit c is
 // set when the cell's uniform draw u[c] falls below the failure
 // probability of the bit the write drives into it — pOne where drive has
-// a 1, pZero where it has a 0 (a nil drive is all zeros).
-func (s *Subarray) weakMask(dst, drive []uint64, u []float64, pOne, pZero float64) {
+// a 1, pZero where it has a 0 (a nil drive is all zeros). floor[wi] is
+// the least uniform of word wi: when it is below neither probability, no
+// u[c] of the word is either (u[c] ≥ floor), so the word is zero without
+// the per-bit loop. Each probability is tested on its own, so a NaN one
+// (below which nothing falls) skips exactly as the loop would.
+func (s *Subarray) weakMask(dst, drive []uint64, u, floor []float64, pOne, pZero float64) {
 	for wi := range dst {
+		if f := floor[wi]; !(f < pOne) && !(f < pZero) {
+			dst[wi] = 0
+			continue
+		}
 		var dw, word uint64
 		if drive != nil {
 			dw = drive[wi]
@@ -311,7 +275,8 @@ func (s *Subarray) weakMask(dst, drive []uint64, u []float64, pOne, pZero float6
 // depends only on the open-row count, not on the data).
 func (s *Subarray) wrFailMask(dst []uint64, row, nAsserted int) {
 	p := s.mod.params.WriteFailProb(nAsserted)
-	s.weakMask(dst, nil, s.weakWRRow(row), p, p)
+	u, floor := s.weakRow(row, rowWeakWR)
+	s.weakMask(dst, nil, u, floor, p, p)
 }
 
 // WriteRowVec performs a nominal-timing activate + write + precharge of
@@ -648,7 +613,8 @@ func (s *Subarray) applyCopy(rf int, asserted []int, t timing.APATimings, opts A
 		// copy, so it fails every trial (matching the all-trials success
 		// metric).
 		fail := s.failBuf.Words()
-		s.weakMask(fail, src, s.weakCopyRow(r), pTrue, pFalse)
+		u, floor := s.weakRow(r, rowWeakCopy)
+		s.weakMask(fail, src, u, floor, pTrue, pFalse)
 		for wi := range val {
 			val[wi] = src[wi]&^fail[wi] | val[wi]&fail[wi]
 			frac[wi] &= fail[wi]
@@ -694,7 +660,7 @@ func (s *Subarray) shareViable(rf, rs int, t timing.APATimings, opts APAOptions)
 //
 // The kernel accumulates the per-column perturbation numerator and
 // denominator row by row from the packed planes (reading the hoisted
-// gamma/Frac tables instead of hashing), then resolves sense amplifiers
+// wbase/Frac tables instead of hashing), then resolves sense amplifiers
 // one 64-column word block at a time, packing result bits directly.
 func (s *Subarray) shareDetMeta(det, meta []uint64, rf int, asserted []int,
 	t timing.APATimings, opts APAOptions, groupKey uint64) {

@@ -1,8 +1,10 @@
 package dram
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/bitvec"
 	"repro/internal/cache"
@@ -17,33 +19,45 @@ import (
 // workers from re-deriving the same per-cell draws for every private
 // module instance they build.
 //
-// The eager per-column/per-row tables are built once under init; the lazy
-// per-cell rows and per-group coupling rows are guarded by mu. Rows are
-// immutable once published, so instances memoize the returned slices
-// locally and skip the lock on every later access.
+// The eager per-column/per-row tables are built once under init. The lazy
+// per-cell rows live in one slot per row: each is derived and published
+// once under mu, and readers load it lock-free after that. The jitter
+// runs, coupling rows and coin planes are guarded by mu.
 type saTables struct {
 	init sync.Once
 
 	// Registry bookkeeping, guarded by tableReg's lock.
 	key     tableKey
-	charged int64 // row bytes charged while registered
+	charged int64 // bytes charged while registered
 	evicted bool  // dropped from the registry; rows no longer count
 
 	theta     []float64  // per-column reliable sensing threshold
 	saBias    bitvec.Vec // per-column sense-amp bias sign (Frac readout)
 	latchNorm []float64  // per-row predecoder latch draw
 	wlThresh  []float64  // per-row wordline settle threshold (ns)
+	cells     []cellSlots
 
 	mu            sync.Mutex
-	gammaRows     [][]float64 // per-cell capacitance draws, by row
-	fracRows      [][]float64 // per-cell Frac residual draws, by row
-	weakWRRows    [][]float64 // per-cell weak-write uniforms, by row
-	weakCopyRows  [][]float64 // per-cell weak-copy uniforms, by row
-	wbaseRows     [][]float64 // per-cell charge-share weight base, by row
-	jitRows       [][]float64 // per-(row, trial) assertion jitter draws, one run per row
-	jitStart      []int       // first trial of each row's jitter run
 	couplingNorms map[uint64][]float64
 	metaPlanes    map[metaPlaneKey][]uint64
+}
+
+// The lazy per-cell row kinds, indexing cellSlots.rows.
+const (
+	rowFrac     = iota // Frac residual draws
+	rowWeakWR          // weak-write uniforms, then one floor per word
+	rowWeakCopy        // weak-copy uniforms, then one floor per word
+	rowWbase           // charge-share weight base, 1 + CellCapSigma·gamma
+	rowKinds
+)
+
+// cellSlots holds one row's lazy per-cell rows. A slot is stored once,
+// under the set's mu, and never changes after, so it is loaded without a
+// lock. The jitter run is guarded by mu.
+type cellSlots struct {
+	rows     [rowKinds]atomic.Pointer[[]float64]
+	jit      []float64 // per-(row, trial) assertion jitter draws, one run
+	jitStart int       // first trial of jit
 }
 
 // tableKey identifies one subarray's static tables across module
@@ -54,29 +68,39 @@ type tableKey struct {
 	bank, sa int
 }
 
-// tableRegBudget bounds the registry by the bytes of the rows its table
-// sets publish: the eager per-column and per-row tables, every lazy
-// per-cell, charge-share weight, jitter and coupling row, and every coin
-// plane. Once a charge takes the registered sets past it, the oldest sets
-// are evicted until the rest fit. Every entry is recomputable, and
-// instances that already attached keep their pointers, so eviction only
-// costs re-derivation for future attachments. Fresh-seed workloads build
-// new rows forever; without the bound they would retain every one. The
-// budget is large enough that a server fed fresh seeds evicts a set only
-// after many requests have reused it. It is a variable only so tests can
-// force evictions.
+// tableRegBudget bounds the registry by the bytes its table sets hold:
+// the eager per-column and per-row tables, the slot array, every
+// published per-cell row with its slice header, every jitter and coupling
+// row, every coin plane, and a fixed overhead per set. Once a charge
+// takes the registered sets past it, the oldest sets are evicted until
+// the rest fit. Every entry is recomputable, and instances that already
+// attached keep their pointers, so eviction only costs re-derivation for
+// future attachments. Fresh-seed workloads build new rows forever;
+// without the bound they would retain every one. The budget is large
+// enough that a server fed fresh seeds evicts a set only after many
+// requests have reused it. It is a variable only so tests can force
+// evictions.
 var tableRegBudget int64 = 256 << 20
+
+// setOverhead is the fixed charge of one table set: the saTables struct
+// plus the headers of its two memo maps and its registry map and order
+// entries, rounded up to 256 bytes.
+const setOverhead = int(unsafe.Sizeof(saTables{})) + 256
+
+// rowHeader is the charge of a published row's heap slice header.
+const rowHeader = int(unsafe.Sizeof([]float64(nil)))
 
 // tableReg is the process-wide registry. Its lock is taken after a table
 // set's mu, never before: rows are charged while their set is locked.
 var tableReg = struct {
 	sync.Mutex
-	m     map[tableKey]*saTables
-	order []*saTables // registered sets, oldest first
-	bytes int64       // Σ charged over the registered sets
+	m         map[tableKey]*saTables
+	order     []*saTables // registered sets, oldest first
+	bytes     int64       // Σ charged over the registered sets
+	evictions int64
 }{m: make(map[tableKey]*saTables)}
 
-// charge counts n bytes of rows the set just published (or, negative, just
+// charge counts n bytes the set just came to hold (or, negative, just
 // dropped) against the registry budget, evicting the oldest sets while the
 // registry is over it. Rows published by an evicted set live only as long
 // as the instances holding it, so they are not counted.
@@ -104,6 +128,7 @@ func evictOverBudget() {
 		delete(tableReg.m, old.key)
 		tableReg.bytes -= old.charged
 		old.evicted = true
+		tableReg.evictions++
 	}
 }
 
@@ -121,6 +146,25 @@ func TableDerivations() (staticSets, cellRows int64) {
 	return statStaticSets.Load(), statCellRows.Load()
 }
 
+// RegistryStats is a snapshot of the static-table registry.
+type RegistryStats struct {
+	Sets           int   // table sets registered now
+	Bytes          int64 // bytes charged to them
+	Budget         int64 // the byte budget
+	Evictions      int64 // sets evicted since start
+	SetDerivations int64 // eager table sets derived since start
+	RowDerivations int64 // lazy per-cell rows derived since start
+}
+
+// Registry reports the static-table registry's state.
+func Registry() RegistryStats {
+	sets, rows := TableDerivations()
+	tableReg.Lock()
+	defer tableReg.Unlock()
+	return RegistryStats{Sets: len(tableReg.m), Bytes: tableReg.bytes, Budget: tableRegBudget,
+		Evictions: tableReg.evictions, SetDerivations: sets, RowDerivations: rows}
+}
+
 // tablesFor returns the shared table set for the key, creating an
 // unbuilt entry on first sight.
 func tablesFor(k tableKey) *saTables {
@@ -135,15 +179,19 @@ func tablesFor(k tableKey) *saTables {
 	return t
 }
 
+// floatRow allocates a row of n float64s with its capacity rounded up to
+// the allocator's size class, so 8*cap is the bytes the row really holds.
+func floatRow(n int) []float64 { return slices.Grow([]float64(nil), n)[:n] }
+
 // attachTables binds the subarray to its shared static tables, building
 // the eager per-column and per-row tables on first attachment.
 func (s *Subarray) attachTables() {
 	t := tablesFor(tableKey{mod: s.mod.tabKey, bank: s.bankIdx, sa: s.saIdx})
 	t.init.Do(func() {
-		t.theta = make([]float64, s.cols)
+		t.theta = floatRow(s.cols)
 		t.saBias = bitvec.New(s.cols)
-		t.latchNorm = make([]float64, s.rows)
-		t.wlThresh = make([]float64, s.rows)
+		t.latchNorm = floatRow(s.rows)
+		t.wlThresh = floatRow(s.rows)
 		for c := 0; c < s.cols; c++ {
 			t.theta[c] = s.mod.params.SenseThreshold(s.colNorm(c, tagTheta))
 			t.saBias.Set(c, s.colNorm(c, tagSABias) > 0)
@@ -152,64 +200,74 @@ func (s *Subarray) attachTables() {
 			t.latchNorm[r] = s.rowNorm(r, tagLatch)
 			t.wlThresh[r] = s.mod.params.WLThreshold(s.rowNorm(r, tagWL))
 		}
-		t.gammaRows = make([][]float64, s.rows)
-		t.fracRows = make([][]float64, s.rows)
-		t.weakWRRows = make([][]float64, s.rows)
-		t.weakCopyRows = make([][]float64, s.rows)
-		t.wbaseRows = make([][]float64, s.rows)
-		t.jitRows = make([][]float64, s.rows)
-		t.jitStart = make([]int, s.rows)
+		t.cells = slices.Grow([]cellSlots(nil), s.rows)[:s.rows]
 		t.couplingNorms = make(map[uint64][]float64)
 		t.metaPlanes = make(map[metaPlaneKey][]uint64)
 		statStaticSets.Add(1)
-		// Values of the per-column and per-row tables, plus the headers
-		// of the six lazy row tables and the jitter runs' start trials.
-		t.charge(8*(s.cols+s.words+3*s.rows) + 6*24*s.rows)
+		t.charge(t.eagerBytes())
 	})
 	s.tab = t
 }
 
-// cellRow returns one row of a lazy per-cell table, deriving and
-// publishing it on first access. Published rows are immutable.
-func (t *saTables) cellRow(s *Subarray, table [][]float64, row int, tag uint64, uniform bool) []float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if r := table[row]; r != nil {
-		return r
-	}
-	r := make([]float64, s.cols)
-	for c := range r {
-		if uniform {
-			r[c] = xrand.Uniform(s.key3(uint64(row), uint64(c), tag))
-		} else {
-			r[c] = s.cellNorm(row, c, tag)
-		}
-	}
-	table[row] = r
-	statCellRows.Add(1)
-	t.charge(8 * len(r))
-	return r
+// eagerBytes is what a built set holds before any lazy row: the per-column
+// and per-row tables, the slot array and the fixed per-set overhead.
+func (t *saTables) eagerBytes() int {
+	return 8*(cap(t.theta)+cap(t.saBias.Words())+cap(t.latchNorm)+cap(t.wlThresh)) +
+		cap(t.cells)*int(unsafe.Sizeof(cellSlots{})) + setOverhead
 }
 
-// wbaseRow returns one row's precomputed charge-share weight base,
-// 1 + CellCapSigma·gamma[c] — the trial-invariant factor shareDetMeta
-// multiplies by the row's drive weight. No fresh RNG derivation happens
-// here (it is arithmetic over the gamma row), so it doesn't count toward
-// the derivation counters. Published rows are immutable.
-func (t *saTables) wbaseRow(s *Subarray, row int) []float64 {
-	gamma := s.gammaRow(row) // derive outside t.mu: gammaRow locks too
-	sigma := s.mod.params.CellCapSigma
+// cellRow returns one row of a lazy per-cell table, loading the published
+// row lock-free and deriving it on first access. Published rows are
+// immutable.
+func (s *Subarray) cellRow(row, kind int) []float64 {
+	if r := s.tab.cells[row].rows[kind].Load(); r != nil {
+		return *r
+	}
+	return s.tab.deriveRow(s, row, kind)
+}
+
+// deriveRow derives, publishes and charges one lazy per-cell row, unless
+// a concurrent first reader published it while this one waited for mu.
+// Each derivation counts once in the derivation counters; the wbase row
+// draws the cells' capacitance variation inline, the one table that reads
+// it.
+func (t *saTables) deriveRow(s *Subarray, row, kind int) []float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if r := t.wbaseRows[row]; r != nil {
-		return r
+	slot := &t.cells[row].rows[kind]
+	if r := slot.Load(); r != nil {
+		return *r
 	}
-	r := make([]float64, s.cols)
-	for c := range r {
-		r[c] = 1 + sigma*gamma[c]
+	var r []float64
+	switch kind {
+	case rowFrac:
+		r = floatRow(s.cols)
+		for c := range r {
+			r[c] = s.cellNorm(row, c, tagFrac)
+		}
+	case rowWbase:
+		r = floatRow(s.cols)
+		sigma := s.mod.params.CellCapSigma
+		for c := range r {
+			r[c] = 1 + sigma*s.cellNorm(row, c, tagGamma)
+		}
+	case rowWeakWR, rowWeakCopy:
+		tag := uint64(tagWeakWR)
+		if kind == rowWeakCopy {
+			tag = tagWeakCopy
+		}
+		r = floatRow(s.cols + s.words)
+		u, floor := r[:s.cols], r[s.cols:]
+		for c := range u {
+			u[c] = xrand.Uniform(s.key3(uint64(row), uint64(c), tag))
+		}
+		for wi := range floor {
+			floor[wi] = slices.Min(u[wi*64 : min(wi*64+64, s.cols)])
+		}
 	}
-	t.wbaseRows[row] = r
-	t.charge(8 * len(r))
+	slot.Store(&r)
+	statCellRows.Add(1)
+	t.charge(rowHeader + 8*cap(r))
 	return r
 }
 
@@ -259,12 +317,13 @@ func (t *saTables) jitWindows(s *Subarray, rows []int, need uint64, first, n int
 // jitWindow is jitRow's body. The caller holds t.mu and charges the
 // returned byte delta.
 func (t *saTables) jitWindow(s *Subarray, row, first, n int) ([]float64, int) {
-	r, start := t.jitRows[row], t.jitStart[row]
+	cell := &t.cells[row]
+	r, start := cell.jit, cell.jitStart
 	grown := 0
 	if first < start || first > start+len(r) {
 		grown -= 8 * len(r)
 		r, start = nil, first
-		t.jitStart[row] = first
+		cell.jitStart = first
 	}
 	end := first + n
 	if have := start + len(r); end > have {
@@ -274,7 +333,7 @@ func (t *saTables) jitWindow(s *Subarray, row, first, n int) ([]float64, int) {
 		for trial := have; trial < end; trial++ {
 			r = append(r, xrand.Norm(k.Mix(uint64(trial)).Mix(tagJitter).Sum()))
 		}
-		t.jitRows[row] = r
+		cell.jit = r
 	}
 	return r[first-start : end-start : end-start], grown
 }

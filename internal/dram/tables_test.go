@@ -36,10 +36,10 @@ func TestTablesSharedAcrossInstances(t *testing.T) {
 		t.Fatal("identical module identities should share static tables")
 	}
 	// Lazy per-cell rows are derived once and shared by pointer.
-	g1 := sa1.gammaRow(7)
-	g2 := sa2.gammaRow(7)
-	if &g1[0] != &g2[0] {
-		t.Fatal("gamma row not shared between instances")
+	w1 := sa1.wbaseRow(7)
+	w2 := sa2.wbaseRow(7)
+	if &w1[0] != &w2[0] {
+		t.Fatal("wbase row not shared between instances")
 	}
 }
 
@@ -95,7 +95,7 @@ func TestTableDerivationsPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Share mode touches gamma rows; copy mode touches weak-copy rows;
+		// Share mode touches wbase rows; copy mode touches weak-copy rows;
 		// WR touches weak-write rows.
 		if _, err := sa.APA(0, 384, apaOpts(6, 3, 0)); err != nil {
 			t.Fatal(err)
@@ -262,10 +262,11 @@ func TestShareOutMatchesScalarAPA(t *testing.T) {
 	}
 }
 
-// TestMemoResetRefundsCharge fills one 64-column table set's coupling
-// rows and coin planes past couplingCacheMax and metaPlaneMax, so each
-// memo map resets once, and checks that the set's registry charge still
-// equals the bytes of the rows it holds: a reset refunds what it drops.
+// TestMemoResetRefundsCharge checks that one 64-column table set's
+// registry charge equals the bytes it holds: after attachment, after
+// per-cell rows of every kind and a jitter run are published, and after
+// its coupling rows and coin planes pass couplingCacheMax and
+// metaPlaneMax, so each memo map resets once and refunds what it drops.
 func TestMemoResetRefundsCharge(t *testing.T) {
 	spec := NewSpec("tables-test", ProfileH, 0xfeed00c0)
 	spec.Columns = 64
@@ -278,15 +279,36 @@ func TestMemoResetRefundsCharge(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab := sa.tab
-	charged := func() int64 {
+	check := func(when string) {
+		t.Helper()
+		held := tab.eagerBytes()
+		for i := range tab.cells {
+			c := &tab.cells[i]
+			for k := range c.rows {
+				if r := c.rows[k].Load(); r != nil {
+					held += rowHeader + 8*cap(*r)
+				}
+			}
+			held += 8 * len(c.jit)
+		}
+		held += 8*sa.cols*len(tab.couplingNorms) + 8*sa.words*len(tab.metaPlanes)
 		tableReg.Lock()
 		defer tableReg.Unlock()
 		if tab.evicted {
 			t.Fatal("table set evicted mid-test")
 		}
-		return tab.charged
+		if tab.charged != int64(held) {
+			t.Fatalf("%s: set charged %d bytes, holds %d", when, tab.charged, held)
+		}
 	}
-	base := charged()
+	check("after attachment")
+	for row := 0; row < 3; row++ {
+		for kind := 0; kind < rowKinds; kind++ {
+			sa.cellRow(row, kind)
+		}
+		tab.jitRow(sa, row, 0, 5)
+	}
+	check("after per-cell rows")
 	for k := uint64(0); k <= couplingCacheMax; k++ {
 		tab.couplingRow(sa.cols, k)
 	}
@@ -297,8 +319,5 @@ func TestMemoResetRefundsCharge(t *testing.T) {
 		t.Fatalf("memo maps hold %d rows and %d planes, want 1 each after the reset",
 			len(tab.couplingNorms), len(tab.metaPlanes))
 	}
-	held := int64(8*sa.cols*len(tab.couplingNorms) + 8*sa.words*len(tab.metaPlanes))
-	if got := charged() - base; got != held {
-		t.Fatalf("set charged %d bytes for coupling rows and coin planes, holds %d", got, held)
-	}
+	check("after the memo resets")
 }

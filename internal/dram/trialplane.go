@@ -276,5 +276,6 @@ func (s *Subarray) WRFail(fail bitvec.Vec, row, nAsserted int) {
 // (the sense amplifiers' latched value). Static per (row, set).
 func (s *Subarray) CopyFail(fail bitvec.Vec, row int, src bitvec.Vec, nAsserted int, plan *APAPlan, opts APAOptions) {
 	pTrue, pFalse := s.copyProbs(plan.RF, nAsserted, plan.T, opts)
-	s.weakMask(fail.Words(), src.Words(), s.weakCopyRow(row), pTrue, pFalse)
+	u, floor := s.weakRow(row, rowWeakCopy)
+	s.weakMask(fail.Words(), src.Words(), u, floor, pTrue, pFalse)
 }

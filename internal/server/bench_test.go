@@ -56,8 +56,8 @@ func BenchmarkServerWarmHit(b *testing.B) {
 
 // coldSeed hands out request seeds that no earlier iteration, sub-benchmark
 // or -count rerun in the process has used, so every cold-miss request
-// simulates a module the process-wide dram table and fill registries have
-// never seen. Seeding from the loop index would repeat seeds on a rerun
+// simulates a module the process-wide dram table registry has never
+// seen. Seeding from the loop index would repeat seeds on a rerun
 // and time registry hits instead of cold work.
 var coldSeed atomic.Uint64
 

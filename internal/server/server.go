@@ -675,6 +675,13 @@ func (s *Server) writeMetrics(w http.ResponseWriter) {
 	fmt.Fprintf(&b, "simra_cache_remote_misses_total %d\n", cs.RemoteMisses)
 	fmt.Fprintf(&b, "simra_cache_remote_errors_total %d\n", cs.RemoteErrors)
 	fmt.Fprintf(&b, "simra_serve_rate_limited_total %d\n", s.rateLimited.Load())
+	rs := dram.Registry()
+	fmt.Fprintf(&b, "simra_dram_table_sets %d\n", rs.Sets)
+	fmt.Fprintf(&b, "simra_dram_table_bytes %d\n", rs.Bytes)
+	fmt.Fprintf(&b, "simra_dram_table_budget_bytes %d\n", rs.Budget)
+	fmt.Fprintf(&b, "simra_dram_table_evictions_total %d\n", rs.Evictions)
+	fmt.Fprintf(&b, "simra_dram_table_set_derivations_total %d\n", rs.SetDerivations)
+	fmt.Fprintf(&b, "simra_dram_table_row_derivations_total %d\n", rs.RowDerivations)
 	for _, g := range s.groups {
 		gs := g.Stats()
 		fmt.Fprintf(&b, "simra_cluster_group_requests_total{group=%q} %d\n", g.Name(), gs.Requests)

@@ -503,6 +503,12 @@ func TestHealthAndMetrics(t *testing.T) {
 		"simra_cache_entries 1",
 		"simra_serve_inflight 0",
 		"simra_cache_capacity_bytes",
+		"simra_dram_table_sets ",
+		"simra_dram_table_bytes ",
+		"simra_dram_table_budget_bytes 268435456",
+		"simra_dram_table_evictions_total ",
+		"simra_dram_table_set_derivations_total ",
+		"simra_dram_table_row_derivations_total ",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
