@@ -20,6 +20,9 @@ package bitserial
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"unsafe"
 
 	"repro/internal/analog"
 	"repro/internal/bender"
@@ -101,19 +104,49 @@ func NewComputer(mod *dram.Module, sa *dram.Subarray, maxX int) (*Computer, erro
 // executes with the given environment and APA timings. The scenario
 // mitigation axis uses this to co-simulate redundancy schemes across the
 // operating envelope; NewComputer is the nominal-point special case.
+//
+// The probe's outcome is a property of the chip: it is calibrated once
+// per (subarray identity, maxX, env, timings) and shared through the
+// subarray's static tables (dram.Subarray.Derived). A later computer on
+// any instance of the same identity writes the probe's final row image
+// back instead of re-running it, which leaves the subarray, the chosen
+// group, the mask and the trial counter exactly as the probe would
+// (DESIGN §17).
 func NewComputerAt(mod *dram.Module, sa *dram.Subarray, maxX int,
 	env analog.Env, at timing.APATimings) (*Computer, error) {
-	return buildComputer(mod, sa, maxX, env, at, (*Computer).probeGroup)
+	c, err := unprobed(mod, sa, maxX, env, at)
+	if err != nil {
+		return nil, err
+	}
+	var probeErr error
+	cal, _ := sa.Derived(c.calibrationKey(), func() (any, int) {
+		cal, err := c.calibrate((*Computer).probeGroup)
+		if cal == nil {
+			probeErr = err
+			return nil, 0
+		}
+		return cal, cal.bytes()
+	}).(*calibration)
+	if cal == nil {
+		return nil, probeErr
+	}
+	if err := c.restore(cal); err != nil {
+		return nil, err
+	}
+	if err := c.initConstants(); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // probeFunc probes candidate group g at width x and returns the columns
 // that passed every probe (see probeGroup).
 type probeFunc func(c *Computer, g bender.Group, x int) (bitvec.Vec, error)
 
-// buildComputer is NewComputerAt with the group probe as a parameter, so
-// the tests can run the same selection over the scalar reference probe.
-func buildComputer(mod *dram.Module, sa *dram.Subarray, maxX int,
-	env analog.Env, at timing.APATimings, probe probeFunc) (*Computer, error) {
+// unprobed validates the operating point and returns a computer with
+// no compute group yet.
+func unprobed(mod *dram.Module, sa *dram.Subarray, maxX int,
+	env analog.Env, at timing.APATimings) (*Computer, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
@@ -127,11 +160,7 @@ func buildComputer(mod *dram.Module, sa *dram.Subarray, maxX int,
 		return nil, fmt.Errorf("bitserial: %s chips cannot perform majority operations",
 			mod.Spec().Profile.Manufacturer)
 	}
-	groups, err := bender.SampleGroups(sa, mod, 32, 8, 0xc0117)
-	if err != nil {
-		return nil, err
-	}
-	c := &Computer{
+	return &Computer{
 		sa:      sa,
 		mod:     mod,
 		env:     env,
@@ -142,13 +171,60 @@ func buildComputer(mod *dram.Module, sa *dram.Subarray, maxX int,
 		outBuf:  bitvec.New(sa.Cols()),
 		detBuf:  bitvec.New(sa.Cols()),
 		metaBuf: bitvec.New(sa.Cols()),
+	}, nil
+}
+
+// calibration is the outcome of one compute-group probe: the chosen
+// group, its width and reliable mask, the trial counter the probe ended
+// at, and the stored state it left in every candidate group's rows — or
+// the ErrNoReliableGroup error with that row state. Every input of the
+// probe is the subarray's identity or in calibrationKey, and the probe
+// stages every row it senses before sensing it, so the outcome does not
+// depend on what the subarray held before.
+type calibration struct {
+	err      error
+	group    bender.Group
+	maxX     int
+	reliable bitvec.Vec
+	trial    int
+	image    dram.RowsImage
+}
+
+// bytes is the heap the calibration holds, for the registry charge.
+func (cal *calibration) bytes() int {
+	return int(unsafe.Sizeof(*cal)) + 8*len(cal.reliable.Words()) + cal.image.Bytes()
+}
+
+// calibrationKey is what a probe depends on beyond the subarray's
+// identity. The floats enter by their bits, so signed zeros stay apart.
+type calibrationKey struct {
+	maxX                                 int
+	temp, vpp, aging, disturb, retention uint64
+	t1, t2                               uint64
+}
+
+// calibrationKey returns the computer's probe key; maxX is already
+// bounded by the module's profile.
+func (c *Computer) calibrationKey() calibrationKey {
+	f := math.Float64bits
+	return calibrationKey{maxX: c.maxX,
+		temp: f(c.env.TempC), vpp: f(c.env.VPP), aging: f(c.env.Aging),
+		disturb: f(c.env.Disturb), retention: f(c.env.Retention),
+		t1: f(c.timings.T1), t2: f(c.timings.T2)}
+}
+
+// calibrate probes every candidate group at every width and picks the one
+// supporting the widest majority with the most reliable columns — the
+// paper's "row group producing the highest throughput" selection (§8.1).
+// A width is usable only if it leaves more than a third of the columns
+// reliable; MAJ7/MAJ9 often are not (Obs. 8), in which case the computer
+// falls back to narrower fused operations. It returns the outcome, or nil
+// with the error when the probe stopped before probing every group.
+func (c *Computer) calibrate(probe probeFunc) (*calibration, error) {
+	groups, err := bender.SampleGroups(c.sa, c.mod, 32, 8, 0xc0117)
+	if err != nil {
+		return nil, err
 	}
-	// Probe every candidate group at every width and pick the one
-	// supporting the widest majority with the most reliable columns — the
-	// paper's "row group producing the highest throughput" selection
-	// (§8.1). A width is usable only if it leaves more than a third of
-	// the columns reliable; MAJ7/MAJ9 often are not (Obs. 8), in which
-	// case the computer falls back to narrower fused operations.
 	bestWidth, bestCount := 0, -1
 	for _, g := range groups {
 		width, mask, err := c.scoreGroup(g, probe)
@@ -166,28 +242,57 @@ func buildComputer(mod *dram.Module, sa *dram.Subarray, maxX int,
 		}
 	}
 	if bestWidth == 0 {
-		return nil, fmt.Errorf("%w (best %d/%d columns)", ErrNoReliableGroup, bestCount, sa.Cols())
+		err = fmt.Errorf("%w (best %d/%d columns)", ErrNoReliableGroup, bestCount, c.sa.Cols())
+	} else {
+		c.maxX = bestWidth
 	}
-	c.maxX = bestWidth
+	var rows []int
+	for _, g := range groups {
+		rows = append(rows, g.Rows...)
+	}
+	slices.Sort(rows)
+	img, serr := c.sa.SaveRows(slices.Compact(rows))
+	if serr != nil {
+		return nil, serr
+	}
+	cal := &calibration{err: err, image: img}
+	if err == nil {
+		cal.group, cal.maxX, cal.reliable, cal.trial = c.group, c.maxX, c.reliable.Clone(), c.trial
+	}
+	return cal, err
+}
 
-	c.zeroReg, err = c.AllocReg()
-	if err != nil {
-		return nil, err
+// restore puts the computer and its subarray where the calibration's
+// probe left them and returns the probe's error.
+func (c *Computer) restore(cal *calibration) error {
+	if err := c.sa.RestoreRows(cal.image); err != nil {
+		return err
 	}
-	c.oneReg, err = c.AllocReg()
-	if err != nil {
-		return nil, err
+	c.sa.Precharge()
+	if cal.err != nil {
+		return cal.err
 	}
-	zero := bitvec.New(sa.Cols())
-	ones := bitvec.New(sa.Cols())
+	c.group, c.maxX, c.reliable, c.trial = cal.group, cal.maxX, cal.reliable.Clone(), cal.trial
+	return nil
+}
+
+// initConstants allocates and writes the constant all-0s and all-1s
+// registers.
+func (c *Computer) initConstants() error {
+	var err error
+	if c.zeroReg, err = c.AllocReg(); err != nil {
+		return err
+	}
+	if c.oneReg, err = c.AllocReg(); err != nil {
+		return err
+	}
+	zero := bitvec.New(c.sa.Cols())
+	ones := bitvec.New(c.sa.Cols())
 	ones.Fill(true)
-	if err := sa.WriteRowVec(c.zeroReg, zero); err != nil {
-		return nil, err
+	if err := c.sa.WriteRowVec(c.zeroReg, zero); err != nil {
+		return err
 	}
-	if err := sa.WriteRowVec(c.oneReg, ones); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return c.sa.WriteRowVec(c.oneReg, ones)
 }
 
 // scoreGroup probes a candidate group at widths 3, 5, ... up to the

@@ -1,9 +1,6 @@
 package cache
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Backend is a remote cache tier: a byte-oriented key-value store shared
 // by the nodes of a serving fleet. Implementations must be safe for
@@ -49,31 +46,31 @@ func PutOwned(b Backend, k Key, v []byte) {
 }
 
 // MemBackend is an in-memory Backend: the fake remote tier used by tests
-// and by a node hosting the fleet's shared tier in-process. The zero
-// value is not usable; create with NewMemBackend.
+// and by a node hosting the fleet's shared tier in-process. It is a thin
+// view of a Cache holding []byte values, so a bounded one evicts
+// least-recently-used entries under the same byte budget (values plus
+// EntryOverhead) as the local tier. The zero value is not usable; create
+// with NewMemBackend or NewBoundedMemBackend.
 type MemBackend struct {
-	mu      sync.RWMutex
-	entries map[Key][]byte
-	hits    atomic.Int64
-	misses  atomic.Int64
+	c *Cache
 }
 
-// NewMemBackend returns an empty in-memory backend.
-func NewMemBackend() *MemBackend {
-	return &MemBackend{entries: make(map[Key][]byte)}
+// NewMemBackend returns an empty, unbounded in-memory backend.
+func NewMemBackend() *MemBackend { return NewBoundedMemBackend(0) }
+
+// NewBoundedMemBackend returns an empty in-memory backend holding at most
+// capacity bytes (capacity <= 0 means unbounded; see New).
+func NewBoundedMemBackend(capacity int64) *MemBackend {
+	return &MemBackend{c: New(capacity)}
 }
 
 // Get returns the stored bytes for k.
 func (m *MemBackend) Get(k Key) ([]byte, bool) {
-	m.mu.RLock()
-	v, ok := m.entries[k]
-	m.mu.RUnlock()
+	v, ok := m.c.Get(k)
 	if !ok {
-		m.misses.Add(1)
 		return nil, false
 	}
-	m.hits.Add(1)
-	return v, true
+	return v.([]byte), true
 }
 
 // Put stores v under k, copying it so callers may reuse the slice.
@@ -84,18 +81,11 @@ func (m *MemBackend) Put(k Key, v []byte) {
 }
 
 // PutOwned stores v itself under k (see Owner).
-func (m *MemBackend) PutOwned(k Key, v []byte) {
-	m.mu.Lock()
-	m.entries[k] = v
-	m.mu.Unlock()
-}
+func (m *MemBackend) PutOwned(k Key, v []byte) { m.c.Put(k, v, int64(len(v))) }
 
-// Len returns the number of stored entries.
-func (m *MemBackend) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.entries)
-}
+// Stats returns the backing cache's counters: Get hits and misses,
+// evictions, and the entries and bytes held against the capacity.
+func (m *MemBackend) Stats() Stats { return m.c.Stats() }
 
 // Tiered layers a local Cache over an optional remote Backend for
 // string-valued response entries: Get and Do check the local LRU first,

@@ -18,8 +18,8 @@ func TestMemBackend(t *testing.T) {
 	if !ok || string(got) != "value" {
 		t.Fatalf("Get = (%q, %v); want the un-mutated value", got, ok)
 	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d; want 1", m.Len())
+	if n := m.Stats().Entries; n != 1 {
+		t.Fatalf("Entries = %d; want 1", n)
 	}
 }
 
@@ -139,7 +139,7 @@ func TestTieredErrorNotCachedRemotely(t *testing.T) {
 	}); !errors.Is(err, boom) {
 		t.Fatalf("Do error = %v; want boom", err)
 	}
-	if remote.Len() != 0 {
+	if remote.Stats().Entries != 0 {
 		t.Fatal("a failed computation leaked into the remote tier")
 	}
 }

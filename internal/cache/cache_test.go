@@ -3,6 +3,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -45,25 +46,26 @@ func TestGetPutStats(t *testing.T) {
 		t.Fatalf("Get(a) = %v, %v; want va, true", v, ok)
 	}
 	s := c.Stats()
-	if s.Hits != 1 || s.Misses != 1 || s.Entries != 1 || s.Bytes != 10 {
-		t.Fatalf("stats = %+v; want 1 hit, 1 miss, 1 entry, 10 bytes", s)
+	if s.Hits != 1 || s.Misses != 1 || s.Entries != 1 || s.Bytes != 10+EntryOverhead {
+		t.Fatalf("stats = %+v; want 1 hit, 1 miss, 1 entry, 10+EntryOverhead bytes", s)
 	}
 	// Replacing a key adjusts bytes rather than leaking the old size.
 	c.Put(key("a"), "va2", 4)
-	if s := c.Stats(); s.Entries != 1 || s.Bytes != 4 {
-		t.Fatalf("after replace: %+v; want 1 entry, 4 bytes", s)
+	if s := c.Stats(); s.Entries != 1 || s.Bytes != 4+EntryOverhead {
+		t.Fatalf("after replace: %+v; want 1 entry, 4+EntryOverhead bytes", s)
 	}
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New(100)
+	// Room for 100 value bytes in two entries.
+	c := New(100 + 2*EntryOverhead)
 	c.Put(key("a"), "a", 60)
 	c.Put(key("b"), "b", 30)
 	// Touch a so b becomes least recently used.
 	if _, ok := c.Get(key("a")); !ok {
 		t.Fatal("a missing before eviction")
 	}
-	c.Put(key("c"), "c", 40) // 130 > 100: evicts b (LRU), keeps a+c
+	c.Put(key("c"), "c", 40) // 130 > 100 value bytes: evicts b (LRU), keeps a+c
 	if _, ok := c.Get(key("b")); ok {
 		t.Fatal("b survived eviction; LRU order not respected")
 	}
@@ -74,8 +76,8 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatal("c evicted immediately after insert")
 	}
 	s := c.Stats()
-	if s.Evictions != 1 || s.Entries != 2 || s.Bytes != 100 {
-		t.Fatalf("stats = %+v; want 1 eviction, 2 entries, 100 bytes", s)
+	if s.Evictions != 1 || s.Entries != 2 || s.Bytes != 100+2*EntryOverhead {
+		t.Fatalf("stats = %+v; want 1 eviction, 2 entries, 100+2*EntryOverhead bytes", s)
 	}
 }
 
@@ -209,20 +211,53 @@ func TestDoPanicDoesNotWedgeKey(t *testing.T) {
 }
 
 func TestTypedAdapter(t *testing.T) {
-	c := New(100)
+	c := New(100 + EntryOverhead)
 	ty := NewTyped(c, func(s []int) int64 { return int64(8 * len(s)) })
 	ty.Put(key("v"), []int{1, 2, 3})
 	got, ok := ty.Get(key("v"))
 	if !ok || len(got) != 3 || got[2] != 3 {
 		t.Fatalf("typed round-trip = %v, %v", got, ok)
 	}
-	if s := c.Stats(); s.Bytes != 24 {
-		t.Fatalf("bytes = %d; want 24 from size func", s.Bytes)
+	if s := c.Stats(); s.Bytes != 24+EntryOverhead {
+		t.Fatalf("bytes = %d; want 24 from size func plus EntryOverhead", s.Bytes)
 	}
 	// A value of the wrong dynamic type under the key reads as a miss.
 	c.Put(key("v"), "not-a-slice", 1)
 	if _, ok := ty.Get(key("v")); ok {
 		t.Fatal("typed Get returned a foreign value")
+	}
+}
+
+// TestEntryOverheadCoversHeap measures the heap a cache holds per
+// resident entry, filled with 8-byte values at several sizes (the map's
+// share per entry is largest just after it grows, as at 900 and 1800
+// entries), and requires
+// EntryOverhead to cover everything beyond the values' own bytes, so a
+// byte budget bounds what a cache really holds.
+func TestEntryOverheadCoversHeap(t *testing.T) {
+	const valueBytes = 8
+	keys := make([]Key, 12000)
+	for i := range keys {
+		keys[i] = NewHasher().Int(i).Sum()
+	}
+	var worst float64
+	for _, n := range []int{900, 1700, 1800, 3000, 3600, 12000} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c := New(0)
+		for _, k := range keys[:n] {
+			c.Put(k, make([]byte, valueBytes), valueBytes)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		perEntry := float64(after.HeapAlloc-before.HeapAlloc)/float64(n) - valueBytes
+		runtime.KeepAlive(c)
+		t.Logf("%5d entries: %.1f B of bookkeeping per entry", n, perEntry)
+		worst = max(worst, perEntry)
+	}
+	if worst > EntryOverhead {
+		t.Fatalf("a resident entry holds %.1f B beyond its value; EntryOverhead is %d", worst, EntryOverhead)
 	}
 }
 

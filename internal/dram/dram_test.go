@@ -3,10 +3,12 @@ package dram
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/analog"
+	"repro/internal/bitvec"
 	"repro/internal/cache"
 	"repro/internal/timing"
 )
@@ -550,6 +552,68 @@ func TestRawLevel(t *testing.T) {
 	}
 	if _, err := sa.RawLevel(9999, 0); err == nil {
 		t.Fatal("bad row should fail")
+	}
+}
+
+// TestRowsImageRoundTrip: a saved image restores both planes of its rows
+// exactly — solid and Frac cells — whatever the rows held since, and is
+// refused by a subarray of another width.
+func TestRowsImageRoundTrip(t *testing.T) {
+	sa := testSubarray(t, ProfileH)
+	v := bitvec.New(sa.Cols())
+	v.FillWordPattern(0xdeadbeefcafef00d)
+	if err := sa.WriteRowVec(4, v); err != nil {
+		t.Fatal(err)
+	}
+	if err := sa.SetFracRow(9); err != nil {
+		t.Fatal(err)
+	}
+	rows := []int{4, 9, 11}
+	levels := func() []float64 {
+		var out []float64
+		for _, r := range rows {
+			for c := 0; c < sa.Cols(); c++ {
+				l, err := sa.RawLevel(r, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, l)
+			}
+		}
+		return out
+	}
+	want := levels()
+	img, err := sa.SaveRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Fill(true)
+	for _, r := range rows {
+		if err := sa.WriteRowVec(r, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sa.RestoreRows(img); err != nil {
+		t.Fatal(err)
+	}
+	if got := levels(); !slices.Equal(got, want) {
+		t.Fatal("restored rows differ from the saved ones")
+	}
+	if _, err := sa.SaveRows([]int{sa.Rows()}); err == nil {
+		t.Fatal("saving a row outside the subarray succeeded")
+	}
+	spec := NewSpec("image-test", ProfileH, 1)
+	spec.Columns = sa.Cols() + 64
+	m, err := NewModule(spec, analog.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := m.Subarray(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wide.RestoreRows(img); err == nil {
+		t.Fatal("a subarray of another width accepted the image")
 	}
 }
 

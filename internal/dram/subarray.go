@@ -395,6 +395,51 @@ func (s *Subarray) RawLevel(row, col int) (float64, error) {
 	return float64(s.rowVal(row)[wi] >> b & 1), nil
 }
 
+// RowsImage is the stored charge state of a set of rows: both bit planes
+// of every row, so restoring it is exact whatever the rows held, solid
+// levels and Frac cells alike. An image is read-only once saved.
+type RowsImage struct {
+	rows      []int
+	val, frac []uint64
+}
+
+// Bytes returns the heap bytes the image holds.
+func (img RowsImage) Bytes() int {
+	return 8 * (cap(img.rows) + cap(img.val) + cap(img.frac))
+}
+
+// SaveRows captures the stored state of the given rows.
+func (s *Subarray) SaveRows(rows []int) (RowsImage, error) {
+	img := RowsImage{rows: append([]int(nil), rows...),
+		val: make([]uint64, 0, len(rows)*s.words), frac: make([]uint64, 0, len(rows)*s.words)}
+	for _, r := range rows {
+		if err := s.checkRow(r); err != nil {
+			return RowsImage{}, err
+		}
+		img.val = append(img.val, s.rowVal(r)...)
+		img.frac = append(img.frac, s.rowFrac(r)...)
+	}
+	return img, nil
+}
+
+// RestoreRows writes a saved image back into its rows, leaving them
+// exactly as they were when it was saved. The image must come from a
+// subarray of the same geometry.
+func (s *Subarray) RestoreRows(img RowsImage) error {
+	if len(img.val) != len(img.rows)*s.words {
+		return fmt.Errorf("dram: row image of %d words does not fit %d rows of %d columns",
+			len(img.val), len(img.rows), s.cols)
+	}
+	for i, r := range img.rows {
+		if err := s.checkRow(r); err != nil {
+			return err
+		}
+		copy(s.rowVal(r), img.val[i*s.words:(i+1)*s.words])
+		copy(s.rowFrac(r), img.frac[i*s.words:(i+1)*s.words])
+	}
+	return nil
+}
+
 // MAJSpec tells the APA engine that the charge-share operation implements
 // an X-input majority with the given replication factor, enabling the
 // group-viability model. A nil spec (plain activation or copy attempts)

@@ -22,7 +22,7 @@ import (
 // The eager per-column/per-row tables are built once under init. The lazy
 // per-cell rows live in one slot per row: each is derived and published
 // once under mu, and readers load it lock-free after that. The jitter
-// runs, coupling rows and coin planes are guarded by mu.
+// runs, coupling rows, coin planes and derived values are guarded by mu.
 type saTables struct {
 	init sync.Once
 
@@ -40,6 +40,7 @@ type saTables struct {
 	mu            sync.Mutex
 	couplingNorms map[uint64][]float64
 	metaPlanes    map[metaPlaneKey][]uint64
+	derived       map[any]derivedEntry // see Subarray.Derived; nil until first use
 }
 
 // The lazy per-cell row kinds, indexing cellSlots.rows.
@@ -71,19 +72,19 @@ type tableKey struct {
 // tableRegBudget bounds the registry by the bytes its table sets hold:
 // the eager per-column and per-row tables, the slot array, every
 // published per-cell row with its slice header, every jitter and coupling
-// row, every coin plane, and a fixed overhead per set. Once a charge
-// takes the registered sets past it, the oldest sets are evicted until
-// the rest fit. Every entry is recomputable, and instances that already
-// attached keep their pointers, so eviction only costs re-derivation for
-// future attachments. Fresh-seed workloads build new rows forever;
-// without the bound they would retain every one. The budget is large
-// enough that a server fed fresh seeds evicts a set only after many
-// requests have reused it. It is a variable only so tests can force
-// evictions.
+// row, every coin plane, every derived value with its entry, and a fixed
+// overhead per set. Once a charge takes the registered sets past it, the
+// oldest sets are evicted until the rest fit. Every entry is
+// recomputable, and instances that already attached keep their pointers,
+// so eviction only costs re-derivation for future attachments. Fresh-seed
+// workloads build new rows forever; without the bound they would retain
+// every one. The budget is large enough that a server fed fresh seeds
+// evicts a set only after many requests have reused it. It is a variable
+// only so tests can force evictions.
 var tableRegBudget int64 = 256 << 20
 
 // setOverhead is the fixed charge of one table set: the saTables struct
-// plus the headers of its two memo maps and its registry map and order
+// plus the headers of its memo maps and its registry map and order
 // entries, rounded up to 256 bytes.
 const setOverhead = int(unsafe.Sizeof(saTables{})) + 256
 
@@ -398,6 +399,66 @@ func (t *saTables) metaPlane(s *Subarray, groupKey uint64, trial int, overlay bo
 	t.mu.Unlock()
 	t.charge(grown)
 	return r
+}
+
+// derivedEntry is one published derived value and the bytes its builder
+// reported for it.
+type derivedEntry struct {
+	v    any
+	size int
+}
+
+// derivedMax bounds the derived values of one table set; beyond it the
+// map resets (every value is rebuildable) and the dropped values' bytes
+// are refunded to the registry.
+const derivedMax = 64
+
+// derivedOverhead is the charge of one derived entry beyond its value's
+// bytes: the boxed key (a calibration key is a 64 B object) and
+// its map slot (a 16 B interface key and a 24 B entry, up to twice that
+// while the map grows).
+const derivedOverhead = 160
+
+// Derived returns the value derived under key from the subarray's static
+// identity, building it on first use and sharing it with every instance
+// of the same identity (module identity, bank and subarray) while their
+// table set stays registered. key must be comparable and carry every
+// other input of build; build must be a pure function of the identity and
+// the key. It returns the value and the bytes the value holds, which are
+// charged to the registry with the set; a nil value publishes nothing and
+// Derived returns nil. Build runs outside the set's lock, so concurrent
+// first uses may build twice: the first to publish wins, and every caller
+// gets its value. Published values are shared and must not be modified.
+func (s *Subarray) Derived(key any, build func() (v any, size int)) any {
+	t := s.tab
+	t.mu.Lock()
+	e, ok := t.derived[key]
+	t.mu.Unlock()
+	if ok {
+		return e.v
+	}
+	v, size := build()
+	if v == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if won, ok := t.derived[key]; ok {
+		return won.v
+	}
+	grown := size + derivedOverhead
+	if len(t.derived) >= derivedMax {
+		for _, old := range t.derived {
+			grown -= old.size + derivedOverhead
+		}
+		clear(t.derived)
+	}
+	if t.derived == nil {
+		t.derived = make(map[any]derivedEntry)
+	}
+	t.derived[key] = derivedEntry{v: v, size: size}
+	t.charge(grown)
+	return v
 }
 
 // couplingCacheMax bounds the per-group coupling-noise rows of one table

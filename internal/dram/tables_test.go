@@ -265,8 +265,9 @@ func TestShareOutMatchesScalarAPA(t *testing.T) {
 // TestMemoResetRefundsCharge checks that one 64-column table set's
 // registry charge equals the bytes it holds: after attachment, after
 // per-cell rows of every kind and a jitter run are published, and after
-// its coupling rows and coin planes pass couplingCacheMax and
-// metaPlaneMax, so each memo map resets once and refunds what it drops.
+// its coupling rows, coin planes and derived values pass couplingCacheMax,
+// metaPlaneMax and derivedMax, so each memo map resets once and refunds
+// what it drops.
 func TestMemoResetRefundsCharge(t *testing.T) {
 	spec := NewSpec("tables-test", ProfileH, 0xfeed00c0)
 	spec.Columns = 64
@@ -292,6 +293,9 @@ func TestMemoResetRefundsCharge(t *testing.T) {
 			held += 8 * len(c.jit)
 		}
 		held += 8*sa.cols*len(tab.couplingNorms) + 8*sa.words*len(tab.metaPlanes)
+		for _, e := range tab.derived {
+			held += e.size + derivedOverhead
+		}
 		tableReg.Lock()
 		defer tableReg.Unlock()
 		if tab.evicted {
@@ -315,9 +319,18 @@ func TestMemoResetRefundsCharge(t *testing.T) {
 	for k := uint64(0); k <= metaPlaneMax; k++ {
 		tab.metaPlane(sa, k, 0, false)
 	}
-	if len(tab.couplingNorms) != 1 || len(tab.metaPlanes) != 1 {
-		t.Fatalf("memo maps hold %d rows and %d planes, want 1 each after the reset",
-			len(tab.couplingNorms), len(tab.metaPlanes))
+	for k := 0; k <= derivedMax; k++ {
+		sa.Derived(k, func() (any, int) { return make([]byte, 100+k), 100 + k })
+	}
+	if sa.Derived("unpublished", func() (any, int) { return nil, 0 }) != nil {
+		t.Fatal("Derived returned a value for a build that published none")
+	}
+	if got := sa.Derived(derivedMax, func() (any, int) { return nil, 0 }); len(got.([]byte)) != 100+derivedMax {
+		t.Fatal("Derived rebuilt a published value")
+	}
+	if len(tab.couplingNorms) != 1 || len(tab.metaPlanes) != 1 || len(tab.derived) != 1 {
+		t.Fatalf("memo maps hold %d rows, %d planes and %d derived values, want 1 each after the reset",
+			len(tab.couplingNorms), len(tab.metaPlanes), len(tab.derived))
 	}
 	check("after the memo resets")
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/jobs"
 )
 
 // trngBody is a cheap deterministic request reused across fleet tests.
@@ -177,6 +179,36 @@ func TestGroupsByteIdentity(t *testing.T) {
 				t.Fatalf("%s: multi-group output diverged from single-node", tc.path)
 			}
 		}
+	}
+}
+
+// TestHostedTierBoundedByCacheBytes: a two-group node hosts the fleet's
+// shared tier in-process and writes every shard result and response it
+// computes through to it. Fresh-seed workload jobs write new entries with
+// every job, so the hosted tier must evict within CacheBytes like the
+// local tier instead of keeping every entry it was ever given.
+func TestHostedTierBoundedByCacheBytes(t *testing.T) {
+	const budget = 16 << 10
+	s := New(Config{Groups: 2, CacheBytes: budget})
+	t.Cleanup(s.Close)
+	for seed := uint64(1); seed <= 16; seed++ {
+		st, _, err := s.SubmitJob(JobRequest{Kind: "workload", Workload: &WorkloadRequest{
+			Workloads: "bitmap-scan", Modules: "representative", Columns: 64, Seed: seed}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		final, err := s.WaitJob(context.Background(), st.ID)
+		if err != nil || final.State != jobs.StateSucceeded {
+			t.Fatalf("job %d: %+v, %v", seed, final, err)
+		}
+	}
+	hs := s.hosted.Stats()
+	if hs.Evictions == 0 {
+		t.Fatalf("hosted tier never filled its %d-byte budget: %+v", budget, hs)
+	}
+	if hs.Bytes > budget {
+		t.Fatalf("hosted tier holds %d bytes in %d entries, past its %d-byte budget",
+			hs.Bytes, hs.Entries, budget)
 	}
 }
 

@@ -81,7 +81,9 @@ type Config struct {
 	// "127.0.0.1:8077").
 	Addr string
 	// CacheBytes bounds the shared result cache (responses + engine
-	// shards; 0 = DefaultCacheBytes, negative = unbounded).
+	// shards), each further worker group's cache and the hosted shared
+	// tier, each on its own; an entry counts its value's bytes plus
+	// cache.EntryOverhead (0 = DefaultCacheBytes, negative = unbounded).
 	CacheBytes int64
 	// MaxInflight bounds concurrently executing engine runs (0 =
 	// GOMAXPROCS). Identical concurrent requests coalesce onto one run
@@ -277,9 +279,10 @@ func New(cfg Config) *Server {
 
 	// Cluster wiring. The shared backend resolves by priority: an injected
 	// Backend (tests), a CachePeer client, or — when this node is part of a
-	// fleet — its own hosted in-process backend. A lone node gets none:
-	// tier stays a transparent view of store.
-	s.hosted = cache.NewMemBackend()
+	// fleet — its own hosted in-process backend, bounded like the local
+	// tier by CacheBytes. A lone node gets none: tier stays a transparent
+	// view of store.
+	s.hosted = cache.NewBoundedMemBackend(cfg.CacheBytes)
 	fleetNode := cfg.Groups > 1 || len(cfg.Peers) > 0
 	switch {
 	case cfg.Backend != nil:
@@ -674,6 +677,10 @@ func (s *Server) writeMetrics(w http.ResponseWriter) {
 	fmt.Fprintf(&b, "simra_cache_remote_hits_total %d\n", cs.RemoteHits)
 	fmt.Fprintf(&b, "simra_cache_remote_misses_total %d\n", cs.RemoteMisses)
 	fmt.Fprintf(&b, "simra_cache_remote_errors_total %d\n", cs.RemoteErrors)
+	hs := s.hosted.Stats()
+	fmt.Fprintf(&b, "simra_cache_hosted_entries %d\n", hs.Entries)
+	fmt.Fprintf(&b, "simra_cache_hosted_bytes %d\n", hs.Bytes)
+	fmt.Fprintf(&b, "simra_cache_hosted_evictions_total %d\n", hs.Evictions)
 	fmt.Fprintf(&b, "simra_serve_rate_limited_total %d\n", s.rateLimited.Load())
 	rs := dram.Registry()
 	fmt.Fprintf(&b, "simra_dram_table_sets %d\n", rs.Sets)

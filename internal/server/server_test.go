@@ -503,6 +503,9 @@ func TestHealthAndMetrics(t *testing.T) {
 		"simra_cache_entries 1",
 		"simra_serve_inflight 0",
 		"simra_cache_capacity_bytes",
+		"simra_cache_hosted_entries 0",
+		"simra_cache_hosted_bytes 0",
+		"simra_cache_hosted_evictions_total 0",
 		"simra_dram_table_sets ",
 		"simra_dram_table_bytes ",
 		"simra_dram_table_budget_bytes 268435456",
