@@ -161,6 +161,7 @@ func (p *sweepPlan) add(sc core.SweepConfig, env analog.Env, mfr string) (applic
 				sh.spec = &core.ShardSpec{
 					Spec:   mod.Spec(),
 					Params: r.cfg.Params,
+					Block:  r.paramsBlock(),
 					Env:    env,
 					Sweep:  sc,
 					Trials: r.cfg.Trials,

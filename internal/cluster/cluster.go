@@ -21,6 +21,7 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync/atomic"
@@ -48,8 +49,15 @@ type Request struct {
 	// Kind discriminates Spec: KindCore or KindWorkload.
 	Kind string `json:"kind"`
 	// Spec is the serialized shard spec (core.ShardSpec or
-	// workload.ShardSpec).
+	// workload.ShardSpec). A coordinator leaves it empty and sets Value;
+	// a Peer fills it from Value just before the request leaves the
+	// process.
 	Spec json.RawMessage `json:"spec"`
+	// Value is the shard spec itself (a core.ShardSpec or
+	// workload.ShardSpec value), so in-process groups run it without a
+	// JSON round trip. Workers must not mutate it: its slices are shared
+	// with the caller.
+	Value any `json:"-"`
 	// RequestID propagates the originating request's ID into the worker's
 	// audit trail (the X-Request-ID header carries it cross-node).
 	RequestID string `json:"request_id,omitempty"`
@@ -64,6 +72,15 @@ func (r Request) ParseKey() (engine.ShardKey, error) {
 	}
 	copy(k[:], b)
 	return k, nil
+}
+
+// spec returns the request's spec value: Value when the request came
+// from an in-process coordinator, otherwise its Spec bytes decoded.
+func (r Request) spec() (any, error) {
+	if r.Value != nil {
+		return r.Value, nil
+	}
+	return decodeSpec(r.Kind, r.Spec)
 }
 
 // Worker executes shards. Group is the in-process implementation, Peer
@@ -119,7 +136,9 @@ func storeKey(k engine.ShardKey) cache.Key {
 
 // Exec implements Worker: local cache → shared tier → compute, with
 // singleflight coalescing on the local store, writing a fresh result
-// through to the shared tier under the raw shard key.
+// through to the shared tier under the raw shard key. A request carrying
+// a Value runs it directly; one carrying only Spec bytes decodes them on
+// a miss, and a spec that does not decode fails with ErrBadSpec.
 func (g *Group) Exec(ctx context.Context, req Request) ([]byte, error) {
 	g.reqs.Add(1)
 	key, err := req.ParseKey()
@@ -132,8 +151,12 @@ func (g *Group) Exec(ctx context.Context, req Request) ([]byte, error) {
 				return b, int64(len(b)), nil
 			}
 		}
+		spec, err := req.spec()
+		if err != nil {
+			return nil, 0, err
+		}
 		g.execs.Add(1)
-		b, err := execSpec(ctx, req, g.pool)
+		b, err := execSpec(spec, g.pool)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -150,32 +173,53 @@ func (g *Group) Exec(ctx context.Context, req Request) ([]byte, error) {
 	return v.([]byte), nil
 }
 
-// execSpec decodes and executes one shard spec.
-func execSpec(_ context.Context, req Request, pool dram.ModulePool) ([]byte, error) {
-	switch req.Kind {
+// ErrBadSpec marks a wire shard spec that does not decode into its
+// kind's spec type: the request is malformed, not the computation.
+var ErrBadSpec = errors.New("cluster: bad shard spec")
+
+// decodeSpec decodes the wire bytes of a shard spec of the given kind
+// into its spec value. It only decodes; nothing executes.
+func decodeSpec(kind string, raw json.RawMessage) (any, error) {
+	var spec any
+	var err error
+	switch kind {
 	case KindCore:
-		var spec core.ShardSpec
-		if err := json.Unmarshal(req.Spec, &spec); err != nil {
-			return nil, fmt.Errorf("cluster: bad %s spec: %w", req.Kind, err)
-		}
-		out, err := spec.Exec(pool)
+		var s core.ShardSpec
+		err = json.Unmarshal(raw, &s)
+		spec = s
+	case KindWorkload:
+		var s workload.ShardSpec
+		err = json.Unmarshal(raw, &s)
+		spec = s
+	default:
+		return nil, fmt.Errorf("cluster: unknown shard kind %q; valid: %s, %s",
+			kind, KindCore, KindWorkload)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrBadSpec, kind, err)
+	}
+	return spec, nil
+}
+
+// execSpec executes one shard spec value and returns the canonical JSON
+// encoding of its result.
+func execSpec(spec any, pool dram.ModulePool) ([]byte, error) {
+	switch s := spec.(type) {
+	case core.ShardSpec:
+		out, err := s.Exec(pool)
 		if err != nil {
 			return nil, err
 		}
 		return json.Marshal(out)
-	case KindWorkload:
-		var spec workload.ShardSpec
-		if err := json.Unmarshal(req.Spec, &spec); err != nil {
-			return nil, fmt.Errorf("cluster: bad %s spec: %w", req.Kind, err)
-		}
-		out, err := spec.Exec(pool)
+	case workload.ShardSpec:
+		out, err := s.Exec(pool)
 		if err != nil {
 			return nil, err
 		}
 		return json.Marshal(out)
 	default:
-		return nil, fmt.Errorf("cluster: unknown shard kind %q; valid: %s, %s",
-			req.Kind, KindCore, KindWorkload)
+		return nil, fmt.Errorf("cluster: unknown shard spec type %T; valid: %s, %s",
+			spec, KindCore, KindWorkload)
 	}
 }
 
@@ -278,17 +322,14 @@ func (d ridDispatcher) ExecShard(ctx context.Context, key engine.ShardKey, kind 
 	return d.c.exec(ctx, key, kind, spec, d.rid)
 }
 
-// exec serializes the spec, routes it to its rendezvous worker, and falls
-// back to the local group when a remote worker fails.
+// exec routes the spec to its rendezvous worker, and falls back to the
+// local group when a remote worker fails. The spec travels as a value;
+// only a Peer serializes it.
 func (c *Coordinator) exec(ctx context.Context, key engine.ShardKey, kind string, spec any, rid string) ([]byte, error) {
-	data, err := json.Marshal(spec)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: encode %s spec: %w", kind, err)
-	}
 	req := Request{
 		Key:       hex.EncodeToString(key[:]),
 		Kind:      kind,
-		Spec:      data,
+		Value:     spec,
 		RequestID: rid,
 	}
 	i := c.pick(key)

@@ -45,8 +45,16 @@ func NewPeer(base, token string) *Peer {
 // stable placement name.
 func (p *Peer) Name() string { return p.base }
 
-// Exec implements Worker over HTTP.
+// Exec implements Worker over HTTP. A request that carries its spec as
+// a Value is serialized here, where its bytes leave the process.
 func (p *Peer) Exec(ctx context.Context, req Request) ([]byte, error) {
+	if len(req.Spec) == 0 && req.Value != nil {
+		spec, err := json.Marshal(req.Value)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: encode %s spec: %w", req.Kind, err)
+		}
+		req.Spec = spec
+	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err

@@ -262,10 +262,11 @@ func (t *Tester) multiRowCopyPlanes(sa *dram.Subarray, g bender.Group,
 	for _, set := range plan.Sets {
 		switch plan.Mode {
 		case dram.ModeCopy:
+			pTrue, pFalse := sa.CopyFailProbs(len(set.Rows), plan, opts)
 			for i, d := range dests {
 				diff.Xor(destInit[i], src)
 				if inSet(set.Rows, d) {
-					sa.CopyFail(cf, d, src, len(set.Rows), plan, opts)
+					sa.CopyFail(cf, d, src, pTrue, pFalse)
 					cf.And(cf, diff)
 					fails[i].Or(fails[i], cf)
 				} else {

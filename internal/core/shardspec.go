@@ -24,6 +24,10 @@ type ShardSpec struct {
 	// Spec and Params rebuild the module and its electrical model.
 	Spec   dram.Spec
 	Params analog.Params
+	// Block is dram.FormatParams(Params), set by in-process callers that
+	// already formatted it. JSON skips it, so a spec decoded from the
+	// wire has it empty and Exec formats the block itself.
+	Block dram.ParamsBlock `json:"-"`
 	// Env is the operating environment the sweep runs under.
 	Env analog.Env
 	// Sweep is the fully bounded sweep configuration (sampling bounds
@@ -42,7 +46,11 @@ type ShardSpec struct {
 // internal/scenario: same tester options, same sweep cell, same sample —
 // therefore bit-identical outcomes.
 func (s ShardSpec) Exec(pool dram.ModulePool) ([]GroupOutcome, error) {
-	mod, release, err := dram.PoolModule(pool, s.Spec, s.Params, dram.FormatParams(s.Params))
+	pb := s.Block
+	if pb == "" {
+		pb = dram.FormatParams(s.Params)
+	}
+	mod, release, err := dram.PoolModule(pool, s.Spec, s.Params, pb)
 	if err != nil {
 		return nil, fmt.Errorf("core: shard module %s: %w", s.Spec.ID, err)
 	}

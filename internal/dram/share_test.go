@@ -140,8 +140,8 @@ func BenchmarkShareResolve(b *testing.B) {
 }
 
 // BenchmarkCopyFail times the copy-failure masks of one planned 32-row
-// Multi-RowCopy set: one CopyFail per destination row, as core's copy
-// kernel computes them.
+// Multi-RowCopy set as core's copy kernel computes them: the set's
+// failure probabilities once, then one CopyFail per destination row.
 func BenchmarkCopyFail(b *testing.B) {
 	sa, rs, opts := benchGroup(b)
 	opts.Timings = timing.BestCopy()
@@ -160,9 +160,10 @@ func BenchmarkCopyFail(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		pTrue, pFalse := sa.CopyFailProbs(len(set.Rows), plan, opts)
 		for _, r := range set.Rows {
 			if r != plan.RF {
-				sa.CopyFail(fail, r, src, len(set.Rows), plan, opts)
+				sa.CopyFail(fail, r, src, pTrue, pFalse)
 			}
 		}
 	}

@@ -618,7 +618,7 @@ func settleRace(t2, total, latch, wl, jmax float64) int {
 // latched copy into nAct open rows, reading the source row's current
 // pull-up load. Trial-invariant.
 func (s *Subarray) copyProbs(rf, nAct int, t timing.APATimings, opts APAOptions) (pTrue, pFalse float64) {
-	params := s.mod.params
+	params := &s.mod.params
 	jedec := timing.DDR4()
 
 	// Collective pull-up droop counts the source cells at solid VDD;
@@ -671,7 +671,7 @@ func (s *Subarray) applyCopy(rf int, asserted []int, t timing.APATimings, opts A
 // (Obs. 7's t2 cliff) and, for majority operations, the viability model.
 // Trial-invariant: both draws hash only group coordinates.
 func (s *Subarray) shareViable(rf, rs int, t timing.APATimings, opts APAOptions) bool {
-	params := s.mod.params
+	params := &s.mod.params
 
 	// Share-mode group latch race: below the per-group t2 threshold the
 	// whole group's sensing is metastable (Obs. 7's t2 = 1.5 ns cliff).
@@ -710,7 +710,7 @@ func (s *Subarray) shareViable(rf, rs int, t timing.APATimings, opts APAOptions)
 func (s *Subarray) shareDetMeta(det, meta []uint64, rf int, asserted []int,
 	t timing.APATimings, opts APAOptions, groupKey uint64) {
 
-	params := s.mod.params
+	params := &s.mod.params
 	drive := params.DriveFactor(opts.Env)
 	rfWeight := params.RFWeight(t.Total()) * drive
 	// Retention stress decays stored levels toward VDD/2. The factor is

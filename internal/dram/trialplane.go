@@ -270,12 +270,20 @@ func (s *Subarray) WRFail(fail bitvec.Vec, row, nAsserted int) {
 	s.wrFailMask(fail.Words(), row, nAsserted)
 }
 
-// CopyFail writes row's copy-failure mask for a latched copy of src into
-// nAsserted open rows: bit c set means cell c keeps its old charge
+// CopyFailProbs returns the per-driven-bit-value failure probabilities
+// of the plan's latched copy into nAsserted open rows. They depend only
+// on the source row's current contents and the set size, so a caller
+// computes them once per asserted set and passes them to CopyFail for
+// each destination row.
+func (s *Subarray) CopyFailProbs(nAsserted int, plan *APAPlan, opts APAOptions) (pTrue, pFalse float64) {
+	return s.copyProbs(plan.RF, nAsserted, plan.T, opts)
+}
+
+// CopyFail writes row's copy-failure mask for a latched copy of src with
+// the set's CopyFailProbs: bit c set means cell c keeps its old charge
 // instead of taking src's bit. src must be the resolved source-row data
 // (the sense amplifiers' latched value). Static per (row, set).
-func (s *Subarray) CopyFail(fail bitvec.Vec, row int, src bitvec.Vec, nAsserted int, plan *APAPlan, opts APAOptions) {
-	pTrue, pFalse := s.copyProbs(plan.RF, nAsserted, plan.T, opts)
+func (s *Subarray) CopyFail(fail bitvec.Vec, row int, src bitvec.Vec, pTrue, pFalse float64) {
 	u, floor := s.weakRow(row, rowWeakCopy)
 	s.weakMask(fail.Words(), src.Words(), u, floor, pTrue, pFalse)
 }

@@ -149,6 +149,11 @@ func (j *Job) progress() Progress {
 func (j *Job) Status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.statusLocked()
+}
+
+// statusLocked snapshots the job; callers hold j.mu.
+func (j *Job) statusLocked() Status {
 	st := Status{
 		ID:       j.id,
 		Kind:     j.kind,
@@ -288,13 +293,14 @@ func (j *Job) publishLocked(settle func(State)) {
 }
 
 // finishLocked emits the terminal progress/result/done events, ends the
-// event stream and releases waiters.
+// event stream and releases waiters. The done payload is the full
+// terminal Status, so a watcher needs no further status request.
 func (j *Job) finishLocked() {
 	j.log.append("progress", j.progress())
 	if j.state == StateSucceeded {
 		j.log.append("result", map[string]string{"output": j.output})
 	}
-	j.log.append("done", map[string]string{"state": string(j.state), "error": j.errMsg})
+	j.log.append("done", j.statusLocked())
 	j.log.close()
 	close(j.done)
 }

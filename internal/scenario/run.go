@@ -125,6 +125,7 @@ func (cfg Config) shardTask(sh pointShard, st *engine.Stats) engine.Task[[]core.
 	spec := core.ShardSpec{
 		Spec:   sh.spec,
 		Params: cfg.Params,
+		Block:  cfg.pb,
 		Env:    sh.point.Env(),
 		Sweep:  cfg.sweepConfig(sh.point),
 		Trials: cfg.Trials,

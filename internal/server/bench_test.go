@@ -56,9 +56,14 @@ func BenchmarkServerWarmHit(b *testing.B) {
 
 // coldSeed hands out request seeds that no earlier iteration, sub-benchmark
 // or -count rerun in the process has used, so every cold-miss request
-// simulates a module the process-wide dram table registry has never
-// seen. Seeding from the loop index would repeat seeds on a rerun
-// and time registry hits instead of cold work.
+// misses the response cache and the shard memos. For sweep, trng and
+// scenario the seed also names the simulated modules, so each request
+// simulates modules the process-wide dram table registry has never seen.
+// For workload and campaign it feeds only the input data: their modules
+// come from the fixed default fleet, so after the first request they hit
+// the registry and the per-identity calibration memo. Seeding from the
+// loop index would repeat seeds on a rerun and time cache hits instead of
+// cold work.
 var coldSeed atomic.Uint64
 
 // BenchmarkServerColdMiss times one cache-missing request per family, in
@@ -85,6 +90,36 @@ func BenchmarkServerColdMiss(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkServerFleetColdMiss times one cache-missing workload request
+// on a node with two in-process worker groups, through the whole handler
+// chain onto an httptest recorder: the coordinator fans each module's
+// shard out to a group, which runs it and writes the result through to
+// the hosted shared tier. It is the go test view of the cluster path that
+// BenchmarkServerColdMiss, on a node without a coordinator, never takes.
+func BenchmarkServerFleetColdMiss(b *testing.B) {
+	s := New(Config{Groups: 2})
+	defer s.Close()
+	h := s.Handler()
+	c := warmHitCases[1]
+	if c.kind != "workload" {
+		b.Fatalf("warmHitCases[1] is %s, want workload", c.kind)
+	}
+	body := strings.TrimSuffix(c.body, "}")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rec := warmHit(h, "workload", fmt.Sprintf(`%s,"seed":%d}`, body, 1<<32+coldSeed.Add(1)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("request %d: %d %s", i, rec.Code, rec.Body)
+		}
+		if got := rec.Header().Get("X-Simra-Cached"); got != "false" {
+			b.Fatalf("request %d: X-Simra-Cached %q, want a miss", i, got)
+		}
+	}
+	if st := s.ClusterStats(); st.Dispatched["group-0"]+st.Dispatched["group-1"] == 0 {
+		b.Fatalf("no shard went through the coordinator: %+v", st)
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -149,8 +150,11 @@ func (s *Server) handleInternalShard(w http.ResponseWriter, r *http.Request) {
 	out, err := s.worker.Exec(r.Context(), req)
 	if err != nil {
 		status := http.StatusInternalServerError
-		if req.Kind != cluster.KindCore && req.Kind != cluster.KindWorkload {
+		switch {
+		case req.Kind != cluster.KindCore && req.Kind != cluster.KindWorkload:
 			status = http.StatusUnprocessableEntity
+		case errors.Is(err, cluster.ErrBadSpec):
+			status = http.StatusBadRequest
 		}
 		writeError(w, r, err, status)
 		return

@@ -366,6 +366,12 @@ func TestInternalShardErrors(t *testing.T) {
 		t.Fatalf("bad key: %d (%s); want 400", status, body)
 	}
 	key := "00112233445566778899aabbccddeeff00112233445566778899aabbccddeeff"
+	for _, kind := range []string{"core", "workload"} {
+		status, body = postJSON(t, ts.URL+"/v1/internal/shard", `{"key":"`+key+`","kind":"`+kind+`","spec":[1,2]}`)
+		if status != http.StatusBadRequest {
+			t.Fatalf("malformed %s spec: %d (%s); want 400", kind, status, body)
+		}
+	}
 	status, body = postJSON(t, ts.URL+"/v1/internal/shard", `{"key":"`+key+`","kind":"martian","spec":{}}`)
 	if status != http.StatusUnprocessableEntity {
 		t.Fatalf("unknown kind: %d (%s); want 422", status, body)

@@ -157,7 +157,7 @@ func RunFleet(ctx context.Context, cfg FleetConfig) ([]Result, error) {
 		}
 		if d := cfg.Dispatch; d != nil {
 			key := keys[mi]
-			spec := ShardSpec{Entry: e, Params: cfg.Params, Workloads: names, MaxX: cfg.MaxX, Seed: cfg.Seed}
+			spec := ShardSpec{Entry: e, Params: cfg.Params, Block: cfg.pb, Workloads: names, MaxX: cfg.MaxX, Seed: cfg.Seed}
 			tasks[mi] = func(ctx context.Context) ([]Result, error) {
 				b, err := d.ExecShard(ctx, key, "workload", spec)
 				if err != nil {

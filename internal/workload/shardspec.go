@@ -19,6 +19,10 @@ type ShardSpec struct {
 	Entry fleet.Entry
 	// Params is the electrical model.
 	Params analog.Params
+	// Block is dram.FormatParams(Params), set by RunFleet, which already
+	// formatted it. JSON skips it, so a spec decoded from the wire has it
+	// empty and Exec formats the block itself.
+	Block dram.ParamsBlock `json:"-"`
 	// Workloads names the selected workloads in execution order.
 	Workloads []string
 	// MaxX and Seed are the resolved run parameters (post-defaults).
@@ -41,7 +45,9 @@ func (s ShardSpec) Exec(pool dram.ModulePool) ([]Result, error) {
 		}
 		ws = append(ws, w)
 	}
-	cfg := FleetConfig{Params: s.Params, Workloads: ws, MaxX: s.MaxX, Seed: s.Seed, Pool: pool,
-		pb: dram.FormatParams(s.Params)}
+	cfg := FleetConfig{Params: s.Params, Workloads: ws, MaxX: s.MaxX, Seed: s.Seed, Pool: pool, pb: s.Block}
+	if cfg.pb == "" {
+		cfg.pb = dram.FormatParams(s.Params)
+	}
 	return runModule(s.Entry, cfg, xrand.Hash(s.Seed, nameSeed(s.Entry.Spec.ID)))
 }

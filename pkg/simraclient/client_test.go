@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -319,5 +320,77 @@ func TestWatchJobReadsWholeErrorBody(t *testing.T) {
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Code != "not_found" || apiErr.Message != "no such job" {
 		t.Fatalf("split error body decoded as %v", err)
+	}
+}
+
+// TestRunJobRoundTrips counts the requests one RunJob makes against a
+// live server: submit, the event stream and the result. The done event
+// carries the terminal status, so no status request follows the watch,
+// and the status it carries is the one the status route reports.
+func TestRunJobRoundTrips(t *testing.T) {
+	s := server.New(server.Config{JobPoll: time.Millisecond})
+	var mu sync.Mutex
+	var reqs []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		reqs = append(reqs, r.Method+" "+r.URL.Path)
+		mu.Unlock()
+		s.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	c := New(ts.URL)
+	q := JobRequest{Kind: "scenario", Scenario: &ScenarioRequest{Grid: "timing", Columns: 128, Groups: 2, Banks: 1, Trials: 2}}
+	if _, err := c.RunJob(context.Background(), q, nil); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	got := append([]string(nil), reqs...)
+	mu.Unlock()
+	if len(got) != 3 || got[0] != "POST /v1/jobs" ||
+		!strings.HasSuffix(got[1], "/events") || !strings.HasSuffix(got[2], "/result") {
+		t.Fatalf("RunJob made %d requests %q; want submit, events, result", len(got), got)
+	}
+
+	id := strings.TrimSuffix(strings.TrimPrefix(got[1], "GET /v1/jobs/"), "/events")
+	watched, err := c.WatchJob(context.Background(), id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	polled, err := c.Job(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(watched, polled) {
+		t.Fatalf("done-event status %+v differs from the status route's %+v", watched, polled)
+	}
+	if watched.Started == nil || watched.Finished == nil {
+		t.Fatalf("done-event status %+v lacks started/finished", watched)
+	}
+}
+
+// TestWatchJobOlderDonePayload: a done event without an id (a server that
+// sends only {state, error} there) makes WatchJob read the status route.
+func TestWatchJobOlderDonePayload(t *testing.T) {
+	var hits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			w.Header().Set("Content-Type", "text/event-stream")
+			io.WriteString(w, "id: 1\nevent: done\ndata: {\"state\":\"succeeded\",\"error\":\"\"}\n\n")
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"id":"j1","kind":"trng","state":"succeeded"}`)
+	}))
+	defer ts.Close()
+	st, err := New(ts.URL).WatchJob(context.Background(), "j1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID != "j1" || st.State != "succeeded" || hits.Load() != 2 {
+		t.Fatalf("status %+v after %d requests; want j1 succeeded from the status route", st, hits.Load())
 	}
 }

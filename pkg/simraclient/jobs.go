@@ -155,8 +155,14 @@ func (c *Client) WatchJob(ctx context.Context, id string, onEvent func(JobEvent)
 	var lastID int64
 	for attempt := 0; ; attempt++ {
 		done, err := c.watchOnce(ctx, id, &lastID, onEvent)
-		if done {
-			// Stream ended with "done": the snapshot has the final state.
+		if done != nil {
+			// The done event carries the terminal status. A server that
+			// sends only {state, error} there has no id in it: ask the
+			// status route instead.
+			var st JobStatus
+			if json.Unmarshal([]byte(done.Data), &st) == nil && st.ID != "" {
+				return st, nil
+			}
 			return c.Job(ctx, id)
 		}
 		if ctx.Err() != nil {
@@ -179,15 +185,16 @@ func (c *Client) WatchJob(ctx context.Context, id string, onEvent func(JobEvent)
 }
 
 // watchOnce consumes one SSE connection, updating *lastID as frames
-// arrive. done reports the stream reached the terminal "done" event.
-func (c *Client) watchOnce(ctx context.Context, id string, lastID *int64, onEvent func(JobEvent)) (done bool, err error) {
+// arrive. done is the terminal "done" event, nil when the stream ended
+// before it.
+func (c *Client) watchOnce(ctx context.Context, id string, lastID *int64, onEvent func(JobEvent)) (done *JobEvent, err error) {
 	hdr := map[string]string{"Accept": "text/event-stream"}
 	if *lastID > 0 {
 		hdr["Last-Event-ID"] = strconv.FormatInt(*lastID, 10)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.baseURL+"/v1/jobs/"+id+"/events", nil)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	if c.token != "" {
 		req.Header.Set("Authorization", "Bearer "+c.token)
@@ -198,12 +205,12 @@ func (c *Client) watchOnce(ctx context.Context, id string, lastID *int64, onEven
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return false, apiError(resp, body)
+		return nil, apiError(resp, body)
 	}
 
 	var ev JobEvent
@@ -235,12 +242,12 @@ func (c *Client) watchOnce(ctx context.Context, id string, lastID *int64, onEven
 				onEvent(ev)
 			}
 			if ev.Type == "done" {
-				return true, nil
+				return &ev, nil
 			}
 			ev = JobEvent{}
 		}
 	}
-	return false, sc.Err()
+	return nil, sc.Err()
 }
 
 // RunJob is the high-level helper: submit, watch to completion, fetch
