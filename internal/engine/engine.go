@@ -100,9 +100,10 @@ type Memo[T any] interface {
 
 // Dispatcher routes the execution of one keyed shard to a worker fleet
 // (in-process worker groups or remote peers — internal/cluster's
-// Coordinator satisfies the interface). kind discriminates the
-// serialized spec ("core" or "workload"); the returned bytes are the
-// canonical JSON encoding of the shard's result. Because shard work is
+// Coordinator satisfies the interface). spec is the shard spec value
+// and kind names its type ("core" or "workload"): in-process workers run
+// the value, and only a remote worker receives it serialized. The
+// returned bytes are the canonical JSON encoding of the shard's result. Because shard work is
 // deterministic and keys capture every input, a dispatched shard is
 // bit-identical to a locally executed one regardless of which worker
 // runs it. Implementations must be safe for concurrent use.
