@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -74,6 +75,105 @@ func TestFleetWideRateLimit(t *testing.T) {
 	resp, body := doReq(t, http.MethodGet, tsA.URL+"/v1/jobs", "", "")
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("A third request: %d (%s); want 429 — bucket must be fleet-wide", resp.StatusCode, body)
+	}
+}
+
+// TestFleetNodeRateLimit: a Groups: 2 node with no Backend or CachePeer
+// keeps its clients' buckets in its own hosted tier, so the limit still
+// holds there.
+func TestFleetNodeRateLimit(t *testing.T) {
+	_, ts := testServer(t, Config{Groups: 2, RatePerSec: 0.001, RateBurst: 2})
+	for i := range 2 {
+		if resp, body := doReq(t, http.MethodGet, ts.URL+"/v1/jobs", "", ""); resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: %d (%s); want 200 within the burst", i, resp.StatusCode, body)
+		}
+	}
+	if resp, body := doReq(t, http.MethodGet, ts.URL+"/v1/jobs", "", ""); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("request past the burst: %d (%s); want 429", resp.StatusCode, body)
+	}
+}
+
+// coordWorker starts a coordinator whose one peer is a worker, and that
+// worker with the coordinator as its CachePeer: the coordinator hosts
+// the fleet's shared tier itself.
+func coordWorker(t *testing.T) (coord, worker *Server, coordURL, workerURL string) {
+	t.Helper()
+	tsW := httptest.NewUnstartedServer(nil)
+	workerURL = "http://" + tsW.Listener.Addr().String()
+	coord, tsC := testServer(t, Config{Peers: []string{workerURL}})
+	worker = New(Config{CachePeer: tsC.URL})
+	tsW.Config.Handler = worker.Handler()
+	tsW.Start()
+	t.Cleanup(func() {
+		tsW.Close()
+		worker.Close()
+	})
+	return coord, worker, tsC.URL, workerURL
+}
+
+// TestCoordinatorAsCachePeer: each side of a coordinator/worker pair
+// answers a response the other side computed as a cached hit, without
+// executing.
+func TestCoordinatorAsCachePeer(t *testing.T) {
+	coord, worker, coordURL, workerURL := coordWorker(t)
+	for _, tc := range []struct {
+		name          string
+		first, second string
+		answer        *Server
+		body          string
+	}{
+		{"worker hits coordinator", coordURL, workerURL, worker, `{"bytes":64,"seed":2024,"rows":32}`},
+		{"coordinator hits worker", workerURL, coordURL, coord, `{"bytes":64,"seed":2025,"rows":32}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := tc.answer.Executions("trng")
+			st, first := postJSON(t, tc.first+"/v1/trng", tc.body)
+			if st != http.StatusOK {
+				t.Fatalf("computing node: %d (%s)", st, first)
+			}
+			st, second := postJSON(t, tc.second+"/v1/trng", tc.body)
+			if st != http.StatusOK {
+				t.Fatalf("answering node: %d (%s)", st, second)
+			}
+			var rf, rs Response
+			if err := json.Unmarshal([]byte(first), &rf); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal([]byte(second), &rs); err != nil {
+				t.Fatal(err)
+			}
+			if rf.Cached || !rs.Cached {
+				t.Fatalf("cached flags %v then %v; want false then true", rf.Cached, rs.Cached)
+			}
+			if got := tc.answer.Executions("trng") - before; got != 0 {
+				t.Fatalf("answering node executed %d times; want 0", got)
+			}
+			if rf.Output != rs.Output || rf.Key != rs.Key {
+				t.Fatal("the cached answer diverged from the computed one")
+			}
+		})
+	}
+}
+
+// TestCacheGetServesShard: GET /v1/internal/cache/{key} on a coordinator
+// returns the bytes of a shard its group-0 computed.
+func TestCacheGetServesShard(t *testing.T) {
+	_, _, coordURL, _ := coordWorker(t)
+	req, err := os.ReadFile("../cluster/testdata/peer_core.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, shard := postJSON(t, coordURL+"/v1/internal/shard", string(req))
+	if st != http.StatusOK {
+		t.Fatalf("shard: %d (%s)", st, shard)
+	}
+	var r struct{ Key string }
+	if err := json.Unmarshal(req, &r); err != nil {
+		t.Fatal(err)
+	}
+	resp, got := doReq(t, http.MethodGet, coordURL+"/v1/internal/cache/"+r.Key, "", "")
+	if resp.StatusCode != http.StatusOK || got != shard {
+		t.Fatalf("cache GET: %d, %d bytes; want 200 and the shard's %d bytes", resp.StatusCode, len(got), len(shard))
 	}
 }
 
