@@ -25,28 +25,9 @@ type ErrorCounter interface {
 	Errors() int64
 }
 
-// Owner is optionally implemented by backends that can take ownership of
-// a value instead of copying it: after PutOwned the caller must never
-// modify v again. Cached bytes are immutable by contract anyway — the
-// local LRU hands the same slice to every hit — so a caller that just
-// produced v, or only shares it read-only, can hand it over and skip a
-// second copy of every entry.
-type Owner interface {
-	PutOwned(k Key, v []byte)
-}
-
-// PutOwned stores v under k in b, handing ownership of v over when b
-// implements Owner and falling back to b.Put (which copies) otherwise.
-func PutOwned(b Backend, k Key, v []byte) {
-	if o, ok := b.(Owner); ok {
-		o.PutOwned(k, v)
-		return
-	}
-	b.Put(k, v)
-}
-
 // MemBackend is an in-memory Backend: the fake remote tier used by tests
-// and by a node hosting the fleet's shared tier in-process. It is a thin
+// and the store of a node's hosted tier, which holds what peers PUT into
+// it (the node's own results stay in its local store). It is a thin
 // view of a Cache holding []byte values, so a bounded one evicts
 // least-recently-used entries under the same byte budget (values plus
 // EntryOverhead) as the local tier. The zero value is not usable; create
@@ -80,7 +61,9 @@ func (m *MemBackend) Put(k Key, v []byte) {
 	m.PutOwned(k, cp)
 }
 
-// PutOwned stores v itself under k (see Owner).
+// PutOwned stores v itself under k, without a copy: the caller must
+// never modify v again. A node's PUT route hands over the request body it
+// just read.
 func (m *MemBackend) PutOwned(k Key, v []byte) { m.c.Put(k, v, int64(len(v))) }
 
 // Stats returns the backing cache's counters: Get hits and misses,
@@ -147,8 +130,7 @@ func (t *Tiered) Do(k Key, compute func() (any, int64, error)) (any, error) {
 		v, size, err := compute()
 		if err == nil {
 			if s, ok := v.(string); ok {
-				// The conversion already copied s: hand that copy over.
-				PutOwned(t.remote, k, []byte(s))
+				t.remote.Put(k, []byte(s))
 			}
 		}
 		return v, size, err

@@ -23,12 +23,8 @@ func TestMemBackend(t *testing.T) {
 	}
 }
 
-// copyOnly hides a backend's Owner hand-off, leaving only Get and Put.
-type copyOnly struct{ Backend }
-
 // TestMemBackendPutOwned: the hand-off stores the very slice it is given,
-// while Put keeps copying; the PutOwned helper hands off where the backend
-// allows it and copies through Put where it does not.
+// while Put keeps copying.
 func TestMemBackendPutOwned(t *testing.T) {
 	m := NewMemBackend()
 	owned, copied := NewHasher().Str("owned").Sum(), NewHasher().Str("copied").Sum()
@@ -41,17 +37,6 @@ func TestMemBackendPutOwned(t *testing.T) {
 	m.Put(copied, v)
 	if got, _ := m.Get(copied); &got[0] == &v[0] {
 		t.Fatal("Put stored the caller's slice; want a copy")
-	}
-
-	w := []byte("other")
-	PutOwned(m, owned, w)
-	if got, _ := m.Get(owned); &got[0] != &w[0] {
-		t.Fatal("PutOwned helper copied into an Owner backend")
-	}
-	inner := NewMemBackend()
-	PutOwned(copyOnly{inner}, owned, w)
-	if got, ok := inner.Get(owned); !ok || &got[0] == &w[0] || string(got) != "other" {
-		t.Fatal("PutOwned helper did not fall back to a copying Put")
 	}
 }
 

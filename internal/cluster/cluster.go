@@ -100,10 +100,12 @@ type GroupStats struct {
 }
 
 // Group is an in-process worker: it executes shard specs on its own
-// module pool, caches the encoded result bytes in its own local cache,
-// and shares them through an optional remote backend. Each group is an
-// independent cache domain — the in-process fleet tests exercise 1, 2
-// and 4 groups to show placement never affects bytes.
+// module pool, caches the encoded result bytes in the store it is given,
+// and shares them through an optional remote backend. A server's groups
+// all use its one store, so a node holds each shard once and placement
+// across its groups picks only the module pool — the in-process fleet
+// tests exercise 1, 2 and 4 groups to show placement never affects
+// bytes.
 type Group struct {
 	name   string
 	store  *cache.Cache
@@ -127,10 +129,10 @@ func (g *Group) Stats() GroupStats {
 	return GroupStats{Requests: g.reqs.Load(), Executions: g.execs.Load()}
 }
 
-// storeKey namespaces a shard key for the group's local cache: the same
-// cache may also hold decoded typed values under the raw shard key (the
+// StoreKey namespaces a shard key for a group's store: the same cache
+// may also hold decoded typed values under the raw shard key (the
 // server's engine memos), so encoded bytes live under a distinct family.
-func storeKey(k engine.ShardKey) cache.Key {
+func StoreKey(k engine.ShardKey) cache.Key {
 	return cache.NewHasher().Str("cluster/shard-bytes/v1").Str(string(k[:])).Sum()
 }
 
@@ -145,7 +147,7 @@ func (g *Group) Exec(ctx context.Context, req Request) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	v, err := g.store.Do(storeKey(key), func() (any, int64, error) {
+	v, err := g.store.Do(StoreKey(key), func() (any, int64, error) {
 		if g.remote != nil {
 			if b, ok := g.remote.Get(key); ok {
 				return b, int64(len(b)), nil
@@ -161,9 +163,7 @@ func (g *Group) Exec(ctx context.Context, req Request) ([]byte, error) {
 			return nil, 0, err
 		}
 		if g.remote != nil {
-			// b is cached immutable bytes from here on (the local store
-			// hands it to every hit), so the shared tier can hold it too.
-			cache.PutOwned(g.remote, key, b)
+			g.remote.Put(key, b)
 		}
 		return b, int64(len(b)), nil
 	})

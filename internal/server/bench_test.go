@@ -96,8 +96,8 @@ func BenchmarkServerColdMiss(b *testing.B) {
 // BenchmarkServerFleetColdMiss times one cache-missing workload request
 // on a node with two in-process worker groups, through the whole handler
 // chain onto an httptest recorder: the coordinator fans each module's
-// shard out to a group, which runs it and writes the result through to
-// the hosted shared tier. It is the go test view of the cluster path that
+// shard out to a group, which runs it into the node's one store. It is
+// the go test view of the cluster path that
 // BenchmarkServerColdMiss, on a node without a coordinator, never takes.
 func BenchmarkServerFleetColdMiss(b *testing.B) {
 	s := New(Config{Groups: 2})

@@ -176,8 +176,8 @@ func cacheKeyParam(r *http.Request) (cache.Key, error) {
 }
 
 // handleCacheGet is GET /v1/internal/cache/{key}: this node's hosted
-// shared-tier store. Peers configured with -cache-peer pointing here
-// read fleet-shared entries from it.
+// shared-tier store, then its own results. Peers configured with
+// -cache-peer pointing here read fleet-shared entries from it.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	k, err := cacheKeyParam(r)
 	if err != nil {
@@ -186,11 +186,27 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	}
 	b, ok := s.hosted.Get(k)
 	if !ok {
+		b, ok = s.own(k)
+	}
+	if !ok {
 		writeError(w, r, fmt.Errorf("cache entry not found"), http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(b)
+}
+
+// own returns this node's own result under k from its store: a
+// response is a string under its key, a shard's encoded bytes sit under
+// cluster.StoreKey. Both lookups count in the store's hit/miss counters.
+func (s *Server) own(k cache.Key) ([]byte, bool) {
+	v, _ := s.store.Get(k)
+	if resp, ok := v.(string); ok {
+		return []byte(resp), true
+	}
+	v, _ = s.store.Get(cluster.StoreKey(k))
+	b, ok := v.([]byte)
+	return b, ok
 }
 
 // handleCachePut is PUT /v1/internal/cache/{key}.

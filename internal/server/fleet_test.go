@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,41 +20,53 @@ const trngBody = `{"bytes":64,"seed":2024,"rows":32}`
 
 // TestFleetWideCacheHit: two nodes sharing a cache backend — the second
 // node answers an already-computed request from the shared tier without
-// executing.
+// executing, with identical bytes. Two-group nodes take the sweep and
+// workload families through their worker groups.
 func TestFleetWideCacheHit(t *testing.T) {
-	shared := cache.NewMemBackend()
-	a, tsA := testServer(t, Config{Backend: shared})
-	b, tsB := testServer(t, Config{Backend: shared})
+	for _, tc := range []struct {
+		groups     int
+		kind, body string
+	}{
+		{0, "trng", trngBody},
+		{2, "sweep", smallSweep()},
+		{2, "workload", `{"workloads":"bitmap-scan","modules":"representative","cols":64,"maxx":5,"format":"csv"}`},
+	} {
+		t.Run(fmt.Sprintf("%s/groups=%d", tc.kind, tc.groups), func(t *testing.T) {
+			shared := cache.NewMemBackend()
+			a, tsA := testServer(t, Config{Groups: tc.groups, Backend: shared})
+			b, tsB := testServer(t, Config{Groups: tc.groups, Backend: shared})
 
-	status, bodyA := postJSON(t, tsA.URL+"/v1/trng", trngBody)
-	if status != http.StatusOK {
-		t.Fatalf("node A: status %d (%s)", status, bodyA)
-	}
-	if a.Executions("trng") != 1 {
-		t.Fatalf("node A executions = %d; want 1", a.Executions("trng"))
-	}
-	status, bodyB := postJSON(t, tsB.URL+"/v1/trng", trngBody)
-	if status != http.StatusOK {
-		t.Fatalf("node B: status %d (%s)", status, bodyB)
-	}
-	if b.Executions("trng") != 0 {
-		t.Fatalf("node B executions = %d; want 0 (fleet-wide hit)", b.Executions("trng"))
-	}
-	var ra, rb Response
-	if err := json.Unmarshal([]byte(bodyA), &ra); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal([]byte(bodyB), &rb); err != nil {
-		t.Fatal(err)
-	}
-	if !rb.Cached {
-		t.Fatal("node B response not marked cached")
-	}
-	if ra.Output != rb.Output || ra.Key != rb.Key {
-		t.Fatal("fleet-wide hit returned different bytes than the computing node")
-	}
-	if st := b.CacheStats(); st.RemoteHits == 0 {
-		t.Fatalf("node B tier stats %+v; want at least one remote hit", st)
+			status, bodyA := postJSON(t, tsA.URL+"/v1/"+tc.kind, tc.body)
+			if status != http.StatusOK {
+				t.Fatalf("node A: status %d (%s)", status, bodyA)
+			}
+			if a.Executions(tc.kind) != 1 {
+				t.Fatalf("node A executions = %d; want 1", a.Executions(tc.kind))
+			}
+			status, bodyB := postJSON(t, tsB.URL+"/v1/"+tc.kind, tc.body)
+			if status != http.StatusOK {
+				t.Fatalf("node B: status %d (%s)", status, bodyB)
+			}
+			if b.Executions(tc.kind) != 0 {
+				t.Fatalf("node B executions = %d; want 0 (fleet-wide hit)", b.Executions(tc.kind))
+			}
+			var ra, rb Response
+			if err := json.Unmarshal([]byte(bodyA), &ra); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal([]byte(bodyB), &rb); err != nil {
+				t.Fatal(err)
+			}
+			if !rb.Cached {
+				t.Fatal("node B response not marked cached")
+			}
+			if ra.Output != rb.Output || ra.Key != rb.Key {
+				t.Fatal("fleet-wide hit returned different bytes than the computing node")
+			}
+			if st := b.CacheStats(); st.RemoteHits == 0 {
+				t.Fatalf("node B tier stats %+v; want at least one remote hit", st)
+			}
+		})
 	}
 }
 
@@ -282,12 +295,10 @@ func TestGroupsByteIdentity(t *testing.T) {
 	}
 }
 
-// TestHostedTierBoundedByCacheBytes: a two-group node hosts the fleet's
-// shared tier in-process and writes every shard result and response it
-// computes through to it. Fresh-seed workload jobs write new entries with
-// every job, so the hosted tier must evict within CacheBytes like the
-// local tier instead of keeping every entry it was ever given.
-func TestHostedTierBoundedByCacheBytes(t *testing.T) {
+// TestOneHolderPerResult: a two-group node keeps its own results in its
+// one store and never copies them into the hosted tier it serves peers
+// from, so its results take one CacheBytes budget, not one per holder.
+func TestOneHolderPerResult(t *testing.T) {
 	const budget = 16 << 10
 	s := New(Config{Groups: 2, CacheBytes: budget})
 	t.Cleanup(s.Close)
@@ -302,6 +313,28 @@ func TestHostedTierBoundedByCacheBytes(t *testing.T) {
 			t.Fatalf("job %d: %+v, %v", seed, final, err)
 		}
 	}
+	hs, ss := s.hosted.Stats(), s.store.Stats()
+	if hs.Entries != 0 {
+		t.Fatalf("hosted tier holds %d of the node's own results (%d bytes); want none", hs.Entries, hs.Bytes)
+	}
+	if ss.Bytes+hs.Bytes > budget {
+		t.Fatalf("store %d + hosted %d bytes, past the %d-byte budget", ss.Bytes, hs.Bytes, budget)
+	}
+}
+
+// TestHostedTierBoundedByCacheBytes: the hosted tier keeps what peers PUT
+// into it, so a stream of fresh keys must evict within CacheBytes instead
+// of keeping every entry it was ever given.
+func TestHostedTierBoundedByCacheBytes(t *testing.T) {
+	const budget = 16 << 10
+	s, ts := testServer(t, Config{Groups: 2, CacheBytes: budget})
+	value := strings.Repeat("x", 1<<10)
+	for i := range 64 {
+		key := cache.KeyString(cache.NewHasher().Str("peer entry").Int(i).Sum())
+		if resp, body := doReq(t, http.MethodPut, ts.URL+"/v1/internal/cache/"+key, "", value); resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("PUT %d: %d (%s)", i, resp.StatusCode, body)
+		}
+	}
 	hs := s.hosted.Stats()
 	if hs.Evictions == 0 {
 		t.Fatalf("hosted tier never filled its %d-byte budget: %+v", budget, hs)
@@ -309,52 +342,6 @@ func TestHostedTierBoundedByCacheBytes(t *testing.T) {
 	if hs.Bytes > budget {
 		t.Fatalf("hosted tier holds %d bytes in %d entries, past its %d-byte budget",
 			hs.Bytes, hs.Entries, budget)
-	}
-}
-
-// copyingBackend hides MemBackend's ownership hand-off, so every write to
-// the shared tier copies as a remote backend's would.
-type copyingBackend struct{ cache.Backend }
-
-// TestGroupsHandOffByteIdentity: a two-group node whose in-process shared
-// tier takes ownership of shard and response bytes answers byte-identically
-// to one whose shared tier copies them — both for the node that computes
-// and for a second node answering from the shared tier.
-func TestGroupsHandOffByteIdentity(t *testing.T) {
-	if _, ok := cache.Backend(copyingBackend{cache.NewMemBackend()}).(cache.Owner); ok {
-		t.Fatal("copyingBackend still exposes the hand-off")
-	}
-	reqs := []struct{ path, body string }{
-		{"/v1/sweep", smallSweep()},
-		{"/v1/workload", `{"workloads":"bitmap-scan","modules":"representative","cols":64,"maxx":5,"format":"csv"}`},
-	}
-	outputs := func(backend cache.Backend) []string {
-		var out []string
-		for node := range 2 {
-			srv, ts := testServer(t, Config{Groups: 2, Backend: backend})
-			for _, tc := range reqs {
-				st, body := postJSON(t, ts.URL+tc.path, tc.body)
-				if st != http.StatusOK {
-					t.Fatalf("%s: status %d (%s)", tc.path, st, body)
-				}
-				var r Response
-				if err := json.Unmarshal([]byte(body), &r); err != nil {
-					t.Fatal(err)
-				}
-				out = append(out, r.Key+"\n"+r.Output)
-			}
-			if st := srv.CacheStats(); node == 1 && st.RemoteHits != int64(len(reqs)) {
-				t.Fatalf("second node tier stats %+v; want every response from the shared tier", st)
-			}
-		}
-		return out
-	}
-	owned := outputs(cache.NewMemBackend())
-	copied := outputs(copyingBackend{cache.NewMemBackend()})
-	for i := range owned {
-		if owned[i] != copied[i] || owned[i] != owned[i%len(reqs)] {
-			t.Fatalf("response %d diverged with the shared tier's hand-off", i)
-		}
 	}
 }
 

@@ -80,10 +80,11 @@ type Config struct {
 	// Addr is the listen address for ListenAndServe (default
 	// "127.0.0.1:8077").
 	Addr string
-	// CacheBytes bounds the shared result cache (responses + engine
-	// shards), each further worker group's cache and the hosted shared
-	// tier, each on its own; an entry counts its value's bytes plus
-	// cache.EntryOverhead (0 = DefaultCacheBytes, negative = unbounded).
+	// CacheBytes bounds two stores, each on its own: the node's result
+	// cache (responses + engine shards, shared by every worker group) and
+	// the hosted shared tier, which holds only what peers PUT into it. An
+	// entry counts its value's bytes plus cache.EntryOverhead
+	// (0 = DefaultCacheBytes, negative = unbounded).
 	CacheBytes int64
 	// MaxInflight bounds concurrently executing engine runs (0 =
 	// GOMAXPROCS). Identical concurrent requests coalesce onto one run
@@ -118,9 +119,9 @@ type Config struct {
 	WarmpoolPerKey int
 
 	// Groups is the number of in-process worker groups shard execution
-	// fans out over (each an independent cache domain with its own module
-	// pool). 0 keeps single-node in-process execution — no coordinator at
-	// all — unless Peers makes one necessary.
+	// fans out over (each with its own module pool, all sharing the
+	// node's result cache). 0 keeps single-node in-process execution —
+	// no coordinator at all — unless Peers makes one necessary.
 	Groups int
 	// Peers are base URLs of remote worker nodes (e.g.
 	// "http://10.0.0.2:8077"); shards rendezvous-hash across the local
@@ -135,7 +136,9 @@ type Config struct {
 	// inject a cache.MemBackend two Servers share). Takes precedence over
 	// CachePeer. When neither is set and the node is part of a fleet
 	// (Groups > 1 or Peers non-empty), the node hosts its own in-process
-	// backend, which it also serves at /v1/internal/cache/{key}.
+	// backend: it serves it, with its own results as a fallback, at
+	// /v1/internal/cache/{key}, and reads it on a miss, but never copies
+	// its own results into it.
 	Backend cache.Backend
 	// ClusterToken authenticates fleet-internal routes (/v1/internal/*)
 	// and outgoing peer calls. Empty leaves internal routes open (dev
@@ -198,7 +201,8 @@ type Server struct {
 	// hosted is this node's in-process shared-tier store, served at
 	// /v1/internal/cache/{key} so other nodes can use this node as their
 	// CachePeer; backend is the tier this node itself reads/writes (nil,
-	// Config.Backend, a RemoteCache client, or hosted).
+	// Config.Backend, a RemoteCache client, or a read-only view of
+	// hosted).
 	hosted  *cache.MemBackend
 	backend cache.Backend
 	// sweepMemo, workloadMemo and campaignMemo are typed views of store
@@ -279,9 +283,9 @@ func New(cfg Config) *Server {
 
 	// Cluster wiring. The shared backend resolves by priority: an injected
 	// Backend (tests), a CachePeer client, or — when this node is part of a
-	// fleet — its own hosted in-process backend, bounded like the local
-	// tier by CacheBytes. A lone node gets none: tier stays a transparent
-	// view of store.
+	// fleet — a read-only view of its own hosted in-process backend,
+	// bounded like the local tier by CacheBytes. A lone node gets none:
+	// tier stays a transparent view of store.
 	s.hosted = cache.NewBoundedMemBackend(cfg.CacheBytes)
 	fleetNode := cfg.Groups > 1 || len(cfg.Peers) > 0
 	switch {
@@ -299,23 +303,23 @@ func New(cfg Config) *Server {
 		}
 		s.backend = rc
 	case fleetNode:
-		s.backend = s.hosted
+		s.backend = readOnly{s.hosted}
 	}
 	s.tier = cache.NewTiered(store, s.backend)
 
-	// Worker groups: group-0 shares the server's store and warmpool (a
-	// lone worker node executes incoming shards against its main cache);
-	// further groups are independent cache domains with their own pools.
+	// Worker groups all use the server's store, so the node holds each
+	// shard once; group-0 shares the server's warmpool and further groups
+	// get their own.
 	n := cfg.Groups
 	if n < 1 {
 		n = 1
 	}
 	for i := 0; i < n; i++ {
-		gstore, gpool := store, dram.ModulePool(s.pool)
+		gpool := dram.ModulePool(s.pool)
 		if i > 0 {
-			gstore, gpool = cache.New(cfg.CacheBytes), jobs.NewWarmpool(cfg.WarmpoolPerKey)
+			gpool = jobs.NewWarmpool(cfg.WarmpoolPerKey)
 		}
-		s.groups = append(s.groups, cluster.NewGroup(fmt.Sprintf("group-%d", i), gstore, s.backend, gpool))
+		s.groups = append(s.groups, cluster.NewGroup(fmt.Sprintf("group-%d", i), store, s.backend, gpool))
 	}
 	s.worker = s.groups[0]
 	s.shardSlots = make(chan struct{}, cfg.MaxInflight)
@@ -337,14 +341,23 @@ func New(cfg Config) *Server {
 	}
 
 	if cfg.RatePerSec > 0 {
+		// Buckets are written on every request, so without an injected or
+		// peer tier they live in the writable hosted one.
 		lstore := s.backend
-		if lstore == nil {
+		if cfg.Backend == nil && cfg.CachePeer == "" {
 			lstore = s.hosted
 		}
 		s.limiter = newRateLimiter(lstore, cfg.RatePerSec, cfg.RateBurst)
 	}
 	return s
 }
+
+// readOnly is a fleet node's view of its own hosted tier: lookups find
+// what peers PUT there, and the node's own writes are dropped, because
+// GET /v1/internal/cache/{key} serves its results from its store.
+type readOnly struct{ cache.Backend }
+
+func (readOnly) Put(cache.Key, []byte) {}
 
 // dispatch returns the engine dispatcher for an execution started under
 // ctx: nil on a single node (families run shards in-process), otherwise

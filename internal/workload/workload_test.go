@@ -345,3 +345,19 @@ func TestModuleShardKeyKnownAnswer(t *testing.T) {
 		t.Errorf("module shard key %s, want %s", got, want)
 	}
 }
+
+// TestDefaultParamsNonZero: RunFleet reuses the default model's params
+// block when Params == analog.DefaultParams(). That comparison matches
+// only the identical bits while no default field is zero: a zero field
+// would let -0, which prints differently, compare equal.
+func TestDefaultParamsNonZero(t *testing.T) {
+	v := reflect.ValueOf(analog.DefaultParams())
+	for i := range v.NumField() {
+		if v.Field(i).IsZero() {
+			t.Errorf("analog.DefaultParams().%s is zero", v.Type().Field(i).Name)
+		}
+	}
+	if got, want := defaultParamsBlock(), dram.FormatParams(analog.DefaultParams()); got != want {
+		t.Fatalf("default params block %q, want %q", got, want)
+	}
+}
