@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,6 +16,8 @@ import (
 	"repro/internal/cache"
 	"repro/internal/charexp"
 	"repro/internal/cluster"
+	"repro/internal/goldenfile"
+	"repro/internal/server"
 	"repro/internal/workload"
 )
 
@@ -93,6 +96,40 @@ func TestPeerWireKnownAnswer(t *testing.T) {
 			if got := bodies[0]; !bytes.Equal(got, bytes.TrimSuffix(want, []byte("\n"))) {
 				t.Fatalf("peer request body drifted from testdata/%s\n got: %s\nwant: %s", c.golden, got, want)
 			}
+		})
+	}
+}
+
+// TestPeerResultKnownAnswer pins the response side of the wire: the
+// bytes a node's /v1/internal/shard answers for the two golden requests
+// of TestPeerWireKnownAnswer must equal their golden files. A Peer
+// decodes these bytes, so how a node holds a result in memory must leave
+// them as they are. Regenerate with go test -run PeerResultKnownAnswer
+// -update.
+func TestPeerResultKnownAnswer(t *testing.T) {
+	srv := server.New(server.Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, name := range []string{"peer_core", "peer_workload"} {
+		t.Run(name, func(t *testing.T) {
+			body, err := os.ReadFile(filepath.Join("testdata", name+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+cluster.ShardPath, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			got, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, got)
+			}
+			goldenfile.Check(t, "testdata", name+"_result.json", string(got))
 		})
 	}
 }
