@@ -83,13 +83,16 @@ func (m *MemBackend) Stats() Stats { return m.c.Stats() }
 type Tiered struct {
 	local        *Cache
 	remote       Backend
+	write        Backend
 	remoteHits   atomic.Int64
 	remoteMisses atomic.Int64
 }
 
-// NewTiered layers local over remote (remote may be nil).
-func NewTiered(local *Cache, remote Backend) *Tiered {
-	return &Tiered{local: local, remote: remote}
+// NewTiered layers local over remote (remote may be nil). Fresh results
+// are written through to write, which is remote itself on a node that
+// uses another node's tier and nil on a node that reads a tier it hosts.
+func NewTiered(local *Cache, remote, write Backend) *Tiered {
+	return &Tiered{local: local, remote: remote, write: write}
 }
 
 // Get returns the value for k from the local tier, falling back to the
@@ -114,8 +117,9 @@ func (t *Tiered) Get(k Key) (any, bool) {
 
 // Do returns the value for k with the Cache.Do contract (singleflight,
 // error passthrough), consulting the remote tier before running compute.
-// A successful computation is written through to both tiers; a remote hit
-// is promoted locally without running compute.
+// A successful computation is stored locally and written through to the
+// write tier, if any; a remote hit is promoted locally without running
+// compute.
 func (t *Tiered) Do(k Key, compute func() (any, int64, error)) (any, error) {
 	if t.remote == nil {
 		return t.local.Do(k, compute)
@@ -128,9 +132,9 @@ func (t *Tiered) Do(k Key, compute func() (any, int64, error)) (any, error) {
 		}
 		t.remoteMisses.Add(1)
 		v, size, err := compute()
-		if err == nil {
+		if err == nil && t.write != nil {
 			if s, ok := v.(string); ok {
-				t.remote.Put(k, []byte(s))
+				t.write.Put(k, []byte(s))
 			}
 		}
 		return v, size, err

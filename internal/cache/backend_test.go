@@ -42,7 +42,7 @@ func TestMemBackendPutOwned(t *testing.T) {
 
 func TestTieredNilBackendIsTransparent(t *testing.T) {
 	local := New(0)
-	tiered := NewTiered(local, nil)
+	tiered := NewTiered(local, nil, nil)
 	k := NewHasher().Str("k").Sum()
 	calls := 0
 	v, err := tiered.Do(k, func() (any, int64, error) {
@@ -67,7 +67,7 @@ func TestTieredRemoteHitSkipsCompute(t *testing.T) {
 	remote := NewMemBackend()
 	k := NewHasher().Str("k").Sum()
 	remote.Put(k, []byte("fleet"))
-	tiered := NewTiered(New(0), remote)
+	tiered := NewTiered(New(0), remote, remote)
 	v, err := tiered.Do(k, func() (any, int64, error) {
 		t.Fatal("compute ran despite a remote hit")
 		return nil, 0, nil
@@ -92,7 +92,7 @@ func TestTieredRemoteHitSkipsCompute(t *testing.T) {
 
 func TestTieredWriteThrough(t *testing.T) {
 	remote := NewMemBackend()
-	tiered := NewTiered(New(0), remote)
+	tiered := NewTiered(New(0), remote, remote)
 	k := NewHasher().Str("k").Sum()
 	if _, err := tiered.Do(k, func() (any, int64, error) {
 		return "computed", 8, nil
@@ -107,16 +107,41 @@ func TestTieredWriteThrough(t *testing.T) {
 	}
 	// A second tier over the same backend sees the value without
 	// computing: the fleet-wide hit.
-	other := NewTiered(New(0), remote)
+	other := NewTiered(New(0), remote, remote)
 	v, ok := other.Get(k)
 	if !ok || v.(string) != "computed" {
 		t.Fatalf("sibling tier Get = (%v, %v); want the shared value", v, ok)
 	}
 }
 
+// TestTieredReadOnly: a tier with no write target — a node reading the
+// tier it hosts — still finds what others put there, and keeps its own
+// fresh results only in its local cache.
+func TestTieredReadOnly(t *testing.T) {
+	remote := NewMemBackend()
+	shared := NewHasher().Str("shared").Sum()
+	remote.Put(shared, []byte("peer"))
+	tiered := NewTiered(New(0), remote, nil)
+	if v, ok := tiered.Get(shared); !ok || v.(string) != "peer" {
+		t.Fatalf("Get = (%v, %v); want the remote value", v, ok)
+	}
+	k := NewHasher().Str("k").Sum()
+	if _, err := tiered.Do(k, func() (any, int64, error) {
+		return "computed", 8, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := remote.Get(k); ok {
+		t.Fatal("a read-only tier wrote its result through")
+	}
+	if v, ok := tiered.Get(k); !ok || v.(string) != "computed" {
+		t.Fatalf("local Get = (%v, %v); want the computed value", v, ok)
+	}
+}
+
 func TestTieredErrorNotCachedRemotely(t *testing.T) {
 	remote := NewMemBackend()
-	tiered := NewTiered(New(0), remote)
+	tiered := NewTiered(New(0), remote, remote)
 	k := NewHasher().Str("k").Sum()
 	boom := errors.New("boom")
 	if _, err := tiered.Do(k, func() (any, int64, error) {

@@ -49,8 +49,8 @@ type Config struct {
 	ShardMemo engine.Memo[[]core.GroupOutcome]
 	// Dispatch, when non-nil, routes shard execution through a worker
 	// fleet (internal/cluster's Coordinator satisfies it) instead of
-	// running shard bodies in-process. Shards travel as serialized
-	// core.ShardSpec values keyed by the same content hashes ShardMemo
+	// running shard bodies in-process. Shards travel as core.ShardSpec
+	// values keyed by the same content hashes ShardMemo
 	// uses, so a dispatched run is bit-identical to a local one. nil
 	// executes every shard in-process.
 	Dispatch engine.Dispatcher

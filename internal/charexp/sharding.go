@@ -2,7 +2,6 @@ package charexp
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -210,29 +209,16 @@ func (p *sweepPlan) run() ([][]core.GroupOutcome, error) {
 	tasks := make([]engine.Task[[]core.GroupOutcome], len(p.shards))
 	for i := range p.shards {
 		sh := &p.shards[i]
-		if d := r.cfg.Dispatch; d != nil {
-			tasks[i] = func(ctx context.Context) ([]core.GroupOutcome, error) {
-				b, err := d.ExecShard(ctx, sh.key, "core", *sh.spec)
-				if err != nil {
-					return nil, fmt.Errorf("charexp: module %s: %w", sh.spec.Spec.ID, err)
-				}
-				var out []core.GroupOutcome
-				if err := json.Unmarshal(b, &out); err != nil {
-					return nil, fmt.Errorf("charexp: module %s: decode shard: %w", sh.spec.Spec.ID, err)
-				}
-				// One APA per trial per characterized group (§3.1).
-				r.stats.AddActivations(len(out) * r.cfg.Trials)
-				return out, nil
+		tasks[i] = func(ctx context.Context) (out []core.GroupOutcome, err error) {
+			if d := r.cfg.Dispatch; d != nil {
+				out, err = engine.Dispatch[[]core.GroupOutcome](ctx, d, sh.key, "core", *sh.spec)
+			} else {
+				sh.lock.Lock()
+				out, err = sh.tester.SweepShard(p.cells[sh.cell], sh.sample)
+				sh.lock.Unlock()
 			}
-			continue
-		}
-		tasks[i] = func(context.Context) ([]core.GroupOutcome, error) {
-			sh.lock.Lock()
-			out, err := sh.tester.SweepShard(p.cells[sh.cell], sh.sample)
-			sh.lock.Unlock()
 			if err != nil {
-				return nil, fmt.Errorf("charexp: module %s: %w",
-					sh.tester.Module().Spec().ID, err)
+				return nil, fmt.Errorf("charexp: module %s: %w", sh.tester.Module().Spec().ID, err)
 			}
 			// One APA per trial per characterized group (§3.1).
 			r.stats.AddActivations(len(out) * r.cfg.Trials)

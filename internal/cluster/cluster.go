@@ -12,9 +12,11 @@
 // names, so repeated requests land on the same worker's warm cache;
 // placement affects only locality, never bytes.
 //
-// Workers cache the encoded shard bytes in their local store and, when
-// configured, share them through a cache.Backend — the fleet's shared
-// tier — so a shard computed by one node is a hit on every node.
+// Workers cache each typed shard result in their node's store and, when
+// configured, share its JSON through a cache.Backend — the fleet's shared
+// tier — so a shard computed by one node is a hit on every node. JSON is
+// only written and read where a shard leaves the process: the shared
+// tier, a Peer's request and response, and the two internal routes.
 package cluster
 
 import (
@@ -55,8 +57,8 @@ type Request struct {
 	Spec json.RawMessage `json:"spec"`
 	// Value is the shard spec itself (a core.ShardSpec or
 	// workload.ShardSpec value), so in-process groups run it without a
-	// JSON round trip. Workers must not mutate it: its slices are shared
-	// with the caller.
+	// JSON round trip, and their typed result comes back the same way.
+	// Workers must not mutate it: its slices are shared with the caller.
 	Value any `json:"-"`
 	// RequestID propagates the originating request's ID into the worker's
 	// audit trail (the X-Request-ID header carries it cross-node).
@@ -74,21 +76,14 @@ func (r Request) ParseKey() (engine.ShardKey, error) {
 	return k, nil
 }
 
-// spec returns the request's spec value: Value when the request came
-// from an in-process coordinator, otherwise its Spec bytes decoded.
-func (r Request) spec() (any, error) {
-	if r.Value != nil {
-		return r.Value, nil
-	}
-	return decodeSpec(r.Kind, r.Spec)
-}
-
 // Worker executes shards. Group is the in-process implementation, Peer
-// the HTTP client side. Exec returns the canonical JSON encoding of the
-// shard's result; implementations must be safe for concurrent use.
+// the HTTP client side. Exec returns the shard's typed result
+// ([]core.GroupOutcome or []workload.Result); an in-process result is
+// shared with the worker's store, so callers must not mutate it.
+// Implementations must be safe for concurrent use.
 type Worker interface {
 	Name() string
-	Exec(ctx context.Context, req Request) ([]byte, error)
+	Exec(ctx context.Context, req Request) (any, error)
 }
 
 // GroupStats is a point-in-time snapshot of one worker group's counters.
@@ -100,25 +95,27 @@ type GroupStats struct {
 }
 
 // Group is an in-process worker: it executes shard specs on its own
-// module pool, caches the encoded result bytes in the store it is given,
-// and shares them through an optional remote backend. A server's groups
-// all use its one store, so a node holds each shard once and placement
-// across its groups picks only the module pool — the in-process fleet
-// tests exercise 1, 2 and 4 groups to show placement never affects
-// bytes.
+// module pool and caches each typed result in the store it is given,
+// under the raw shard key: the entry the server's shard memos share. A
+// server's groups all use its one store, so a node holds each shard once
+// and placement across its groups picks only the module pool — the
+// in-process fleet tests exercise 1, 2 and 4 groups to show placement
+// never affects bytes.
 type Group struct {
-	name   string
-	store  *cache.Cache
-	remote cache.Backend
-	pool   dram.ModulePool
-	reqs   atomic.Int64
-	execs  atomic.Int64
+	name          string
+	store         *cache.Cache
+	remote, write cache.Backend
+	pool          dram.ModulePool
+	reqs          atomic.Int64
+	execs         atomic.Int64
 }
 
-// NewGroup builds a worker group. store must be non-nil; remote and pool
-// may be nil (no shared tier / fresh module instances per shard).
-func NewGroup(name string, store *cache.Cache, remote cache.Backend, pool dram.ModulePool) *Group {
-	return &Group{name: name, store: store, remote: remote, pool: pool}
+// NewGroup builds a worker group. store must be non-nil. remote is the
+// shared tier read on a miss and write the one fresh results go to: the
+// same tier, or nil on a node that hosts the tier it reads. remote,
+// write and pool may be nil (fresh module instances per shard).
+func NewGroup(name string, store *cache.Cache, remote, write cache.Backend, pool dram.ModulePool) *Group {
+	return &Group{name: name, store: store, remote: remote, write: write, pool: pool}
 }
 
 // Name implements Worker.
@@ -129,99 +126,129 @@ func (g *Group) Stats() GroupStats {
 	return GroupStats{Requests: g.reqs.Load(), Executions: g.execs.Load()}
 }
 
-// StoreKey namespaces a shard key for a group's store: the same cache
-// may also hold decoded typed values under the raw shard key (the
-// server's engine memos), so encoded bytes live under a distinct family.
-func StoreKey(k engine.ShardKey) cache.Key {
-	return cache.NewHasher().Str("cluster/shard-bytes/v1").Str(string(k[:])).Sum()
-}
-
-// Exec implements Worker: local cache → shared tier → compute, with
-// singleflight coalescing on the local store, writing a fresh result
-// through to the shared tier under the raw shard key. A request carrying
-// a Value runs it directly; one carrying only Spec bytes decodes them on
-// a miss, and a spec that does not decode fails with ErrBadSpec.
-func (g *Group) Exec(ctx context.Context, req Request) ([]byte, error) {
+// Exec implements Worker: local store → shared tier → compute, with
+// singleflight coalescing on the local store. JSON appears only at the
+// shared tier: a hit there is decoded, and a fresh result is encoded
+// only for a write tier. A request carrying a Value runs it directly;
+// one carrying only Spec bytes decodes them on a miss, and a spec that
+// does not decode fails with ErrBadSpec.
+func (g *Group) Exec(ctx context.Context, req Request) (any, error) {
 	g.reqs.Add(1)
 	key, err := req.ParseKey()
 	if err != nil {
 		return nil, err
 	}
-	v, err := g.store.Do(StoreKey(key), func() (any, int64, error) {
-		if g.remote != nil {
-			if b, ok := g.remote.Get(key); ok {
-				return b, int64(len(b)), nil
-			}
-		}
-		spec, err := req.spec()
-		if err != nil {
-			return nil, 0, err
-		}
-		g.execs.Add(1)
-		b, err := execSpec(spec, g.pool)
-		if err != nil {
-			return nil, 0, err
-		}
-		if g.remote != nil {
-			g.remote.Put(key, b)
-		}
-		return b, int64(len(b)), nil
-	})
+	k, err := lookup(req.Kind)
 	if err != nil {
 		return nil, err
 	}
-	return v.([]byte), nil
+	return g.store.Do(key, func() (any, int64, error) {
+		if g.remote != nil {
+			if b, ok := g.remote.Get(key); ok {
+				if v, err := k.result(b); err == nil {
+					return v, k.size(v), nil
+				}
+			}
+		}
+		spec := req.Value
+		if spec == nil {
+			if spec, err = k.spec(req.Spec); err != nil {
+				return nil, 0, err
+			}
+		}
+		g.execs.Add(1)
+		v, err := k.exec(spec, g.pool)
+		if err != nil {
+			return nil, 0, err
+		}
+		if g.write != nil {
+			if b, err := json.Marshal(v); err == nil {
+				g.write.Put(key, b)
+			}
+		}
+		return v, k.size(v), nil
+	})
 }
 
 // ErrBadSpec marks a wire shard spec that does not decode into its
 // kind's spec type: the request is malformed, not the computation.
 var ErrBadSpec = errors.New("cluster: bad shard spec")
 
-// decodeSpec decodes the wire bytes of a shard spec of the given kind
-// into its spec value. It only decodes; nothing executes.
-func decodeSpec(kind string, raw json.RawMessage) (any, error) {
-	var spec any
-	var err error
-	switch kind {
-	case KindCore:
-		var s core.ShardSpec
-		err = json.Unmarshal(raw, &s)
-		spec = s
-	case KindWorkload:
-		var s workload.ShardSpec
-		err = json.Unmarshal(raw, &s)
-		spec = s
-	default:
-		return nil, fmt.Errorf("cluster: unknown shard kind %q; valid: %s, %s",
-			kind, KindCore, KindWorkload)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrBadSpec, kind, err)
-	}
-	return spec, nil
+// errBadResult marks shard result bytes that do not decode into their
+// kind's result type.
+var errBadResult = errors.New("cluster: bad shard result")
+
+// kind is one shard kind: the decoders of its spec and result JSON at
+// the process edge, its spec's execution, and its result's byte charge.
+type kind struct {
+	spec, result func([]byte) (any, error)
+	exec         func(spec any, pool dram.ModulePool) (any, error)
+	size         func(any) int64
 }
 
-// execSpec executes one shard spec value and returns the canonical JSON
-// encoding of its result.
-func execSpec(spec any, pool dram.ModulePool) ([]byte, error) {
-	switch s := spec.(type) {
-	case core.ShardSpec:
-		out, err := s.Exec(pool)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(out)
-	case workload.ShardSpec:
-		out, err := s.Exec(pool)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(out)
-	default:
-		return nil, fmt.Errorf("cluster: unknown shard spec type %T; valid: %s, %s",
-			spec, KindCore, KindWorkload)
+// kinds is the per-kind table every decode and execution goes through.
+var kinds = map[string]kind{
+	KindCore:     newKind[core.ShardSpec](CoreBytes),
+	KindWorkload: newKind[workload.ShardSpec](WorkloadBytes),
+}
+
+// shardSpec is a spec type whose Exec returns results of type R.
+type shardSpec[R any] interface {
+	Exec(dram.ModulePool) (R, error)
+}
+
+// newKind builds the entry of spec type S.
+func newKind[S shardSpec[R], R any](size func(R) int64) kind {
+	return kind{
+		spec:   decoder[S](ErrBadSpec),
+		result: decoder[R](errBadResult),
+		exec: func(spec any, pool dram.ModulePool) (any, error) {
+			s, ok := spec.(S)
+			if !ok {
+				return nil, fmt.Errorf("cluster: shard spec of type %T, want %T", spec, s)
+			}
+			return s.Exec(pool)
+		},
+		size: func(v any) int64 { return size(v.(R)) },
 	}
 }
+
+// decoder decodes wire bytes into a T; bytes that do not decode fail
+// with bad. It only decodes; nothing executes.
+func decoder[T any](bad error) func([]byte) (any, error) {
+	return func(b []byte) (any, error) {
+		var v T
+		if err := json.Unmarshal(b, &v); err != nil {
+			return nil, fmt.Errorf("%w: %v", bad, err)
+		}
+		return v, nil
+	}
+}
+
+// lookup returns the table entry of a shard kind.
+func lookup(name string) (kind, error) {
+	k, ok := kinds[name]
+	if !ok {
+		return k, fmt.Errorf("cluster: unknown shard kind %q; valid: %s, %s",
+			name, KindCore, KindWorkload)
+	}
+	return k, nil
+}
+
+// CoreBytes is the byte charge of a core shard's result in a node's
+// store, used by both the groups and the server's sweep memo, which fill
+// the same entry.
+func CoreBytes(outs []core.GroupOutcome) int64 {
+	n := int64(64)
+	for _, o := range outs {
+		n += 96 + int64(8*len(o.Group.Rows))
+	}
+	return n
+}
+
+// WorkloadBytes is the byte charge of a workload shard's result, shared
+// like CoreBytes.
+func WorkloadBytes(rs []workload.Result) int64 { return 64 + int64(len(rs))*360 }
 
 // Stats is a point-in-time snapshot of a coordinator's counters.
 type Stats struct {
@@ -297,7 +324,7 @@ func (c *Coordinator) pick(key engine.ShardKey) int {
 
 // ExecShard implements engine.Dispatcher without a request ID (jobs and
 // in-process callers); WithRequestID stamps one on every request.
-func (c *Coordinator) ExecShard(ctx context.Context, key engine.ShardKey, kind string, spec any) ([]byte, error) {
+func (c *Coordinator) ExecShard(ctx context.Context, key engine.ShardKey, kind string, spec any) (any, error) {
 	return c.exec(ctx, key, kind, spec, "")
 }
 
@@ -318,14 +345,14 @@ type ridDispatcher struct {
 	rid string
 }
 
-func (d ridDispatcher) ExecShard(ctx context.Context, key engine.ShardKey, kind string, spec any) ([]byte, error) {
+func (d ridDispatcher) ExecShard(ctx context.Context, key engine.ShardKey, kind string, spec any) (any, error) {
 	return d.c.exec(ctx, key, kind, spec, d.rid)
 }
 
 // exec routes the spec to its rendezvous worker, and falls back to the
 // local group when a remote worker fails. The spec travels as a value;
 // only a Peer serializes it.
-func (c *Coordinator) exec(ctx context.Context, key engine.ShardKey, kind string, spec any, rid string) ([]byte, error) {
+func (c *Coordinator) exec(ctx context.Context, key engine.ShardKey, kind string, spec any, rid string) (any, error) {
 	req := Request{
 		Key:       hex.EncodeToString(key[:]),
 		Kind:      kind,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func fleetCoord(n int, backend cache.Backend) (*cluster.Coordinator, []*cluster.
 	groups := make([]*cluster.Group, n)
 	workers := make([]cluster.Worker, n)
 	for i := range groups {
-		groups[i] = cluster.NewGroup(fmt.Sprintf("group-%d", i), cache.New(0), backend, nil)
+		groups[i] = cluster.NewGroup(fmt.Sprintf("group-%d", i), cache.New(0), backend, backend, nil)
 		workers[i] = groups[i]
 	}
 	return cluster.New(groups[0], workers...), groups
@@ -195,12 +196,12 @@ type recordWorker struct {
 }
 
 func (w *recordWorker) Name() string { return w.name }
-func (w *recordWorker) Exec(_ context.Context, req cluster.Request) ([]byte, error) {
+func (w *recordWorker) Exec(_ context.Context, req cluster.Request) (any, error) {
 	if w.fail {
 		return nil, fmt.Errorf("worker %s down", w.name)
 	}
 	w.keys = append(w.keys, req.Key)
-	return []byte(w.name), nil
+	return w.name, nil
 }
 
 // testKey derives a distinct shard key from an index.
@@ -227,7 +228,7 @@ func TestRendezvousPlacement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out[i] = string(got)
+			out[i] = got.(string)
 		}
 		return out
 	}
@@ -271,7 +272,7 @@ func TestCoordinatorFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(out) != "local" {
+		if out != "local" {
 			t.Fatalf("key %d served by %q; want local (fallback)", i, out)
 		}
 		if c.Stats().Dispatched["dead"] > int64(deadServed) {
@@ -308,7 +309,7 @@ func TestGroupCaching(t *testing.T) {
 	req := cluster.Request{Key: cache.KeyString(key), Kind: cluster.KindWorkload, Spec: raw}
 
 	shared := cache.NewMemBackend()
-	g1 := cluster.NewGroup("g1", cache.New(0), shared, nil)
+	g1 := cluster.NewGroup("g1", cache.New(0), shared, shared, nil)
 	first, err := g1.Exec(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -317,19 +318,19 @@ func TestGroupCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(first) != string(second) {
-		t.Fatal("cached shard bytes diverge from computed ones")
+	if !reflect.DeepEqual(first, second) {
+		t.Fatal("cached shard result diverges from the computed one")
 	}
 	if st := g1.Stats(); st.Requests != 2 || st.Executions != 1 {
 		t.Fatalf("g1 stats %+v; want 2 requests, 1 execution (local hit)", st)
 	}
-	g2 := cluster.NewGroup("g2", cache.New(0), shared, nil)
+	g2 := cluster.NewGroup("g2", cache.New(0), shared, shared, nil)
 	third, err := g2.Exec(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(third) != string(first) {
-		t.Fatal("shared-tier shard bytes diverge from computed ones")
+	if !reflect.DeepEqual(third, first) {
+		t.Fatal("shared-tier shard result diverges from the computed one")
 	}
 	if st := g2.Stats(); st.Executions != 0 {
 		t.Fatalf("g2 stats %+v; want 0 executions (shared-tier hit)", st)
@@ -339,7 +340,7 @@ func TestGroupCaching(t *testing.T) {
 // TestPeerHTTP exercises the HTTP worker transport and the RemoteCache
 // backend client against an inline node.
 func TestPeerHTTP(t *testing.T) {
-	group := cluster.NewGroup("remote", cache.New(0), nil, nil)
+	group := cluster.NewGroup("remote", cache.New(0), nil, nil, nil)
 	backend := cache.NewMemBackend()
 	var gotAuth, gotRID string
 	mux := http.NewServeMux()
@@ -352,11 +353,12 @@ func TestPeerHTTP(t *testing.T) {
 			return
 		}
 		out, err := group.Exec(r.Context(), req)
+		if err == nil {
+			err = json.NewEncoder(w).Encode(out)
+		}
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
 		}
-		w.Write(out)
 	})
 	mux.HandleFunc("GET "+cluster.CachePathPrefix+"{key}", func(w http.ResponseWriter, r *http.Request) {
 		k := parseHexKey(t, r.PathValue("key"))
@@ -395,8 +397,8 @@ func TestPeerHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(out) != string(want) {
-		t.Fatal("peer-transported shard bytes diverge from local execution")
+	if !reflect.DeepEqual(out, want) {
+		t.Fatal("peer-transported shard result diverges from local execution")
 	}
 	if gotAuth != "Bearer fleet-secret" {
 		t.Fatalf("peer sent Authorization %q; want the cluster bearer token", gotAuth)
@@ -524,7 +526,7 @@ func TestRequestParseKey(t *testing.T) {
 
 // TestUnknownKind pins the 422-surface error for undispatchable specs.
 func TestUnknownKind(t *testing.T) {
-	g := cluster.NewGroup("g", cache.New(0), nil, nil)
+	g := cluster.NewGroup("g", cache.New(0), nil, nil, nil)
 	req := cluster.Request{Key: cache.KeyString(testKey(0)), Kind: "martian", Spec: []byte("{}")}
 	if _, err := g.Exec(context.Background(), req); err == nil ||
 		!strings.Contains(err.Error(), "valid: core, workload") {

@@ -45,9 +45,15 @@ func NewPeer(base, token string) *Peer {
 // stable placement name.
 func (p *Peer) Name() string { return p.base }
 
-// Exec implements Worker over HTTP. A request that carries its spec as
-// a Value is serialized here, where its bytes leave the process.
-func (p *Peer) Exec(ctx context.Context, req Request) ([]byte, error) {
+// Exec implements Worker over HTTP. JSON lives only here, where a shard
+// leaves the process: a request that carries its spec as a Value is
+// serialized, and the response is decoded by req.Kind into its typed
+// result.
+func (p *Peer) Exec(ctx context.Context, req Request) (any, error) {
+	k, err := lookup(req.Kind)
+	if err != nil {
+		return nil, err
+	}
 	if len(req.Spec) == 0 && req.Value != nil {
 		spec, err := json.Marshal(req.Value)
 		if err != nil {
@@ -83,7 +89,11 @@ func (p *Peer) Exec(ctx context.Context, req Request) ([]byte, error) {
 		return nil, fmt.Errorf("cluster: worker %s: %s: %s",
 			p.base, resp.Status, strings.TrimSpace(string(data)))
 	}
-	return data, nil
+	v, err := k.result(data)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: worker %s: %w", p.base, err)
+	}
+	return v, nil
 }
 
 // Health probes the peer's liveness endpoint.

@@ -34,7 +34,7 @@ type recordDispatch struct {
 	calls []shardCall
 }
 
-func (r *recordDispatch) ExecShard(ctx context.Context, key engine.ShardKey, kind string, spec any) ([]byte, error) {
+func (r *recordDispatch) ExecShard(ctx context.Context, key engine.ShardKey, kind string, spec any) (any, error) {
 	r.mu.Lock()
 	r.calls = append(r.calls, shardCall{key, kind, spec})
 	r.mu.Unlock()
@@ -96,17 +96,17 @@ func TestSpecPathsAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		key := cache.KeyString(c.key)
-		typed, err := cluster.NewGroup("typed", cache.New(0), nil, nil).Exec(context.Background(),
-			cluster.Request{Key: key, Kind: c.kind, Value: c.spec})
+		typed, err := encode(cluster.NewGroup("typed", cache.New(0), nil, nil, nil).Exec(context.Background(),
+			cluster.Request{Key: key, Kind: c.kind, Value: c.spec}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		wire, err := cluster.NewGroup("wire", cache.New(0), nil, nil).Exec(context.Background(),
-			cluster.Request{Key: key, Kind: c.kind, Spec: raw})
+		wire, err := encode(cluster.NewGroup("wire", cache.New(0), nil, nil, nil).Exec(context.Background(),
+			cluster.Request{Key: key, Kind: c.kind, Spec: raw}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		remote, err := peer.Exec(context.Background(), cluster.Request{Key: key, Kind: c.kind, Value: c.spec})
+		remote, err := encode(peer.Exec(context.Background(), cluster.Request{Key: key, Kind: c.kind, Value: c.spec}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,4 +118,13 @@ func TestSpecPathsAgree(t *testing.T) {
 	if kinds[cluster.KindCore] == 0 || kinds[cluster.KindWorkload] == 0 {
 		t.Fatalf("dispatched kinds %v; want both core and workload shards", kinds)
 	}
+}
+
+// encode is the JSON encoding of a worker's typed result, so results
+// compare as the bytes /v1/internal/shard would send.
+func encode(v any, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(v)
 }

@@ -27,7 +27,7 @@ import (
 // completes with real results.
 func peerBodies(t *testing.T, run func(*cluster.Coordinator)) [][]byte {
 	t.Helper()
-	group := cluster.NewGroup("remote", cache.New(0), nil, nil)
+	group := cluster.NewGroup("remote", cache.New(0), nil, nil, nil)
 	var mu sync.Mutex
 	var bodies [][]byte
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -41,11 +41,12 @@ func peerBodies(t *testing.T, run func(*cluster.Coordinator)) [][]byte {
 			return
 		}
 		out, err := group.Exec(r.Context(), req)
+		if err == nil {
+			err = json.NewEncoder(w).Encode(out)
+		}
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
 		}
-		w.Write(out)
 	}))
 	defer ts.Close()
 	run(cluster.New(nil, cluster.NewPeer(ts.URL, "")))

@@ -42,8 +42,8 @@ type ShardSpec struct {
 }
 
 // Exec recomputes the shard on a private (or pooled) module instance,
-// mirroring the in-process shard bodies of internal/charexp and
-// internal/scenario: same tester options, same sweep cell, same sample —
+// mirroring the in-process shard body of internal/charexp (scenario runs
+// Exec itself): same tester options, same sweep cell, same sample —
 // therefore bit-identical outcomes.
 func (s ShardSpec) Exec(pool dram.ModulePool) ([]GroupOutcome, error) {
 	pb := s.Block

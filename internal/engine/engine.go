@@ -103,12 +103,25 @@ type Memo[T any] interface {
 // Coordinator satisfies the interface). spec is the shard spec value
 // and kind names its type ("core" or "workload"): in-process workers run
 // the value, and only a remote worker receives it serialized. The
-// returned bytes are the canonical JSON encoding of the shard's result. Because shard work is
-// deterministic and keys capture every input, a dispatched shard is
-// bit-identical to a locally executed one regardless of which worker
-// runs it. Implementations must be safe for concurrent use.
+// result is the shard's typed value, decoded only if it crossed the
+// network; an in-process result may be shared with a node's store, so
+// callers must not mutate it. Because shard work is deterministic and
+// keys capture every input, a dispatched shard is bit-identical to a
+// locally executed one regardless of which worker runs it.
+// Implementations must be safe for concurrent use.
 type Dispatcher interface {
-	ExecShard(ctx context.Context, key ShardKey, kind string, spec any) ([]byte, error)
+	ExecShard(ctx context.Context, key ShardKey, kind string, spec any) (any, error)
+}
+
+// Dispatch executes one shard through d and returns its result as T, the
+// result type of the spec's kind.
+func Dispatch[T any](ctx context.Context, d Dispatcher, key ShardKey, kind string, spec any) (T, error) {
+	v, err := d.ExecShard(ctx, key, kind, spec)
+	out, ok := v.(T)
+	if err == nil && !ok {
+		err = fmt.Errorf("engine: %s shard result is %T, want %T", kind, v, out)
+	}
+	return out, err
 }
 
 // Stats accumulates progress counters across the runs of one harness

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/bender"
@@ -79,49 +78,18 @@ type pointShard struct {
 	key    engine.ShardKey
 }
 
-// runShard characterizes one (point, module, bank, subarray) cell on a
-// private module instance: shards never share mutable subarray state, so
-// every cell of the matrix can execute concurrently. The subarray's
-// static tables derive deterministically from the spec seed and are
-// shared process-wide by simulation identity (dram's table registry), so
-// grid points over the same module reuse one derivation instead of
-// re-deriving per private instance — bit-identical either way, and, with
-// Config.Pool set, identical on a recycled warmpool instance too (pools
-// reset dynamic state on Put; scenario_test pins the derivation counts).
-func (cfg Config) runShard(sh pointShard, st *engine.Stats) ([]core.GroupOutcome, error) {
-	mod, release, err := dram.PoolModule(cfg.Pool, sh.spec, cfg.Params, cfg.pb)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: module %s: %w", sh.spec.ID, err)
-	}
-	defer release()
-	tester, err := core.NewTester(mod,
-		core.WithEnv(sh.point.Env()), core.WithTrials(cfg.Trials),
-		core.WithSeed(cfg.Seed), core.WithWorkers(1))
-	if err != nil {
-		return nil, fmt.Errorf("scenario: module %s: %w", sh.spec.ID, err)
-	}
-	out, err := tester.SweepShard(cfg.sweepConfig(sh.point), sh.sample)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: module %s: %w", sh.spec.ID, err)
-	}
-	if st != nil {
-		st.AddActivations(len(out) * cfg.Trials)
-	}
-	return out, nil
-}
-
-// shardTask builds the engine task of one point shard: the in-process
-// shard body, or — with Config.Dispatch set — a fan-out to the worker
-// fleet carrying the shard's serialized core.ShardSpec. Both paths
-// produce bit-identical outcomes (the cluster invariance suite asserts
-// it).
+// shardTask builds the engine task of one (point, module, bank,
+// subarray) shard: its core.ShardSpec, run in-process on a private (or,
+// with Config.Pool set, pooled) module instance, or — with
+// Config.Dispatch set — fanned out to the worker fleet; both paths give
+// bit-identical outcomes (the cluster invariance suite asserts it).
+// Shards never share mutable subarray state, so every cell of the matrix
+// can execute concurrently. The subarray's static tables derive from the
+// spec seed and are shared process-wide by simulation identity (dram's
+// table registry), so grid points over the same module reuse one
+// derivation — bit-identical either way, and on a recycled warmpool
+// instance too (scenario_test pins the derivation counts).
 func (cfg Config) shardTask(sh pointShard, st *engine.Stats) engine.Task[[]core.GroupOutcome] {
-	d := cfg.Dispatch
-	if d == nil {
-		return func(context.Context) ([]core.GroupOutcome, error) {
-			return cfg.runShard(sh, st)
-		}
-	}
 	spec := core.ShardSpec{
 		Spec:   sh.spec,
 		Params: cfg.Params,
@@ -132,14 +100,14 @@ func (cfg Config) shardTask(sh pointShard, st *engine.Stats) engine.Task[[]core.
 		Seed:   cfg.Seed,
 		Sample: sh.sample,
 	}
-	return func(ctx context.Context) ([]core.GroupOutcome, error) {
-		b, err := d.ExecShard(ctx, sh.key, "core", spec)
+	return func(ctx context.Context) (out []core.GroupOutcome, err error) {
+		if d := cfg.Dispatch; d != nil {
+			out, err = engine.Dispatch[[]core.GroupOutcome](ctx, d, sh.key, "core", spec)
+		} else {
+			out, err = spec.Exec(cfg.Pool)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("scenario: module %s: %w", sh.spec.ID, err)
-		}
-		var out []core.GroupOutcome
-		if err := json.Unmarshal(b, &out); err != nil {
-			return nil, fmt.Errorf("scenario: module %s: decode shard: %w", sh.spec.ID, err)
 		}
 		if st != nil {
 			st.AddActivations(len(out) * cfg.Trials)

@@ -391,11 +391,11 @@ type Config struct {
 	Memo engine.Memo[[]core.GroupOutcome]
 	// Dispatch, when non-nil, routes point-shard execution through a
 	// worker fleet (internal/cluster's Coordinator satisfies it) instead
-	// of running shard bodies in-process. Shards travel as serialized
-	// core.ShardSpec values keyed by the same `scenario/point-shard/v1`
-	// content hashes Memo uses, so a dispatched run — grid scan or
-	// envelope search — is bit-identical to a local one. nil executes
-	// every shard in-process.
+	// of running them in-process. Shards travel as the core.ShardSpec
+	// values a local run executes, keyed by the same
+	// `scenario/point-shard/v1` content hashes Memo uses, so a dispatched
+	// run — grid scan or envelope search — is bit-identical to a local
+	// one. nil executes every shard in-process.
 	Dispatch engine.Dispatcher
 	// Stats, when non-nil, accumulates the run's engine progress counters
 	// in an externally observable place — the job tier polls it for live

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -15,6 +16,8 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 // APIRevision names the served API surface (docs/api-spec.md documents
@@ -147,7 +150,11 @@ func (s *Server) handleInternalShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer func() { <-s.shardSlots }()
-	out, err := s.worker.Exec(r.Context(), req)
+	v, err := s.worker.Exec(r.Context(), req)
+	var out []byte
+	if err == nil {
+		out, err = json.Marshal(v)
+	}
 	if err != nil {
 		status := http.StatusInternalServerError
 		switch {
@@ -176,8 +183,9 @@ func cacheKeyParam(r *http.Request) (cache.Key, error) {
 }
 
 // handleCacheGet is GET /v1/internal/cache/{key}: this node's hosted
-// shared-tier store, then its own results. Peers configured with
-// -cache-peer pointing here read fleet-shared entries from it.
+// shared-tier store, then its own results, encoded as they leave the
+// process. Peers configured with -cache-peer pointing here read
+// fleet-shared entries from it.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	k, err := cacheKeyParam(r)
 	if err != nil {
@@ -196,17 +204,21 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	w.Write(b)
 }
 
-// own returns this node's own result under k from its store: a
-// response is a string under its key, a shard's encoded bytes sit under
-// cluster.StoreKey. Both lookups count in the store's hit/miss counters.
+// own returns this node's own result under k from its store, in one
+// lookup that counts in the store's hit/miss counters: a response is a
+// string under its key, and a shard's typed result sits under its raw
+// key, the entry the worker groups and the shard memos share, encoded
+// here as /v1/internal/shard would answer it.
 func (s *Server) own(k cache.Key) ([]byte, bool) {
 	v, _ := s.store.Get(k)
-	if resp, ok := v.(string); ok {
-		return []byte(resp), true
+	switch v := v.(type) {
+	case string:
+		return []byte(v), true
+	case []core.GroupOutcome, []workload.Result:
+		b, err := json.Marshal(v)
+		return b, err == nil
 	}
-	v, _ = s.store.Get(cluster.StoreKey(k))
-	b, ok := v.([]byte)
-	return b, ok
+	return nil, false
 }
 
 // handleCachePut is PUT /v1/internal/cache/{key}.

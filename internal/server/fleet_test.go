@@ -298,28 +298,55 @@ func TestGroupsByteIdentity(t *testing.T) {
 // TestOneHolderPerResult: a two-group node keeps its own results in its
 // one store and never copies them into the hosted tier it serves peers
 // from, so its results take one CacheBytes budget, not one per holder.
+// Within the store, a shard is one entry: the typed value the worker
+// groups and the shard memos share under its raw key. With a budget that
+// never evicts, the store holds exactly one entry per distinct shard plus
+// one per job response.
 func TestOneHolderPerResult(t *testing.T) {
-	const budget = 16 << 10
-	s := New(Config{Groups: 2, CacheBytes: budget})
-	t.Cleanup(s.Close)
-	for seed := uint64(1); seed <= 16; seed++ {
-		st, _, err := s.SubmitJob(JobRequest{Kind: "workload", Workload: &WorkloadRequest{
-			Workloads: "bitmap-scan", Modules: "representative", Columns: 64, Seed: seed}})
-		if err != nil {
-			t.Fatal(err)
+	const jobCount = 16
+	run := func(t *testing.T, budget int64) *Server {
+		s := New(Config{Groups: 2, CacheBytes: budget})
+		t.Cleanup(s.Close)
+		for seed := uint64(1); seed <= jobCount; seed++ {
+			st, _, err := s.SubmitJob(JobRequest{Kind: "workload", Workload: &WorkloadRequest{
+				Workloads: "bitmap-scan", Modules: "representative", Columns: 64, Seed: seed}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			final, err := s.WaitJob(context.Background(), st.ID)
+			if err != nil || final.State != jobs.StateSucceeded {
+				t.Fatalf("job %d: %+v, %v", seed, final, err)
+			}
 		}
-		final, err := s.WaitJob(context.Background(), st.ID)
-		if err != nil || final.State != jobs.StateSucceeded {
-			t.Fatalf("job %d: %+v, %v", seed, final, err)
+		return s
+	}
+	t.Run("bounded", func(t *testing.T) {
+		const budget = 16 << 10
+		s := run(t, budget)
+		hs, ss := s.hosted.Stats(), s.store.Stats()
+		if hs.Entries != 0 {
+			t.Fatalf("hosted tier holds %d of the node's own results (%d bytes); want none", hs.Entries, hs.Bytes)
 		}
-	}
-	hs, ss := s.hosted.Stats(), s.store.Stats()
-	if hs.Entries != 0 {
-		t.Fatalf("hosted tier holds %d of the node's own results (%d bytes); want none", hs.Entries, hs.Bytes)
-	}
-	if ss.Bytes+hs.Bytes > budget {
-		t.Fatalf("store %d + hosted %d bytes, past the %d-byte budget", ss.Bytes, hs.Bytes, budget)
-	}
+		if ss.Bytes+hs.Bytes > budget {
+			t.Fatalf("store %d + hosted %d bytes, past the %d-byte budget", ss.Bytes, hs.Bytes, budget)
+		}
+	})
+	t.Run("one-entry-per-shard", func(t *testing.T) {
+		s := run(t, -1)
+		// Every job has a fresh seed, so every dispatched shard is distinct.
+		var shards int64
+		for _, n := range s.ClusterStats().Dispatched {
+			shards += n
+		}
+		ss := s.store.Stats()
+		if shards == 0 || ss.Evictions != 0 {
+			t.Fatalf("%d shards dispatched, %d evictions; want shards and no eviction", shards, ss.Evictions)
+		}
+		if want := shards + jobCount; int64(ss.Entries) != want {
+			t.Fatalf("store holds %d entries; want %d (%d shards + %d responses)",
+				ss.Entries, want, shards, jobCount)
+		}
+	})
 }
 
 // TestHostedTierBoundedByCacheBytes: the hosted tier keeps what peers PUT

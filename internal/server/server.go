@@ -200,15 +200,13 @@ type Server struct {
 	tier *cache.Tiered
 	// hosted is this node's in-process shared-tier store, served at
 	// /v1/internal/cache/{key} so other nodes can use this node as their
-	// CachePeer; backend is the tier this node itself reads/writes (nil,
-	// Config.Backend, a RemoteCache client, or a read-only view of
-	// hosted).
-	hosted  *cache.MemBackend
-	backend cache.Backend
+	// CachePeer.
+	hosted *cache.MemBackend
 	// sweepMemo, workloadMemo and campaignMemo are typed views of store
 	// used as engine shard memos, so shard results are shared across
 	// requests that only partially overlap (e.g. two figures sweeping the
-	// same cell, or a campaign warming later workload requests).
+	// same cell, or a campaign warming later workload requests). The
+	// worker groups fill the same entries, charged the same bytes.
 	sweepMemo    engine.Memo[[]core.GroupOutcome]
 	workloadMemo engine.Memo[[]workload.Result]
 	campaignMemo engine.Memo[campaign.Eval]
@@ -249,18 +247,10 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	store := cache.New(cfg.CacheBytes)
 	s := &Server{
-		cfg:   cfg,
-		store: store,
-		sweepMemo: cache.NewTyped[[]core.GroupOutcome](store, func(outs []core.GroupOutcome) int64 {
-			n := int64(64)
-			for _, o := range outs {
-				n += 96 + int64(8*len(o.Group.Rows))
-			}
-			return n
-		}),
-		workloadMemo: cache.NewTyped[[]workload.Result](store, func(rs []workload.Result) int64 {
-			return 64 + int64(len(rs))*360
-		}),
+		cfg:          cfg,
+		store:        store,
+		sweepMemo:    cache.NewTyped(store, cluster.CoreBytes),
+		workloadMemo: cache.NewTyped(store, cluster.WorkloadBytes),
 		campaignMemo: cache.NewTyped[campaign.Eval](store, func(campaign.Eval) int64 {
 			return 96
 		}),
@@ -281,16 +271,20 @@ func New(cfg Config) *Server {
 		MaxSSEPerClient: cfg.MaxSSEPerClient,
 	})
 
-	// Cluster wiring. The shared backend resolves by priority: an injected
-	// Backend (tests), a CachePeer client, or — when this node is part of a
-	// fleet — a read-only view of its own hosted in-process backend,
-	// bounded like the local tier by CacheBytes. A lone node gets none:
-	// tier stays a transparent view of store.
+	// Cluster wiring. remote is the fleet's shared tier this node reads on
+	// a miss, by priority: an injected Backend (tests), a CachePeer
+	// client, or — when this node is part of a fleet — its own hosted
+	// in-process backend, bounded like the local tier by CacheBytes.
+	// write takes the node's fresh results: an injected or peer tier, but
+	// never a tier the node hosts, because GET /v1/internal/cache/{key}
+	// serves the node's own results from its store. A lone node gets
+	// neither: tier stays a transparent view of store.
 	s.hosted = cache.NewBoundedMemBackend(cfg.CacheBytes)
 	fleetNode := cfg.Groups > 1 || len(cfg.Peers) > 0
+	var remote, write cache.Backend
 	switch {
 	case cfg.Backend != nil:
-		s.backend = cfg.Backend
+		remote, write = cfg.Backend, cfg.Backend
 	case cfg.CachePeer != "":
 		rc := cluster.NewRemoteCache(cfg.CachePeer, cfg.ClusterToken)
 		// Remote-tier failures degrade to misses by contract, but not
@@ -301,11 +295,11 @@ func New(cfg Config) *Server {
 		rc.OnError = func(op string, err error) {
 			s.auditWarn("cache_remote_error", fmt.Sprintf("%s %s: %v", op, cfg.CachePeer, err))
 		}
-		s.backend = rc
+		remote, write = rc, rc
 	case fleetNode:
-		s.backend = readOnly{s.hosted}
+		remote = s.hosted
 	}
-	s.tier = cache.NewTiered(store, s.backend)
+	s.tier = cache.NewTiered(store, remote, write)
 
 	// Worker groups all use the server's store, so the node holds each
 	// shard once; group-0 shares the server's warmpool and further groups
@@ -319,7 +313,7 @@ func New(cfg Config) *Server {
 		if i > 0 {
 			gpool = jobs.NewWarmpool(cfg.WarmpoolPerKey)
 		}
-		s.groups = append(s.groups, cluster.NewGroup(fmt.Sprintf("group-%d", i), store, s.backend, gpool))
+		s.groups = append(s.groups, cluster.NewGroup(fmt.Sprintf("group-%d", i), store, remote, write, gpool))
 	}
 	s.worker = s.groups[0]
 	s.shardSlots = make(chan struct{}, cfg.MaxInflight)
@@ -343,21 +337,14 @@ func New(cfg Config) *Server {
 	if cfg.RatePerSec > 0 {
 		// Buckets are written on every request, so without an injected or
 		// peer tier they live in the writable hosted one.
-		lstore := s.backend
-		if cfg.Backend == nil && cfg.CachePeer == "" {
+		lstore := write
+		if lstore == nil {
 			lstore = s.hosted
 		}
 		s.limiter = newRateLimiter(lstore, cfg.RatePerSec, cfg.RateBurst)
 	}
 	return s
 }
-
-// readOnly is a fleet node's view of its own hosted tier: lookups find
-// what peers PUT there, and the node's own writes are dropped, because
-// GET /v1/internal/cache/{key} serves its results from its store.
-type readOnly struct{ cache.Backend }
-
-func (readOnly) Put(cache.Key, []byte) {}
 
 // dispatch returns the engine dispatcher for an execution started under
 // ctx: nil on a single node (families run shards in-process), otherwise

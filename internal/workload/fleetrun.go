@@ -2,7 +2,6 @@ package workload
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -57,10 +56,10 @@ type FleetConfig struct {
 	Memo engine.Memo[[]Result]
 	// Dispatch, when non-nil, routes per-module shard execution through a
 	// worker fleet (internal/cluster's Coordinator satisfies it) instead
-	// of running shard bodies in-process. Shards travel as serialized
-	// ShardSpec values keyed by the same `workload/module-shard/v1`
-	// content hashes Memo uses, so a dispatched run is bit-identical to a
-	// local one. nil executes every shard in-process.
+	// of running shard bodies in-process. Shards travel as ShardSpec
+	// values keyed by the same `workload/module-shard/v1` content hashes
+	// Memo uses, so a dispatched run is bit-identical to a local one. nil
+	// executes every shard in-process.
 	Dispatch engine.Dispatcher
 	// Stats, when non-nil, accumulates engine progress counters in an
 	// externally observable place — the job tier polls it for live
@@ -168,29 +167,18 @@ func RunFleet(ctx context.Context, cfg FleetConfig) ([]Result, error) {
 		if cfg.Memo != nil || cfg.Dispatch != nil {
 			keys[mi] = shardKey(e, cfg)
 		}
-		if d := cfg.Dispatch; d != nil {
-			key := keys[mi]
-			spec := ShardSpec{Entry: e, Params: cfg.Params, Block: cfg.pb, Workloads: names, MaxX: cfg.MaxX, Seed: cfg.Seed}
-			tasks[mi] = func(ctx context.Context) ([]Result, error) {
-				b, err := d.ExecShard(ctx, key, "workload", spec)
-				if err != nil {
+		key := keys[mi]
+		tasks[mi] = func(ctx context.Context) (out []Result, err error) {
+			if d := cfg.Dispatch; d != nil {
+				spec := ShardSpec{Entry: e, Params: cfg.Params, Block: cfg.pb, Workloads: names, MaxX: cfg.MaxX, Seed: cfg.Seed}
+				if out, err = engine.Dispatch[[]Result](ctx, d, key, "workload", spec); err != nil {
 					return nil, fmt.Errorf("workload: module %s: %w", e.Spec.ID, err)
 				}
-				var out []Result
-				if err := json.Unmarshal(b, &out); err != nil {
-					return nil, fmt.Errorf("workload: module %s: decode shard: %w", e.Spec.ID, err)
-				}
-				cfg.addActivations(out)
-				return out, nil
+			} else if out, err = runModule(e, cfg, seed); err != nil {
+				return nil, err
 			}
-			continue
-		}
-		tasks[mi] = func(context.Context) ([]Result, error) {
-			out, err := runModule(e, cfg, seed)
-			if err == nil {
-				cfg.addActivations(out)
-			}
-			return out, err
+			cfg.addActivations(out)
+			return out, nil
 		}
 	}
 	perModule, err := engine.RunKeyed(ctx, cfg.Engine, cfg.Stats, cfg.Memo, keys, tasks)
