@@ -10,7 +10,8 @@ import (
 // Campaign-subsystem types (DESIGN.md §15): the fleet-design campaign
 // runner searches compositions of the Table-2 module die groups for the
 // mix that maximizes reliable throughput per watt on a target workload,
-// evaluating every candidate as a content-addressed engine shard.
+// running the workload once per module (content-addressed engine shards
+// shared by every candidate) and scoring each candidate from those runs.
 type (
 	// Campaign scopes one campaign run: the target workload, the mix size
 	// and the ranking bounds.

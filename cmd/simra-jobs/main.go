@@ -119,9 +119,9 @@ func printJSON(stdout, stderr io.Writer, v any, err error) int {
 // code contract: 0 succeeded, 1 failed, 2 canceled.
 func exitState(st simraclient.JobStatus, stderr io.Writer) int {
 	switch st.State {
-	case string(jobs.StateSucceeded):
+	case jobs.StateSucceeded:
 		return 0
-	case string(jobs.StateCanceled):
+	case jobs.StateCanceled:
 		fmt.Fprintf(stderr, "simra-jobs: job %s canceled\n", st.ID)
 		return 2
 	default:

@@ -4,9 +4,8 @@
 // candidate mix is evaluated in two phases — the union of its modules
 // runs the workload once each (the per-module shards of
 // internal/workload, shared with every other candidate that uses the
-// same module), then each candidate's aggregate score is itself an
-// engine shard with its own content-addressed memo key
-// (`campaign/candidate/v1`) — so campaigns are deterministic,
+// same module), then each candidate's aggregate score is summed from
+// those results in fleet order — so campaigns are deterministic,
 // cache-addressed, and bit-identical for every worker count, cache mode
 // and cluster fan-out.
 package campaign
@@ -17,7 +16,6 @@ import (
 	"sort"
 
 	"repro/internal/analog"
-	"repro/internal/cache"
 	"repro/internal/dram"
 	"repro/internal/engine"
 	"repro/internal/fleet"
@@ -117,9 +115,6 @@ type Config struct {
 	// `workload/module-shard/v1` keys cmd/simra-work and /v1/workload
 	// use, so a campaign warms workload requests and vice versa).
 	ModMemo engine.Memo[[]workload.Result]
-	// Memo memoizes phase-2 candidate evaluations under their
-	// `campaign/candidate/v1` content keys.
-	Memo engine.Memo[Eval]
 	// Dispatch, when non-nil, fans phase-1 module shards out over a worker
 	// fleet (candidate aggregation is pure arithmetic and always runs
 	// locally). Dispatched runs are bit-identical to local ones.
@@ -214,20 +209,6 @@ func candidateEntries(groups []Group, counts []int) []fleet.Entry {
 	return out
 }
 
-// candidateKey hashes everything one candidate's evaluation depends on:
-// the identity and electrical model of every deployed module (the shared
-// dram.Spec.HashModule block, which also covers the mix's counts — the
-// module sets of distinct mixes differ), the target workload, the
-// majority-width cap and the root seed. Worker count and cache mode are
-// deliberately absent: the evaluation is invariant to both.
-func candidateKey(entries []fleet.Entry, pb dram.ParamsBlock, wl string, maxX int, seed uint64) engine.ShardKey {
-	h := cache.NewHasher().Str("campaign/candidate/v1")
-	for _, e := range entries {
-		h = e.Spec.HashModule(h, pb)
-	}
-	return h.Str(wl).Int(maxX).U64(seed).Sum()
-}
-
 // evalCandidate aggregates one candidate mix from the phase-1 per-module
 // results: reliable throughput (throughput × success), power
 // (energy/time), and their ratio. Addition runs in fleet order, so the
@@ -254,7 +235,7 @@ func evalCandidate(entries []fleet.Entry, byModule map[string]workload.Result) (
 
 // Run executes the campaign: enumerate candidate mixes, run the target
 // workload once per distinct module (phase 1), evaluate every candidate
-// as a keyed engine shard (phase 2), and rank by reliable throughput per
+// from those results (phase 2), and rank by reliable throughput per
 // watt (score descending, enumeration order breaking ties).
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if ctx == nil {
@@ -321,35 +302,20 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		byModule[r.Module] = r
 	}
 
-	// Phase 2: every candidate evaluation is a keyed engine shard —
-	// memoized under campaign/candidate/v1, bit-identical for any worker
-	// count, and pure arithmetic over the phase-1 results.
-	keys := make([]engine.ShardKey, len(mixes))
-	tasks := make([]engine.Task[Eval], len(mixes))
-	wlName := cfg.Workload.Name()
-	pb := dram.FormatParams(cfg.Params)
-	for i, counts := range mixes {
-		entries := candidateEntries(groups, counts)
-		if cfg.Memo != nil {
-			keys[i] = candidateKey(entries, pb, wlName, cfg.MaxX, cfg.Seed)
-		}
-		tasks[i] = func(context.Context) (Eval, error) {
-			return evalCandidate(entries, byModule)
-		}
-	}
-	evals, err := engine.RunKeyed(ctx, cfg.Engine, st, cfg.Memo, keys, tasks)
-	if err != nil {
-		return nil, err
-	}
-
+	// Phase 2: every candidate evaluation is pure arithmetic over the
+	// phase-1 results, summed in fleet order.
 	ranked := make([]Candidate, len(mixes))
 	for i, counts := range mixes {
 		entries := candidateEntries(groups, counts)
+		ev, err := evalCandidate(entries, byModule)
+		if err != nil {
+			return nil, err
+		}
 		ids := make([]string, len(entries))
 		for j, e := range entries {
 			ids[j] = e.Spec.ID
 		}
-		ranked[i] = Candidate{Counts: counts, Modules: ids, Eval: evals[i]}
+		ranked[i] = Candidate{Counts: counts, Modules: ids, Eval: ev}
 	}
 	order := make([]int, len(ranked))
 	for i := range order {
@@ -363,7 +329,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		top = len(order)
 	}
 	out := &Result{
-		Workload:  wlName,
+		Workload:  cfg.Workload.Name(),
 		FleetSize: cfg.FleetSize,
 		Groups:    groups,
 		Total:     len(mixes),

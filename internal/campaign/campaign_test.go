@@ -7,8 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/dram"
-	"repro/internal/engine"
 	"repro/internal/fleet"
 	"repro/internal/invariance"
 	"repro/internal/workload"
@@ -27,8 +25,8 @@ func testConfig(workers int) Config {
 // TestInvariances runs the shared metamorphic suite over the campaign
 // runner: report bytes must be identical across worker counts and cache
 // modes, and every candidate's evaluation — keyed by its mix vector —
-// must be unchanged. Both memo tiers (phase-1 module shards and phase-2
-// candidate evaluations) share the variant's store.
+// must be unchanged. The phase-1 module-shard memo uses the variant's
+// store.
 func TestInvariances(t *testing.T) {
 	invariance.Check(t, invariance.Subject{
 		Name: "campaign",
@@ -37,7 +35,6 @@ func TestInvariances(t *testing.T) {
 			cfg := testConfig(v.Workers)
 			if v.Store != nil {
 				cfg.ModMemo = cache.NewTyped[[]workload.Result](v.Store, nil)
-				cfg.Memo = cache.NewTyped[Eval](v.Store, nil)
 			}
 			res, err := Run(context.Background(), cfg)
 			if err != nil {
@@ -63,14 +60,13 @@ func TestInvariances(t *testing.T) {
 
 // TestWarmCampaignSkipsCandidateShards is the cache-addressing contract:
 // a second campaign over a warmed store must serve every phase-1 module
-// shard and every phase-2 candidate evaluation from the memo, executing
-// nothing.
+// shard from the memo, executing nothing, and evaluate every candidate
+// to the same figures.
 func TestWarmCampaignSkipsCandidateShards(t *testing.T) {
 	store := cache.New(0)
 	run := func() *Result {
 		cfg := testConfig(1)
 		cfg.ModMemo = cache.NewTyped[[]workload.Result](store, nil)
-		cfg.Memo = cache.NewTyped[Eval](store, nil)
 		res, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -150,29 +146,6 @@ func TestCompositions(t *testing.T) {
 	}
 }
 
-// TestCandidateKeys asserts content addressing: equal mixes hash to equal
-// shard keys, distinct mixes to distinct keys.
-func TestCandidateKeys(t *testing.T) {
-	pb := dram.FormatParams(testConfig(1).Params)
-	groups := ModuleGroups(fleet.DefaultConfig())
-	a := candidateKey(candidateEntries(groups, []int{3, 0, 0, 0, 0}),
-		pb, "bitmap-scan", 5, 1)
-	b := candidateKey(candidateEntries(groups, []int{3, 0, 0, 0, 0}),
-		pb, "bitmap-scan", 5, 1)
-	c := candidateKey(candidateEntries(groups, []int{2, 1, 0, 0, 0}),
-		pb, "bitmap-scan", 5, 1)
-	if a != b {
-		t.Fatal("identical mixes hashed to different candidate keys")
-	}
-	if a == c {
-		t.Fatal("distinct mixes hashed to the same candidate key")
-	}
-	if d := candidateKey(candidateEntries(groups, []int{3, 0, 0, 0, 0}),
-		pb, "image-filter", 5, 1); d == a {
-		t.Fatal("workload name not part of the candidate key")
-	}
-}
-
 // TestRanking checks the report contract: ranks are 1..N, scores
 // non-increasing, and equal scores keep enumeration order.
 func TestRanking(t *testing.T) {
@@ -231,42 +204,5 @@ func TestErrors(t *testing.T) {
 	if err := WriteReport(&b, &Result{}, "yaml"); err == nil ||
 		!strings.Contains(err.Error(), "valid: text, csv, columnar") {
 		t.Fatalf("unknown format: %v", err)
-	}
-}
-
-// keyLog is a memo that records every probed key and answers each probe
-// with a hit, so a run enumerates its keys without simulating.
-type keyLog[T any] struct{ keys []engine.ShardKey }
-
-func (m *keyLog[T]) Get(k engine.ShardKey) (T, bool) {
-	m.keys = append(m.keys, k)
-	var zero T
-	return zero, true
-}
-
-func (m *keyLog[T]) Put(engine.ShardKey, T) {}
-
-// TestCandidateKeyKnownAnswer pins the first and last
-// `campaign/candidate/v1` keys — the HashModule block of every deployed
-// module plus the workload, MaxX and seed — to fixed digests, as Run
-// computes them.
-func TestCandidateKeyKnownAnswer(t *testing.T) {
-	cfg := testConfig(1)
-	log := &keyLog[Eval]{}
-	cfg.ModMemo = &keyLog[[]workload.Result]{}
-	cfg.Memo = log
-	if _, err := Run(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	if len(log.keys) == 0 {
-		t.Fatal("campaign probed no candidate keys")
-	}
-	want := [2]string{
-		"b0017fd7557bb7e05d005ea4ba14c6bd6e01f748e59f0bd096c7ea9e43f2d509",
-		"61cfe096fe8547eff8aa33477087cdd3148a23a63ddfca4731ad43462fb68ca0",
-	}
-	got := [2]string{cache.KeyString(log.keys[0]), cache.KeyString(log.keys[len(log.keys)-1])}
-	if got != want {
-		t.Errorf("first/last candidate keys %v, want %v (%d keys)", got, want, len(log.keys))
 	}
 }

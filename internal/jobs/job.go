@@ -76,6 +76,9 @@ type Status struct {
 	Audit []Transition `json:"audit"`
 }
 
+// Terminal reports whether the status is final.
+func (s Status) Terminal() bool { return s.State.Terminal() }
+
 // Exec is a job's unit of work. The context is cancelled on job
 // cancellation or manager shutdown; st is the job's live progress
 // accumulator (the same counters the blocking routes keep per-run).

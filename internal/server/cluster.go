@@ -78,21 +78,22 @@ func (s *Server) role() string {
 	}
 }
 
-// peerHealth is one peer's probe outcome in the /healthz document.
-type peerHealth struct {
+// PeerHealth is one peer's probe outcome in the Health document.
+type PeerHealth struct {
 	Name    string `json:"name"`
 	Healthy bool   `json:"healthy"`
 	Error   string `json:"error,omitempty"`
 }
 
-// healthResponse is the GET /healthz document. Status stays the leading
-// field so existing `"status":"ok"` substring probes keep working.
-type healthResponse struct {
+// Health is the GET /healthz document: liveness, the node's cluster role
+// and, on a coordinator, each peer's probed health. Status stays the
+// leading field so existing `"status":"ok"` substring probes keep working.
+type Health struct {
 	Status        string       `json:"status"`
 	UptimeSeconds float64      `json:"uptime_seconds"`
 	Role          string       `json:"role"`
 	Groups        int          `json:"groups"`
-	Peers         []peerHealth `json:"peers,omitempty"`
+	Peers         []PeerHealth `json:"peers,omitempty"`
 }
 
 // handleHealth is GET /healthz: liveness plus the node's cluster role and
@@ -100,14 +101,14 @@ type healthResponse struct {
 // degrades this node's status: the coordinator falls back to local
 // execution, so it stays "ok" and reports the peer individually.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	h := healthResponse{
+	h := Health{
 		Status:        "ok",
 		UptimeSeconds: math.Round(time.Since(s.start).Seconds()),
 		Role:          s.role(),
 		Groups:        len(s.groups),
 	}
 	if len(s.peers) > 0 {
-		h.Peers = make([]peerHealth, len(s.peers))
+		h.Peers = make([]PeerHealth, len(s.peers))
 		ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
 		defer cancel()
 		var wg sync.WaitGroup
@@ -115,7 +116,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			wg.Add(1)
 			go func(i int, p *cluster.Peer) {
 				defer wg.Done()
-				ph := peerHealth{Name: p.Name(), Healthy: true}
+				ph := PeerHealth{Name: p.Name(), Healthy: true}
 				if err := p.Health(ctx); err != nil {
 					ph.Healthy = false
 					ph.Error = err.Error()

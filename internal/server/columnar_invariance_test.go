@@ -182,7 +182,6 @@ func TestColumnarInvariance(t *testing.T) {
 			cfg.Engine.Workers = v.Workers
 			if v.Store != nil {
 				cfg.ModMemo = cache.NewTyped[[]workload.Result](v.Store, nil)
-				cfg.Memo = cache.NewTyped[campaign.Eval](v.Store, nil)
 			}
 			res, err := campaign.Run(context.Background(), cfg)
 			if err != nil {

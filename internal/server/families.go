@@ -271,8 +271,7 @@ func (s *Server) scenarioExec(ctx context.Context, q ScenarioRequest, st *engine
 
 // campaignExec runs the campaign pipeline for one normalized request.
 // Phase-1 module shards share workloadMemo with the workload family (a
-// campaign warms workload requests and vice versa); phase-2 candidate
-// evaluations memoize under campaignMemo.
+// campaign warms workload requests and vice versa).
 func (s *Server) campaignExec(ctx context.Context, q CampaignRequest, st *engine.Stats, pool dram.ModulePool) (string, error) {
 	cfg, err := campaign.Options(q).Resolve()
 	if err != nil {
@@ -280,7 +279,6 @@ func (s *Server) campaignExec(ctx context.Context, q CampaignRequest, st *engine
 	}
 	cfg.Engine.Workers = s.cfg.Workers
 	cfg.ModMemo = s.workloadMemo
-	cfg.Memo = s.campaignMemo
 	cfg.Dispatch = s.dispatch(ctx)
 	cfg.Stats = st
 	cfg.Pool = pool

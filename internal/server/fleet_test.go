@@ -209,13 +209,13 @@ func TestVersionEndpoint(t *testing.T) {
 // TestHealthRoles: /healthz reports each node's cluster role and group
 // count.
 func TestHealthRoles(t *testing.T) {
-	readHealth := func(url string) healthResponse {
+	readHealth := func(url string) Health {
 		t.Helper()
 		resp, body := doReq(t, http.MethodGet, url+"/healthz", "", "")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("healthz: %d (%s)", resp.StatusCode, body)
 		}
-		var h healthResponse
+		var h Health
 		if err := json.Unmarshal([]byte(body), &h); err != nil {
 			t.Fatal(err)
 		}

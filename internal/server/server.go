@@ -50,7 +50,6 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/campaign"
 	"repro/internal/charexp"
 	"repro/internal/cluster"
 	"repro/internal/colenc"
@@ -202,14 +201,13 @@ type Server struct {
 	// /v1/internal/cache/{key} so other nodes can use this node as their
 	// CachePeer.
 	hosted *cache.MemBackend
-	// sweepMemo, workloadMemo and campaignMemo are typed views of store
-	// used as engine shard memos, so shard results are shared across
-	// requests that only partially overlap (e.g. two figures sweeping the
-	// same cell, or a campaign warming later workload requests). The
-	// worker groups fill the same entries, charged the same bytes.
+	// sweepMemo and workloadMemo are typed views of store used as engine
+	// shard memos, so shard results are shared across requests that only
+	// partially overlap (e.g. two figures sweeping the same cell, or a
+	// campaign warming later workload requests). The worker groups fill
+	// the same entries, charged the same bytes.
 	sweepMemo    engine.Memo[[]core.GroupOutcome]
 	workloadMemo engine.Memo[[]workload.Result]
-	campaignMemo engine.Memo[campaign.Eval]
 
 	slots    chan struct{}
 	queued   atomic.Int64
@@ -251,12 +249,9 @@ func New(cfg Config) *Server {
 		store:        store,
 		sweepMemo:    cache.NewTyped(store, cluster.CoreBytes),
 		workloadMemo: cache.NewTyped(store, cluster.WorkloadBytes),
-		campaignMemo: cache.NewTyped[campaign.Eval](store, func(campaign.Eval) int64 {
-			return 96
-		}),
-		slots:    make(chan struct{}, cfg.MaxInflight),
-		counters: make(map[string]*kindCounters, len(kinds)),
-		start:    time.Now(),
+		slots:        make(chan struct{}, cfg.MaxInflight),
+		counters:     make(map[string]*kindCounters, len(kinds)),
+		start:        time.Now(),
 	}
 	for _, k := range kinds {
 		s.counters[k] = &kindCounters{}

@@ -243,6 +243,31 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestResultKindAndKey: every Result names its request kind and content
+// key, whatever its format and whether it came from a blocking route or
+// a job. A job's result has the key of the blocking call it equals.
+func TestResultKindAndKey(t *testing.T) {
+	_, c := sdkServer(t, server.Config{JobPoll: time.Millisecond})
+	ctx := context.Background()
+	for _, format := range []string{"text", "columnar"} {
+		q := SweepRequest{Figure: "table1", Format: format}
+		blocking, err := c.Sweep(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blocking.Kind != "sweep" || blocking.Key == "" {
+			t.Errorf("blocking %s sweep: kind %q, key %q", format, blocking.Kind, blocking.Key)
+		}
+		job, err := c.RunJob(ctx, JobRequest{Kind: "sweep", Sweep: &q}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.Kind != "sweep" || job.Key != blocking.Key {
+			t.Errorf("%s sweep job: kind %q, key %q; want sweep, %q", format, job.Kind, job.Key, blocking.Key)
+		}
+	}
+}
+
 // TestBatchInBand checks batch plumbing: sibling items execute even when
 // one fails in-band, and the columnar refusal is reported per item.
 func TestBatchInBand(t *testing.T) {

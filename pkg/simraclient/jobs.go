@@ -10,69 +10,28 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
+
+	"repro/internal/jobs"
+	"repro/internal/server"
 )
 
-// JobRequest is POST /v1/jobs: one request family submitted for
-// asynchronous execution, discriminated by Kind.
-type JobRequest struct {
-	Kind     string           `json:"kind"`
-	Sweep    *SweepRequest    `json:"sweep,omitempty"`
-	Workload *WorkloadRequest `json:"workload,omitempty"`
-	TRNG     *TRNGRequest     `json:"trng,omitempty"`
-	Scenario *ScenarioRequest `json:"scenario,omitempty"`
-	Campaign *CampaignRequest `json:"campaign,omitempty"`
-	// Webhook, when set, receives the signed terminal job status.
-	Webhook *JobWebhook `json:"webhook,omitempty"`
-}
-
-// JobWebhook is a job's optional completion callback.
-type JobWebhook struct {
-	URL    string `json:"url"`
-	Secret string `json:"secret,omitempty"`
-}
-
-// JobProgress is a point-in-time view of a job's per-shard progress.
-// Runs counts completed engine runs: a sweep job's figure is one run,
-// not one per grid cell, so ShardsTotal is the figure's full shard count
-// from the first progress event.
-type JobProgress struct {
-	ShardsTotal  int64 `json:"shards_total"`
-	ShardsDone   int64 `json:"shards_done"`
-	ShardsCached int64 `json:"shards_cached"`
-	Runs         int64 `json:"runs"`
-	Activations  int64 `json:"activations"`
-}
-
-// JobTransition is one audit-trail entry.
-type JobTransition struct {
-	State string    `json:"state"`
-	At    time.Time `json:"at"`
-	Note  string    `json:"note,omitempty"`
-}
-
-// JobStatus is a job's observable snapshot — the /v1/jobs/{id} body.
-type JobStatus struct {
-	ID       string          `json:"id"`
-	Kind     string          `json:"kind"`
-	State    string          `json:"state"`
-	Cached   bool            `json:"cached"`
-	Progress JobProgress     `json:"progress"`
-	Error    string          `json:"error,omitempty"`
-	Created  time.Time       `json:"created"`
-	Started  *time.Time      `json:"started,omitempty"`
-	Finished *time.Time      `json:"finished,omitempty"`
-	Audit    []JobTransition `json:"audit"`
-}
-
-// Terminal reports whether the status is final.
-func (s JobStatus) Terminal() bool {
-	switch s.State {
-	case "succeeded", "failed", "canceled":
-		return true
-	}
-	return false
-}
+// The job documents are aliases of the server's types, like the
+// request types in requests.go.
+type (
+	// JobRequest is POST /v1/jobs: one request family submitted for
+	// asynchronous execution, discriminated by Kind, with an optional
+	// completion webhook.
+	JobRequest = server.JobRequest
+	// JobWebhook is a job's optional completion callback.
+	JobWebhook = jobs.WebhookSpec
+	// JobProgress is a point-in-time view of a job's per-shard progress.
+	JobProgress = jobs.Progress
+	// JobTransition is one audit-trail entry.
+	JobTransition = jobs.Transition
+	// JobStatus is a job's observable snapshot — the /v1/jobs/{id} body.
+	// Its Terminal method reports whether the state is final.
+	JobStatus = jobs.Status
+)
 
 // JobEvent is one frame of a job's SSE progress stream.
 type JobEvent struct {
@@ -125,8 +84,9 @@ func (c *Client) CancelJob(ctx context.Context, id string) (JobStatus, error) {
 
 // JobResult fetches a succeeded job's result (GET /v1/jobs/{id}/result),
 // decoding it exactly like the blocking routes: a Table for columnar
-// jobs, rendered Output otherwise. Returns ErrJobNotReady while the job
-// is still queued or running.
+// jobs, rendered Output otherwise. Kind and Key come from the job ID,
+// which is <kind>-<key>. Returns ErrJobNotReady while the job is still
+// queued or running.
 func (c *Client) JobResult(ctx context.Context, id string) (*Result, error) {
 	resp, body, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil, nil)
 	if err != nil {
@@ -135,14 +95,17 @@ func (c *Client) JobResult(ctx context.Context, id string) (*Result, error) {
 	if resp.StatusCode == http.StatusAccepted {
 		return nil, ErrJobNotReady
 	}
+	var r *Result
 	if ct := resp.Header.Get("Content-Type"); strings.HasPrefix(ct, "text/plain") {
-		return &Result{
-			Kind:   resp.Header.Get("X-Simra-Job"),
+		r = &Result{
 			Cached: resp.Header.Get("X-Simra-Cached") == "true",
 			Output: string(body),
-		}, nil
+		}
+	} else if r, err = decodeResult(resp, body); err != nil {
+		return nil, err
 	}
-	return decodeResult(resp, body)
+	r.Kind, r.Key, _ = strings.Cut(id, "-")
+	return r, nil
 }
 
 // WatchJob follows a job's SSE progress stream (GET
@@ -262,7 +225,7 @@ func (c *Client) RunJob(ctx context.Context, q JobRequest, onEvent func(JobEvent
 			return nil, err
 		}
 	}
-	if st.State != "succeeded" {
+	if st.State != jobs.StateSucceeded {
 		return nil, fmt.Errorf("simra: job %s %s: %s", st.ID, st.State, st.Error)
 	}
 	return c.JobResult(ctx, st.ID)

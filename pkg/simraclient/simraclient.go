@@ -26,6 +26,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/server"
 )
 
 // Client talks to one simra-serve instance. The zero value is not
@@ -89,16 +91,6 @@ type APIError struct {
 
 func (e *APIError) Error() string {
 	return fmt.Sprintf("simra: %s (%d): %s", e.Code, e.Status, e.Message)
-}
-
-// errorEnvelope mirrors the server's {"error": {...}} document.
-type errorEnvelope struct {
-	Error struct {
-		Code         string   `json:"code"`
-		Message      string   `json:"message"`
-		RequestID    string   `json:"request_id"`
-		ValidOptions []string `json:"valid_options"`
-	} `json:"error"`
 }
 
 // requestID mints one unique X-Request-ID value.
@@ -208,7 +200,7 @@ func sleep(ctx context.Context, d time.Duration) error {
 // raw body when it is not the error envelope.
 func apiError(resp *http.Response, body []byte) *APIError {
 	e := &APIError{Status: resp.StatusCode}
-	var env errorEnvelope
+	var env server.ErrorEnvelope
 	if json.Unmarshal(body, &env) == nil && env.Error.Code != "" {
 		e.Code = env.Error.Code
 		e.Message = env.Error.Message
