@@ -264,3 +264,23 @@ func TestSinkRejectsBadSignature(t *testing.T) {
 		t.Fatalf("sink exit %d, want 1", sinkCode)
 	}
 }
+
+// TestExitState pins the exit-code contract of watch and submit -wait on
+// each terminal state, and the stderr line a failed or canceled job
+// leaves.
+func TestExitState(t *testing.T) {
+	for _, tc := range []struct {
+		st     jobs.Status
+		code   int
+		stderr string
+	}{
+		{jobs.Status{ID: "j1", State: jobs.StateSucceeded}, 0, ""},
+		{jobs.Status{ID: "j2", State: jobs.StateFailed, Error: "boom"}, 1, "simra-jobs: job j2 failed: boom\n"},
+		{jobs.Status{ID: "j3", State: jobs.StateCanceled}, 2, "simra-jobs: job j3 canceled\n"},
+	} {
+		var errb bytes.Buffer
+		if code := exitState(tc.st, &errb); code != tc.code || errb.String() != tc.stderr {
+			t.Errorf("%s: exit %d, stderr %q; want %d, %q", tc.st.State, code, errb.String(), tc.code, tc.stderr)
+		}
+	}
+}

@@ -491,3 +491,19 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatal("missing Exec accepted")
 	}
 }
+
+// TestStatusTerminal: a status is terminal exactly when its state is, so
+// clients holding only a Status see the same state machine.
+func TestStatusTerminal(t *testing.T) {
+	for s, want := range map[State]bool{
+		StateQueued:    false,
+		StateRunning:   false,
+		StateSucceeded: true,
+		StateFailed:    true,
+		StateCanceled:  true,
+	} {
+		if got := (Status{State: s}).Terminal(); got != want {
+			t.Errorf("Status{State: %s}.Terminal() = %v, want %v", s, got, want)
+		}
+	}
+}

@@ -268,6 +268,50 @@ func TestResultKindAndKey(t *testing.T) {
 	}
 }
 
+// TestEmptyFigureMeansDefault: the figure is the one sweep field without
+// omitempty, so an unset figure goes on the wire as "figure":"". The
+// server answers that exactly as it answers a body with no figure field
+// and as it answers the default figure: same key, same bytes.
+func TestEmptyFigureMeansDefault(t *testing.T) {
+	if b, err := json.Marshal(SweepRequest{}); err != nil || string(b) != `{"figure":""}` {
+		t.Fatalf("SweepRequest{} encodes to %s (%v); want {\"figure\":\"\"}", b, err)
+	}
+	s := server.New(server.Config{})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	c, ctx := New(ts.URL), context.Background()
+
+	q := SweepRequest{Trials: 1, Groups: 1, Banks: 1, Columns: 64, Format: "csv"}
+	unset, err := c.Sweep(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Figure = "3"
+	explicit, err := c.Sweep(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json",
+		strings.NewReader(`{"trials":1,"groups":1,"banks":1,"cols":64,"format":"csv"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var absent Envelope
+	if err := json.NewDecoder(resp.Body).Decode(&absent); err != nil {
+		t.Fatal(err)
+	}
+	if unset.Key != explicit.Key || unset.Output != explicit.Output {
+		t.Errorf("unset figure: key %s; figure 3: key %s", unset.Key, explicit.Key)
+	}
+	if absent.Key != explicit.Key || absent.Output != explicit.Output {
+		t.Errorf("absent figure: key %s; figure 3: key %s", absent.Key, explicit.Key)
+	}
+}
+
 // TestBatchInBand checks batch plumbing: sibling items execute even when
 // one fails in-band, and the columnar refusal is reported per item.
 func TestBatchInBand(t *testing.T) {
