@@ -33,13 +33,13 @@ func checkJitWindow(t *testing.T, sa *Subarray, row, first int, got []float64) {
 	}
 }
 
-// jitCharge returns the jitter draws the table set holds and the bytes
-// charged to it so far. Between two calls, the charged bytes must grow by
-// exactly eight per draw the set came to hold.
+// jitCharge returns the capacity of the jitter runs the table set holds
+// and the bytes charged to it so far. Between two calls, the charged bytes
+// must grow by exactly eight per element of capacity the set came to hold.
 func jitCharge(tab *saTables) (held int, charged int64) {
 	tab.mu.Lock()
 	for i := range tab.cells {
-		held += len(tab.cells[i].jit)
+		held += cap(tab.cells[i].jit)
 	}
 	tab.mu.Unlock()
 	tableReg.Lock()
@@ -52,7 +52,7 @@ func jitCharge(tab *saTables) (held int, charged int64) {
 // extend it, one that starts before it and one that starts past its end —
 // and checks each window against the inline draws, that windows handed
 // out earlier are never rewritten, and that the bytes charged always match
-// the draws held.
+// the capacity held.
 func TestJitRowWindows(t *testing.T) {
 	sa := freshSubarray(t, 0x717e0001)
 	tab := sa.tab
@@ -82,7 +82,7 @@ func TestJitRowWindows(t *testing.T) {
 		keptFirst = append(keptFirst, w.first)
 		held, charged := jitCharge(tab)
 		if charged-charged0 != int64(8*(held-held0)) {
-			t.Fatalf("window %+v: %d bytes charged for %d draws held", w, charged-charged0, held-held0)
+			t.Fatalf("window %+v: %d bytes charged for a capacity of %d draws", w, charged-charged0, held-held0)
 		}
 		if c := &tab.cells[row]; w.first == 1200 && (c.jitStart != 1200 || len(c.jit) != 3) {
 			t.Fatalf("first window holds trials %d+%d, want 1200+3", c.jitStart, len(c.jit))
@@ -96,7 +96,7 @@ func TestJitRowWindows(t *testing.T) {
 // TestJitRowConcurrent reads overlapping and disjoint windows of a few
 // rows from several goroutines, so every transition races with readers of
 // earlier windows; run it under -race. Every window must equal the inline
-// draws, and the charge must still match the draws held.
+// draws, and the charge must still match the capacity held.
 func TestJitRowConcurrent(t *testing.T) {
 	sa := freshSubarray(t, 0x717e0002)
 	tab := sa.tab
@@ -129,7 +129,7 @@ func TestJitRowConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	if held, charged := jitCharge(tab); charged-charged0 != int64(8*(held-held0)) {
-		t.Fatalf("%d bytes charged for %d draws held", charged-charged0, held-held0)
+		t.Fatalf("%d bytes charged for a capacity of %d draws", charged-charged0, held-held0)
 	}
 }
 

@@ -49,11 +49,13 @@ func PoolModule(pool ModulePool, spec Spec, params analog.Params, pb ParamsBlock
 // while keeping the hoisted static-draw tables, which are pure functions
 // of structural coordinates and therefore identical on a fresh instance.
 // A reset module is indistinguishable from a new one to every operation;
-// pools call it before recycling an instance.
+// pools call it before recycling an instance, so it also counts as a
+// reuse of every table set the instance holds.
 func (m *Module) Reset() {
 	for _, b := range m.banks {
 		for _, sa := range b.subarrays {
 			sa.reset()
+			sa.tab.recycled()
 		}
 	}
 }

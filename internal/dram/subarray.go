@@ -188,11 +188,6 @@ func (s *Subarray) key3(a, b, c uint64) uint64 {
 	return s.keyChain.Mix(a).Mix(b).Mix(c).Sum()
 }
 
-// cellNorm returns the static standard-normal draw for a cell and tag.
-func (s *Subarray) cellNorm(row, col int, tag uint64) float64 {
-	return xrand.NormOf(s.key3(uint64(row), uint64(col), tag))
-}
-
 // colNorm returns the static standard-normal draw for a column and tag.
 func (s *Subarray) colNorm(col int, tag uint64) float64 {
 	return xrand.NormOf(s.key3(0xffff, uint64(col), tag))

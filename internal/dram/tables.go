@@ -26,10 +26,14 @@ import (
 type saTables struct {
 	init sync.Once
 
-	// Registry bookkeeping, guarded by tableReg's lock.
-	key     tableKey
-	charged int64 // bytes charged while registered
-	evicted bool  // dropped from the registry; rows no longer count
+	// Registry bookkeeping, guarded by tableReg's lock. reused is set
+	// under it but also read without it, so that a recycled instance
+	// checks it cheaply.
+	key        tableKey
+	charged    int64       // bytes charged while registered
+	q          *setQueue   // the queue holding the set; nil once evicted
+	prev, next *saTables   // the older and newer neighbours in q
+	reused     atomic.Bool // reused since the last aging pass
 
 	theta     []float64  // per-column reliable sensing threshold
 	saBias    bitvec.Vec // per-column sense-amp bias sign (Frac readout)
@@ -71,66 +75,171 @@ type tableKey struct {
 
 // tableRegBudget bounds the registry by the bytes its table sets hold:
 // the eager per-column and per-row tables, the slot array, every
-// published per-cell row with its slice header, every jitter and coupling
-// row, every coin plane, every derived value with its entry, and a fixed
-// overhead per set. Once a charge takes the registered sets past it, the
-// oldest sets are evicted until the rest fit. Every entry is
-// recomputable, and instances that already attached keep their pointers,
-// so eviction only costs re-derivation for future attachments. Fresh-seed
-// workloads build new rows forever; without the bound they would retain
-// every one. The budget is large enough that a server fed fresh seeds
-// evicts a set only after many requests have reused it. It is a variable
-// only so tests can force evictions.
+// published per-cell row with its slice header, every jitter run and
+// coupling row at its capacity, every coin plane, every derived value
+// with its entry, and a fixed overhead per set. The registry keeps two
+// queues under it, after 2Q (Johnson & Shasha, VLDB 1994): a new set
+// enters probation, and a reuse — a second instance attaching it, or a
+// warm-pool recycle of an instance holding it — moves it to the
+// protected queue. Probation holds at most 1/probationShare of the
+// budget, beyond which its oldest sets are evicted; the oldest protected
+// sets are evicted while the registry is over the budget. Each time the
+// registry has been charged probation's share in new bytes, an aging
+// pass moves every protected set not reused since the previous pass back
+// to probation, where a reuse promotes it again. So a set stays while it
+// is reused within that much new table work, and a workload whose sets
+// come back only after more (a characterization pass per fresh seed)
+// retains about probation's share, while a server that keeps returning
+// to its fleet's sets keeps them. Every entry is recomputable, and
+// instances that already attached keep their pointers, so eviction only
+// costs re-derivation for future attachments. It is a variable only so
+// tests can force evictions.
 var tableRegBudget int64 = 256 << 20
 
+// probationShare sets probation's part of the budget, and the new bytes
+// between aging passes: 1/8, 32 MiB of the default budget.
+const probationShare = 8
+
 // setOverhead is the fixed charge of one table set: the saTables struct
-// plus the headers of its memo maps and its registry map and order
-// entries, rounded up to 256 bytes.
+// plus the headers of its memo maps and its registry map entry, rounded
+// up to 256 bytes.
 const setOverhead = int(unsafe.Sizeof(saTables{})) + 256
 
 // rowHeader is the charge of a published row's heap slice header.
 const rowHeader = int(unsafe.Sizeof([]float64(nil)))
 
+// setQueue is one of the registry's queues, oldest set first, linked
+// through the sets themselves so that a promotion unlinks a set from the
+// middle of probation in constant time.
+type setQueue struct {
+	oldest, newest *saTables
+	bytes          int64 // Σ charged over the queued sets
+}
+
+func (q *setQueue) push(t *saTables) {
+	t.q, t.prev, t.next = q, q.newest, nil
+	if q.newest != nil {
+		q.newest.next = t
+	} else {
+		q.oldest = t
+	}
+	q.newest = t
+	q.bytes += t.charged
+}
+
+func (q *setQueue) remove(t *saTables) {
+	if t.prev != nil {
+		t.prev.next = t.next
+	} else {
+		q.oldest = t.next
+	}
+	if t.next != nil {
+		t.next.prev = t.prev
+	} else {
+		q.newest = t.prev
+	}
+	t.q, t.prev, t.next = nil, nil, nil
+	q.bytes -= t.charged
+}
+
 // tableReg is the process-wide registry. Its lock is taken after a table
 // set's mu, never before: rows are charged while their set is locked.
 var tableReg = struct {
 	sync.Mutex
-	m         map[tableKey]*saTables
-	order     []*saTables // registered sets, oldest first
-	bytes     int64       // Σ charged over the registered sets
-	evictions int64
+	m                    map[tableKey]*saTables
+	probation, protected setQueue
+	sinceAging           int64 // bytes charged since the last aging pass
+	evictions            int64
+	hits, misses         int64 // tablesFor lookups that found a set, and that made one
+	promotions           int64 // probation to protected
+	demotions            int64 // protected to probation, by aging
 }{m: make(map[tableKey]*saTables)}
 
 // charge counts n bytes the set just came to hold (or, negative, just
-// dropped) against the registry budget, evicting the oldest sets while the
-// registry is over it. Rows published by an evicted set live only as long
-// as the instances holding it, so they are not counted.
+// dropped) against the registry budget, then evicts what the budget no
+// longer holds. Rows published by an evicted set live only as long as
+// the instances holding it, so they are not counted.
 func (t *saTables) charge(n int) {
 	if n == 0 {
 		return
 	}
 	tableReg.Lock()
 	defer tableReg.Unlock()
-	if t.evicted {
+	if t.q == nil {
 		return
 	}
 	t.charged += int64(n)
-	tableReg.bytes += int64(n)
+	t.q.bytes += int64(n)
+	if n > 0 {
+		tableReg.sinceAging += int64(n)
+		if tableReg.sinceAging > tableRegBudget/probationShare {
+			age()
+		}
+	}
 	evictOverBudget()
 }
 
-// evictOverBudget drops the oldest registered sets until the rest fit the
-// budget. The caller holds tableReg's lock.
+// age moves every protected set not reused since the last pass back to
+// probation, newest, and starts a new pass. The caller holds tableReg's
+// lock.
+func age() {
+	tableReg.sinceAging = 0
+	for t := tableReg.protected.oldest; t != nil; {
+		next := t.next
+		if !t.reused.Swap(false) {
+			tableReg.protected.remove(t)
+			tableReg.probation.push(t)
+			tableReg.demotions++
+		}
+		t = next
+	}
+}
+
+// evictOverBudget evicts the oldest probation sets while probation holds
+// more than its share of the budget, then the oldest protected sets while
+// the registry holds more than the budget. The caller holds tableReg's
+// lock.
 func evictOverBudget() {
-	for tableReg.bytes > tableRegBudget {
-		old := tableReg.order[0]
-		tableReg.order[0] = nil
-		tableReg.order = tableReg.order[1:]
+	for {
+		q := &tableReg.probation
+		if q.bytes <= tableRegBudget/probationShare {
+			if q.bytes+tableReg.protected.bytes <= tableRegBudget {
+				return
+			}
+			q = &tableReg.protected
+		}
+		old := q.oldest
+		q.remove(old)
 		delete(tableReg.m, old.key)
-		tableReg.bytes -= old.charged
-		old.evicted = true
 		tableReg.evictions++
 	}
+}
+
+// promote records a reuse of the set: a probation set moves to the
+// protected queue, a protected one is kept at the next aging pass. The
+// caller holds tableReg's lock.
+func (t *saTables) promote() {
+	if t.reused.Load() {
+		return
+	}
+	t.reused.Store(true)
+	if t.q != &tableReg.probation {
+		return
+	}
+	tableReg.probation.remove(t)
+	tableReg.protected.push(t)
+	tableReg.promotions++
+}
+
+// recycled records that a warm pool is recycling an instance holding the
+// set, a reuse. Until the next aging pass, it takes no lock again.
+func (t *saTables) recycled() {
+	if t.reused.Load() {
+		return
+	}
+	tableReg.Lock()
+	defer tableReg.Unlock()
+	t.promote()
 }
 
 // Derivation counters, exported through TableDerivations so tests can pin
@@ -151,8 +260,13 @@ func TableDerivations() (staticSets, cellRows int64) {
 type RegistryStats struct {
 	Sets           int   // table sets registered now
 	Bytes          int64 // bytes charged to them
+	ProbationBytes int64 // the part charged to sets in probation
 	Budget         int64 // the byte budget
 	Evictions      int64 // sets evicted since start
+	LookupHits     int64 // attachments that found their set registered, since start
+	LookupMisses   int64 // attachments that registered a new set, since start
+	Promotions     int64 // sets moved from probation to protected since start
+	Demotions      int64 // protected sets aged back to probation since start
 	SetDerivations int64 // eager table sets derived since start
 	RowDerivations int64 // lazy per-cell rows derived since start
 }
@@ -162,21 +276,29 @@ func Registry() RegistryStats {
 	sets, rows := TableDerivations()
 	tableReg.Lock()
 	defer tableReg.Unlock()
-	return RegistryStats{Sets: len(tableReg.m), Bytes: tableReg.bytes, Budget: tableRegBudget,
-		Evictions: tableReg.evictions, SetDerivations: sets, RowDerivations: rows}
+	return RegistryStats{Sets: len(tableReg.m),
+		Bytes:          tableReg.probation.bytes + tableReg.protected.bytes,
+		ProbationBytes: tableReg.probation.bytes, Budget: tableRegBudget,
+		Evictions: tableReg.evictions, LookupHits: tableReg.hits, LookupMisses: tableReg.misses,
+		Promotions: tableReg.promotions, Demotions: tableReg.demotions,
+		SetDerivations: sets, RowDerivations: rows}
 }
 
 // tablesFor returns the shared table set for the key, creating an
-// unbuilt entry on first sight.
+// unbuilt probation entry on first sight and promoting a registered one:
+// a second instance attaching a set is a reuse.
 func tablesFor(k tableKey) *saTables {
 	tableReg.Lock()
 	defer tableReg.Unlock()
 	if t, ok := tableReg.m[k]; ok {
+		tableReg.hits++
+		t.promote()
 		return t
 	}
+	tableReg.misses++
 	t := &saTables{key: k}
 	tableReg.m[k] = t
-	tableReg.order = append(tableReg.order, t)
+	tableReg.probation.push(t)
 	return t
 }
 
@@ -239,18 +361,20 @@ func (t *saTables) deriveRow(s *Subarray, row, kind int) []float64 {
 	if r := slot.Load(); r != nil {
 		return *r
 	}
+	// Each cell draws from key3(row, c, tag), with the row prefix hoisted.
+	k := s.keyChain.Mix(uint64(row))
 	var r []float64
 	switch kind {
 	case rowFrac:
 		r = floatRow(s.cols)
 		for c := range r {
-			r[c] = s.cellNorm(row, c, tagFrac)
+			r[c] = xrand.NormOf(k.Mix(uint64(c)).Mix(tagFrac).Sum())
 		}
 	case rowWbase:
 		r = floatRow(s.cols)
 		sigma := s.mod.params.CellCapSigma
 		for c := range r {
-			r[c] = 1 + sigma*s.cellNorm(row, c, tagGamma)
+			r[c] = 1 + sigma*xrand.NormOf(k.Mix(uint64(c)).Mix(tagGamma).Sum())
 		}
 	case rowWeakWR, rowWeakCopy:
 		tag := uint64(tagWeakWR)
@@ -260,7 +384,7 @@ func (t *saTables) deriveRow(s *Subarray, row, kind int) []float64 {
 		r = floatRow(s.cols + s.words)
 		u, floor := r[:s.cols], r[s.cols:]
 		for c := range u {
-			u[c] = xrand.Uniform(s.key3(uint64(row), uint64(c), tag))
+			u[c] = xrand.Uniform(k.Mix(uint64(c)).Mix(tag).Sum())
 		}
 		for wi := range floor {
 			floor[wi] = slices.Min(u[wi*64 : min(wi*64+64, s.cols)])
@@ -283,10 +407,10 @@ func (t *saTables) deriveRow(s *Subarray, row, kind int) []float64 {
 // a few late trials holds only those. Published arrays are never
 // rewritten — appends land past every returned window and a fresh run is
 // a new array — so the returned window is safe to read outside the lock.
-// The run's draws are what is charged: a fresh run returns the old run's
-// charge. No fresh per-cell table derivation happens here (it is the same
-// per-trial draw the scalar path makes inline), so it doesn't count toward
-// the derivation counters.
+// The run is charged at its capacity, as the per-cell rows are: a fresh
+// run returns the old run's charge. No fresh per-cell table derivation
+// happens here (it is the same per-trial draw the scalar path makes
+// inline), so it doesn't count toward the derivation counters.
 func (t *saTables) jitRow(s *Subarray, row, first, n int) []float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -316,25 +440,25 @@ func (t *saTables) jitWindows(s *Subarray, rows []int, need uint64, first, n int
 }
 
 // jitWindow is jitRow's body. The caller holds t.mu and charges the
-// returned byte delta.
+// returned byte delta: the capacity of a grown or fresh run, less the
+// capacity of the run it replaced. A window inside the run writes
+// nothing, so the row's slots stay clean for their lock-free readers.
 func (t *saTables) jitWindow(s *Subarray, row, first, n int) ([]float64, int) {
 	cell := &t.cells[row]
 	r, start := cell.jit, cell.jitStart
-	grown := 0
 	if first < start || first > start+len(r) {
-		grown -= 8 * len(r)
 		r, start = nil, first
-		cell.jitStart = first
 	}
 	end := first + n
+	grown := 0
 	if have := start + len(r); end > have {
-		grown += 8 * (end - have)
 		// key3(row, trial, tagJitter) with the row prefix hoisted.
 		k := s.keyChain.Mix(uint64(row))
 		for trial := have; trial < end; trial++ {
 			r = append(r, xrand.Norm(k.Mix(uint64(trial)).Mix(tagJitter).Sum()))
 		}
-		cell.jit = r
+		grown = 8 * (cap(r) - cap(cell.jit))
+		cell.jit, cell.jitStart = r, start
 	}
 	return r[first-start : end-start : end-start], grown
 }

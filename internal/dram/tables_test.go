@@ -264,7 +264,8 @@ func TestShareOutMatchesScalarAPA(t *testing.T) {
 
 // TestMemoResetRefundsCharge checks that one 64-column table set's
 // registry charge equals the bytes it holds: after attachment, after
-// per-cell rows of every kind and a jitter run are published, and after
+// per-cell rows of every kind and a jitter run are published, after a
+// jitter run grows past its capacity and restarts, and after
 // its coupling rows, coin planes and derived values pass couplingCacheMax,
 // metaPlaneMax and derivedMax, so each memo map resets once and refunds
 // what it drops.
@@ -290,7 +291,7 @@ func TestMemoResetRefundsCharge(t *testing.T) {
 					held += rowHeader + 8*cap(*r)
 				}
 			}
-			held += 8 * len(c.jit)
+			held += 8 * cap(c.jit)
 		}
 		held += 8*sa.cols*len(tab.couplingNorms) + 8*sa.words*len(tab.metaPlanes)
 		for _, e := range tab.derived {
@@ -298,7 +299,7 @@ func TestMemoResetRefundsCharge(t *testing.T) {
 		}
 		tableReg.Lock()
 		defer tableReg.Unlock()
-		if tab.evicted {
+		if tab.q == nil {
 			t.Fatal("table set evicted mid-test")
 		}
 		if tab.charged != int64(held) {
@@ -313,6 +314,13 @@ func TestMemoResetRefundsCharge(t *testing.T) {
 		tab.jitRow(sa, row, 0, 5)
 	}
 	check("after per-cell rows")
+	tab.jitRow(sa, 0, 3, 40) // appends past the run's capacity
+	if c := &tab.cells[0]; cap(c.jit) == len(c.jit) {
+		t.Fatalf("jitter run holds %d draws at capacity %d, want spare capacity", len(c.jit), cap(c.jit))
+	}
+	check("after a jitter run grows")
+	tab.jitRow(sa, 0, 1000, 3) // past the run's end: a fresh run
+	check("after a jitter run restarts")
 	for k := uint64(0); k <= couplingCacheMax; k++ {
 		tab.couplingRow(sa.cols, k)
 	}
@@ -333,4 +341,41 @@ func TestMemoResetRefundsCharge(t *testing.T) {
 			len(tab.couplingNorms), len(tab.metaPlanes), len(tab.derived))
 	}
 	check("after the memo resets")
+}
+
+// attachSeq numbers the identities BenchmarkRegistryAttach/miss makes, so
+// every attachment, across runs, is of a set not yet registered.
+var attachSeq int
+
+// BenchmarkRegistryAttach times a subarray attaching its static table set.
+// hit attaches a registered set: the lookup and the reuse check, under
+// the registry lock. miss attaches a new identity each time: the lookup,
+// the set's registration in probation, the eager tables' derivation and,
+// once probation holds its share of the budget, an eviction.
+func BenchmarkRegistryAttach(b *testing.B) {
+	spec := NewSpec("registry-bench", ProfileH, 0xbe7c0001)
+	spec.Columns = 64
+	m, err := NewModule(spec, analog.DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sa, err := m.Subarray(0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sa.attachTables()
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		fresh := *sa
+		for i := 0; i < b.N; i++ {
+			attachSeq++
+			fresh.bankIdx = 1<<20 + attachSeq // no real bank: a key no one else makes
+			fresh.attachTables()
+		}
+	})
 }

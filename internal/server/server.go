@@ -680,8 +680,13 @@ func (s *Server) writeMetrics(w http.ResponseWriter) {
 	rs := dram.Registry()
 	fmt.Fprintf(&b, "simra_dram_table_sets %d\n", rs.Sets)
 	fmt.Fprintf(&b, "simra_dram_table_bytes %d\n", rs.Bytes)
+	fmt.Fprintf(&b, "simra_dram_table_probation_bytes %d\n", rs.ProbationBytes)
 	fmt.Fprintf(&b, "simra_dram_table_budget_bytes %d\n", rs.Budget)
 	fmt.Fprintf(&b, "simra_dram_table_evictions_total %d\n", rs.Evictions)
+	fmt.Fprintf(&b, "simra_dram_table_lookup_hits_total %d\n", rs.LookupHits)
+	fmt.Fprintf(&b, "simra_dram_table_lookup_misses_total %d\n", rs.LookupMisses)
+	fmt.Fprintf(&b, "simra_dram_table_promotions_total %d\n", rs.Promotions)
+	fmt.Fprintf(&b, "simra_dram_table_demotions_total %d\n", rs.Demotions)
 	fmt.Fprintf(&b, "simra_dram_table_set_derivations_total %d\n", rs.SetDerivations)
 	fmt.Fprintf(&b, "simra_dram_table_row_derivations_total %d\n", rs.RowDerivations)
 	for _, g := range s.groups {

@@ -508,8 +508,13 @@ func TestHealthAndMetrics(t *testing.T) {
 		"simra_cache_hosted_evictions_total 0",
 		"simra_dram_table_sets ",
 		"simra_dram_table_bytes ",
+		"simra_dram_table_probation_bytes ",
 		"simra_dram_table_budget_bytes 268435456",
 		"simra_dram_table_evictions_total ",
+		"simra_dram_table_lookup_hits_total ",
+		"simra_dram_table_lookup_misses_total ",
+		"simra_dram_table_promotions_total ",
+		"simra_dram_table_demotions_total ",
 		"simra_dram_table_set_derivations_total ",
 		"simra_dram_table_row_derivations_total ",
 	} {
